@@ -56,10 +56,13 @@ from .transport import CurveSpec, parallel_transport, projection_commutes_residu
 __all__ = ["ProblemSpec", "Report", "CheckRecord", "SpecFormatError", "load_spec",
            "run_checks", "run_transport", "build_components", "main"]
 
-_METRIC_KEY = re.compile(r"^g_(\d+)_(\d+)$")
-_CONN_KEY = re.compile(r"^D_(\d+)_(\d+)_(\d+)$")
-_LAMBDA_KEY = re.compile(r"^lambda_(\d+)_(\d+)$")
-_H_KEY = re.compile(r"^h_(\d+)_(\d+)$")
+# one ASCII spelling per index (no leading zeros), so two keys can name the
+# same entry only as mirror images, which the component constructors compare
+_INDEX = r"([0-9]|[1-9][0-9]+)"
+_METRIC_KEY = re.compile(rf"^g_{_INDEX}_{_INDEX}$")
+_CONN_KEY = re.compile(rf"^D_{_INDEX}_{_INDEX}_{_INDEX}$")
+_LAMBDA_KEY = re.compile(rf"^lambda_{_INDEX}_{_INDEX}$")
+_H_KEY = re.compile(rf"^h_{_INDEX}_{_INDEX}$")
 
 _COMMON_KEYS = {"kind", "checks", "samples", "seed", "tolerance", "transport"}
 _METRIC_KEYS = _COMMON_KEYS | {"n", "r", "middle"}
@@ -187,13 +190,6 @@ def _parse_field(key: str, text, n: int):
         raise SpecFormatError(f"bad expression for '{key}': {exc}") from None
 
 
-def _symmetric_insert(store: dict, key_pair: Tuple[int, int], value, keyname: str):
-    pair = key_pair if key_pair[0] <= key_pair[1] else (key_pair[1], key_pair[0])
-    if pair in store and not store[pair].same_expression(value):
-        raise SpecFormatError(f"asymmetric duplicate entries for '{keyname}'")
-    store[pair] = value
-
-
 def load_spec(path: str) -> ProblemSpec:
     """Load and validate a problem file, applying defaults."""
     try:
@@ -259,8 +255,12 @@ def _load_metric(raw: dict, path: str) -> ProblemSpec:
     for key in comp_keys:
         mu, nu = (int(v) for v in _METRIC_KEY.match(key).groups())
         _require(1 <= mu <= n and 1 <= nu <= n, f"index out of range in '{key}' (n={n})")
-        _symmetric_insert(comps, (mu, nu), _parse_field(key, raw[key], n), key)
-    return ProblemSpec(kind="metric", path=path, checks=[], metric=MetricField(chart, comps))
+        comps[(mu, nu)] = _parse_field(key, raw[key], n)
+    try:
+        metric = MetricField(chart, comps)
+    except ValueError as exc:
+        raise SpecFormatError(str(exc)) from None
+    return ProblemSpec(kind="metric", path=path, checks=[], metric=metric)
 
 
 def _load_extension(raw: dict, path: str) -> ProblemSpec:
@@ -279,22 +279,18 @@ def _load_extension(raw: dict, path: str) -> ProblemSpec:
             i, j, k = (int(v) for v in match.groups())
             _require(all(1 <= v <= r for v in (i, j, k)),
                      f"index out of range in '{key}' (r={r})")
-            f = _parse_field(key, raw[key], r)
-            pair = (i, j, k) if j <= k else (i, k, j)
-            if pair in conn and not conn[pair].same_expression(f):
-                raise SpecFormatError(f"asymmetric duplicate entries for '{key}'")
-            conn[pair] = f
+            conn[(i, j, k)] = _parse_field(key, raw[key], r)
         elif (match := _LAMBDA_KEY.match(key)) is not None:
             mu, nu = (int(v) for v in match.groups())
             _require(1 <= mu <= q and 1 <= nu <= q, f"index out of range in '{key}' (r+m={q})")
             _require(min(mu, nu) <= r,
                      f"'{key}' lies in the middle-middle block; use h_{mu}_{nu}")
-            _symmetric_insert(lam, (mu, nu), _parse_field(key, raw[key], q), key)
+            lam[(mu, nu)] = _parse_field(key, raw[key], q)
         else:
             p, s = (int(v) for v in _H_KEY.match(key).groups())
             _require(r < p <= q and r < s <= q,
                      f"index out of range in '{key}' (middle block is {r + 1}..{q})")
-            _symmetric_insert(lam, (p, s), _parse_field(key, raw[key], q), key)
+            lam[(p, s)] = _parse_field(key, raw[key], q)
 
     g_ia = raw.get("g_ia")
     if g_ia is not None:
@@ -347,11 +343,14 @@ def _record(name: str, tolerance: float, fn) -> CheckRecord:
         residual, worst = result.residual, result.worst_point
     else:
         residual, worst = float(result), None
+    # JSON has no NaN or Infinity, and neither is a verdict
+    finite = bool(np.isfinite(residual))
     return CheckRecord(
         name=name,
-        residual=residual,
-        passed=residual <= tolerance,
+        residual=residual if finite else None,
+        passed=finite and residual <= tolerance,
         worst_point=None if worst is None else [float(v) for v in worst],
+        error=None if finite else f"non-finite residual: {residual}",
         wall_time=time.perf_counter() - start,
     )
 

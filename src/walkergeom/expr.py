@@ -438,6 +438,12 @@ def render(node: _Node) -> str:
 # ---------------------------------------------------------------------------
 
 
+# Deepest nesting the parser accepts, counting parentheses, function calls and
+# chained quotients.  The parser and every tree walk recurse once per level, so
+# a bound keeps hostile input from exhausting the interpreter stack.
+MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive-descent parser for the surface grammar.
 
@@ -452,6 +458,7 @@ class _Parser:
         self.text = text
         self.n = n
         self.pos = 0
+        self.depth = 0
 
     def parse(self) -> _Node:
         node = self.expr()
@@ -489,15 +496,18 @@ class _Parser:
 
     def term(self) -> _Node:
         node = self.factor()
+        depth = self.depth
         while True:
             ch = self.peek()
             if ch == "*":
                 self.pos += 1
                 node = mul(node, self.factor())
             elif ch == "/":
+                self.descend()  # each quotient nests its numerator one level deeper
                 self.pos += 1
                 node = div(node, self.factor())
             else:
+                self.depth = depth
                 return node
 
     def factor(self) -> _Node:
@@ -525,12 +535,7 @@ class _Parser:
         if ch == "":
             raise ExpressionSyntaxError("expected expression", start)
         if ch == "(":
-            self.pos += 1
-            node = self.expr()
-            if self.peek() != ")":
-                raise ExpressionSyntaxError("expected ')'", self.pos)
-            self.pos += 1
-            return node
+            return self.group()
         if ch.isdigit() or ch == ".":
             return _Const(self.number())
         if ch.isalpha():
@@ -551,14 +556,27 @@ class _Parser:
             if word in ("sin", "cos", "exp"):
                 if self.peek() != "(":
                     raise ExpressionSyntaxError(f"expected '(' after '{word}'", self.pos)
-                self.pos += 1
-                arg = self.expr()
-                if self.peek() != ")":
-                    raise ExpressionSyntaxError("expected ')'", self.pos)
-                self.pos += 1
-                return call(word, arg)
+                return call(word, self.group())
             raise ExpressionSyntaxError(f"unknown name '{word}'", start)
         raise ExpressionSyntaxError(f"unexpected character '{ch}'", start)
+
+    def descend(self):
+        if self.depth == MAX_NESTING:
+            raise ExpressionSyntaxError(
+                f"expression nested deeper than {MAX_NESTING} levels", self.pos
+            )
+        self.depth += 1
+
+    def group(self) -> _Node:
+        """``'(' expr ')'`` one nesting level down."""
+        self.descend()
+        self.pos += 1
+        node = self.expr()
+        if self.peek() != ")":
+            raise ExpressionSyntaxError("expected ')'", self.pos)
+        self.pos += 1
+        self.depth -= 1
+        return node
 
     def word(self) -> str:
         start = self.pos

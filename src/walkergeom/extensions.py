@@ -30,6 +30,8 @@ from .tensor import (
     MetricField,
     SingularMetricError,
     SymbolicConnection,
+    _canonical,
+    _symmetric_store,
     christoffel,
 )
 
@@ -94,21 +96,7 @@ class ExtensionSpec:
             raise ValueError(
                 f"base connection lives on dimension {self.base_connection.n}, expected {self.r}"
             )
-        q = self.r + self.m
-        lam = {}
-        for (mu, nu), value in dict(self.lam).items():
-            if not (1 <= mu <= q and 1 <= nu <= q):
-                raise IndexError(f"section index ({mu},{nu}) out of range 1..{q}")
-            key = (mu, nu) if mu <= nu else (nu, mu)
-            f = as_field(value, q)
-            if key in lam and not lam[key].same_expression(f):
-                raise ValueError(f"conflicting entries for symmetric component lambda_{key}")
-            lam[key] = f
-        zero = ScalarField.constant(0.0, q)
-        for mu in range(1, q + 1):
-            for nu in range(mu, q + 1):
-                lam.setdefault((mu, nu), zero)
-        self.lam = lam
+        self.lam = _symmetric_store(self.lam, self.r + self.m, 2, "lambda")
         if self.g_ia is None:
             self.g_ia = np.eye(self.r)
         self.g_ia = np.asarray(self.g_ia, dtype=float)
@@ -122,8 +110,7 @@ class ExtensionSpec:
         return 2 * self.r + self.m
 
     def lam_component(self, mu: int, nu: int) -> ScalarField:
-        key = (mu, nu) if mu <= nu else (nu, mu)
-        return self.lam[key]
+        return self.lam[_canonical((mu, nu))]
 
     def h_component(self, p: int, q: int) -> ScalarField:
         """Vertical-metric component; p, q are 1-based middle indices r+1..r+m."""

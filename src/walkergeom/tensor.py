@@ -14,12 +14,22 @@ arrays are indexed ``[l, j, k]`` for ``Gamma^l_{jk}`` and curvature arrays
                   + Gamma^l_{jp} Gamma^p_{ik} - Gamma^l_{ip} Gamma^p_{jk}
 
 (the negative of the most common textbook convention).
+
+Component families symmetric in one index pair (g, Gamma, and the section
+data of :mod:`walkergeom.extensions`) are stored once per canonical key, with
+the pair in ascending order and missing entries zero.  Evaluation reads a
+table built from that store on first use: the list of *distinct* fields
+(expression trees that are equal are kept once) and an integer index array
+over the dense component shape.  The dense array at points ``x`` is
+``evaluate_fields(fields, x)[..., index]``, so each distinct field is
+evaluated once however many slots it fills.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -46,112 +56,108 @@ class SingularMetricError(ValueError):
     """The metric determinant fell below the floor at an evaluation point."""
 
 
-def _zero(n: int) -> ScalarField:
-    return ScalarField.constant(0.0, n)
+def _canonical(key: Tuple[int, ...]) -> Tuple[int, ...]:
+    """A component key with its trailing symmetric index pair in ascending order."""
+    *head, a, b = key
+    return (*head, a, b) if a <= b else (*head, b, a)
+
+
+def _symmetric_store(entries, n: int, rank: int, name: str) -> Dict[Tuple[int, ...], ScalarField]:
+    """Canonical store of a component family symmetric in its last index pair.
+
+    ``entries`` maps 1-based index tuples of length ``rank`` to anything
+    :func:`as_field` accepts.  Keys are stored in canonical order, an entry
+    that disagrees with its mirror image is refused, and every missing entry
+    is filled with zero.
+    """
+    store = {}
+    for key, value in dict(entries).items():
+        if len(key) != rank or not all(1 <= i <= n for i in key):
+            raise IndexError(f"{name} index {key} out of range 1..{n}")
+        canon = _canonical(key)
+        f = as_field(value, n)
+        if canon in store and not store[canon].same_expression(f):
+            label = "_".join(map(str, key))
+            raise ValueError(f"asymmetric duplicate entries for '{name}_{label}'")
+        store[canon] = f
+    zero = ScalarField.constant(0.0, n)
+    for key in itertools.product(range(1, n + 1), repeat=rank):
+        store.setdefault(_canonical(key), zero)
+    return store
+
+
+def _gather(store: Mapping[Tuple[int, ...], ScalarField], n: int, rank: int,
+            pairs=((-2, -1),)):
+    """Lay a canonical store out over the dense ``(n,) * rank`` slot grid.
+
+    The table is symmetric in each axis pair of ``pairs``, and ``store``
+    holds (1-based) every slot with each pair in ascending order.  Returns
+    the distinct fields (equal trees kept once) and an ``intp`` array of slot
+    positions in that list, so the dense table at points ``x`` is
+    ``evaluate_fields(fields, x)[..., index]``.
+    """
+    position = {}
+    at = [position.setdefault(f.node, (len(position), f))[0] for f in store.values()]
+    index = np.empty((n,) * rank, dtype=np.intp)
+    index[tuple(np.array(list(store)).T - 1)] = at
+    grid = np.indices(index.shape)
+    for a, b in pairs:
+        index = np.where(grid[a] <= grid[b], index, np.swapaxes(index, a, b))
+    return [f for _, f in position.values()], index
+
+
+def _evaluate(table, x) -> np.ndarray:
+    fields, index = table
+    return evaluate_fields(fields, x)[..., index]
 
 
 class MetricField:
     """Symmetric 2-tensor with ScalarField components; only mu <= nu stored.
 
-    Components are immutable after construction.  The tables of symbolic
-    first/second partials are derived data, built lazily on first use;
-    construct (or touch ``partial_value`` once) before fanning evaluation
-    out to concurrent workers.
+    Components are immutable after construction.  The tables of g and its
+    symbolic first/second partials are derived data, built lazily on first
+    use; construct (or touch ``second_partial_value`` once) before fanning
+    evaluation out to concurrent workers.
     """
 
     def __init__(self, chart: ChartSplit, components: Mapping[Tuple[int, int], object]):
         self.chart = chart
         self.n = chart.n
-        comps = {}
-        for (mu, nu), value in components.items():
-            if not (1 <= mu <= self.n and 1 <= nu <= self.n):
-                raise IndexError(f"metric index ({mu},{nu}) out of range 1..{self.n}")
-            key = (mu, nu) if mu <= nu else (nu, mu)
-            f = as_field(value, self.n)
-            if key in comps and not comps[key].same_expression(f):
-                raise ValueError(f"conflicting entries for symmetric component g_{key}")
-            comps[key] = f
-        zero = _zero(self.n)
-        for mu in range(1, self.n + 1):
-            for nu in range(mu, self.n + 1):
-                comps.setdefault((mu, nu), zero)
-        self._comps = comps
-        self._pairs = [(mu, nu) for mu in range(1, self.n + 1) for nu in range(mu, self.n + 1)]
-        self._d1 = None
-        self._d2 = None
+        self._comps = _symmetric_store(components, self.n, 2, "g")
+        self._tables = [None, None, None]
 
     def component(self, mu: int, nu: int) -> ScalarField:
         """g_{mu nu} (1-based, symmetric access)."""
-        key = (mu, nu) if mu <= nu else (nu, mu)
-        return self._comps[key]
+        return self._comps[_canonical((mu, nu))]
 
     # -- evaluation ------------------------------------------------------------
 
+    def _table(self, order: int):
+        """Table of g (order 0), its first (1) or second (2) partials."""
+        if self._tables[order] is None:
+            n, store, pairs = self.n, self._comps, ((-2, -1),)
+            if order == 1:
+                store = {(i, *p): f.partial(i) for i in range(1, n + 1) for p, f in store.items()}
+            elif order == 2:
+                # d_j d_i g for i <= j, differentiating the first-partial table
+                d1, at = self._table(1)
+                store = {(i, j, mu, nu): d1[at[i - 1, mu - 1, nu - 1]].partial(j)
+                         for i in range(1, n + 1) for j in range(i, n + 1) for (mu, nu) in store}
+                pairs = ((0, 1), (2, 3))
+            self._tables[order] = _gather(store, n, 2 + order, pairs)
+        return self._tables[order]
+
     def value(self, x) -> np.ndarray:
         """Component matrix, shape ``x.shape[:-1] + (n, n)``."""
-        x = np.asarray(x, dtype=float)
-        vals = evaluate_fields([self._comps[p] for p in self._pairs], x)
-        out = np.empty(x.shape[:-1] + (self.n, self.n))
-        for k, (mu, nu) in enumerate(self._pairs):
-            out[..., mu - 1, nu - 1] = vals[..., k]
-            out[..., nu - 1, mu - 1] = vals[..., k]
-        return out
-
-    def _first_partials(self):
-        if self._d1 is None:
-            self._d1 = {
-                (i, p): self._comps[p].partial(i)
-                for i in range(1, self.n + 1)
-                for p in self._pairs
-            }
-        return self._d1
-
-    def _second_partials(self):
-        if self._d2 is None:
-            d1 = self._first_partials()
-            self._d2 = {
-                (i, j, p): d1[(i, p)].partial(j)
-                for i in range(1, self.n + 1)
-                for j in range(i, self.n + 1)
-                for p in self._pairs
-            }
-        return self._d2
+        return _evaluate(self._table(0), x)
 
     def partial_value(self, x) -> np.ndarray:
         """All first partials; ``[..., i, mu, nu] = d_i g_{mu nu}`` (0-based)."""
-        x = np.asarray(x, dtype=float)
-        d1 = self._first_partials()
-        n = self.n
-        fields = [d1[(i, p)] for i in range(1, n + 1) for p in self._pairs]
-        vals = evaluate_fields(fields, x)
-        out = np.empty(x.shape[:-1] + (n, n, n))
-        k = 0
-        for i in range(n):
-            for (mu, nu) in self._pairs:
-                out[..., i, mu - 1, nu - 1] = vals[..., k]
-                out[..., i, nu - 1, mu - 1] = vals[..., k]
-                k += 1
-        return out
+        return _evaluate(self._table(1), x)
 
     def second_partial_value(self, x) -> np.ndarray:
         """All second partials; ``[..., i, j, mu, nu] = d_i d_j g_{mu nu}``."""
-        x = np.asarray(x, dtype=float)
-        d2 = self._second_partials()
-        n = self.n
-        keys = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-        fields = [d2[(i, j, p)] for (i, j) in keys for p in self._pairs]
-        vals = evaluate_fields(fields, x)
-        out = np.empty(x.shape[:-1] + (n, n, n, n))
-        k = 0
-        for (i, j) in keys:
-            for (mu, nu) in self._pairs:
-                v = vals[..., k]
-                out[..., i - 1, j - 1, mu - 1, nu - 1] = v
-                out[..., i - 1, j - 1, nu - 1, mu - 1] = v
-                out[..., j - 1, i - 1, mu - 1, nu - 1] = v
-                out[..., j - 1, i - 1, nu - 1, mu - 1] = v
-                k += 1
-        return out
+        return _evaluate(self._table(2), x)
 
     def determinant(self, x) -> np.ndarray:
         return np.linalg.det(self.value(x))
@@ -201,66 +207,35 @@ class SymbolicConnection(ConnectionField):
 
     def __init__(self, n: int, components: Mapping[Tuple[int, int, int], object] = ()):
         self.n = n
-        comps = {}
-        for (l, j, k), value in dict(components).items():
-            if not all(1 <= idx <= n for idx in (l, j, k)):
-                raise IndexError(f"connection index ({l},{j},{k}) out of range 1..{n}")
-            key = (l, j, k) if j <= k else (l, k, j)
-            f = as_field(value, n)
-            if key in comps and not comps[key].same_expression(f):
-                raise ValueError(f"conflicting entries for symmetric pair {key}")
-            comps[key] = f
-        zero = _zero(n)
-        for l in range(1, n + 1):
-            for j in range(1, n + 1):
-                for k in range(j, n + 1):
-                    comps.setdefault((l, j, k), zero)
-        self._comps = comps
-        self._keys = sorted(comps)
-        self._d1 = None
+        self._comps = _symmetric_store(components, n, 3, "Gamma")
+        self._tables = [None, None]
 
     @classmethod
     def zero(cls, n: int) -> "SymbolicConnection":
         return cls(n, {})
 
     def component(self, l: int, j: int, k: int) -> ScalarField:
-        key = (l, j, k) if j <= k else (l, k, j)
-        return self._comps[key]
+        return self._comps[_canonical((l, j, k))]
+
+    def _table(self, order: int):
+        """Table of Gamma (order 0) or of its first partials (order 1)."""
+        if self._tables[order] is None:
+            store = self._comps
+            if order == 1:
+                store = {(mu, *key): f.partial(mu)
+                         for mu in range(1, self.n + 1) for key, f in store.items()}
+            self._tables[order] = _gather(store, self.n, 3 + order)
+        return self._tables[order]
 
     def gamma(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        vals = evaluate_fields([self._comps[k] for k in self._keys], x)
-        out = np.empty(x.shape[:-1] + (self.n,) * 3)
-        for idx, (l, j, k) in enumerate(self._keys):
-            out[..., l - 1, j - 1, k - 1] = vals[..., idx]
-            out[..., l - 1, k - 1, j - 1] = vals[..., idx]
-        return out
+        return _evaluate(self._table(0), x)
 
     def gamma_partial(self, x) -> np.ndarray:
-        if self._d1 is None:
-            self._d1 = {
-                (mu, key): self._comps[key].partial(mu)
-                for mu in range(1, self.n + 1)
-                for key in self._keys
-            }
-        x = np.asarray(x, dtype=float)
-        fields = [self._d1[(mu, key)] for mu in range(1, self.n + 1) for key in self._keys]
-        vals = evaluate_fields(fields, x)
-        out = np.empty(x.shape[:-1] + (self.n,) * 4)
-        idx = 0
-        for mu in range(self.n):
-            for (l, j, k) in self._keys:
-                out[..., mu, l - 1, j - 1, k - 1] = vals[..., idx]
-                out[..., mu, l - 1, k - 1, j - 1] = vals[..., idx]
-                idx += 1
-        return out
+        return _evaluate(self._table(1), x)
 
     def substitute(self, assignments) -> "SymbolicConnection":
         comps = {key: f.substitute(assignments) for key, f in self._comps.items()}
         return SymbolicConnection(self.n, comps)
-
-    def max_abs(self, x) -> float:
-        return float(np.max(np.abs(self.gamma(x))))
 
 
 class LeviCivitaConnection(ConnectionField):

@@ -67,11 +67,22 @@ def test_load_rejects_unknown_key(tmp_path):
         load_spec(write(tmp_path, payload))
 
 
-def test_load_rejects_asymmetric_duplicates(tmp_path):
-    payload = dict(MINIMAL_METRIC)
-    payload["g_1_2"] = "x1"
-    payload["g_2_1"] = "x2"
-    with pytest.raises(SpecFormatError, match="asymmetric duplicate"):
+@pytest.mark.parametrize("payload, component", [
+    (dict(MINIMAL_METRIC, g_1_2="x1", g_2_1="x2"), "g_2_1"),
+    ({"kind": "extension", "r": 2, "m": 0, "D_1_1_2": "x1", "D_1_2_1": "x2"},
+     "Gamma_1_2_1"),
+    (dict(EXTENSION, lambda_2_1="x2"), "lambda_2_1"),
+    ({"kind": "extension", "r": 1, "m": 2, "h_2_3": "x1", "h_3_2": "x2"}, "lambda_3_2"),
+], ids=["g_", "D_", "lambda_", "h_"])
+def test_load_rejects_asymmetric_duplicates(tmp_path, payload, component):
+    with pytest.raises(SpecFormatError, match=f"asymmetric duplicate entries for '{component}'"):
+        load_spec(write(tmp_path, payload))
+
+
+def test_load_rejects_zero_padded_index(tmp_path):
+    # "g_01_2" would be a second spelling of g_1_2
+    payload = dict(MINIMAL_METRIC, g_1_2="x1", g_01_2="x2")
+    with pytest.raises(SpecFormatError, match="unknown key 'g_01_2'"):
         load_spec(write(tmp_path, payload))
 
 
@@ -213,13 +224,32 @@ def test_main_check_exit_codes(tmp_path, capsys):
     assert "verdict: FAIL" in capsys.readouterr().out
 
 
-def test_main_structured_output_is_json(tmp_path, capsys):
-    path = write(tmp_path, EXTENSION)
-    assert main(["check", path, "--format", "report-structured"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["verdict"] is True
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+OVERFLOWING_METRIC = {"kind": "metric", "n": 2, "r": 1, "g_1_2": "1", "samples": 200}
+
+
+@pytest.mark.parametrize("problem, nonfinite", [
+    (EXTENSION, None),
+    # exp(700 x2) overflows to NaN in the curvature terms, exp(709 x2) to
+    # infinity in the projectability terms
+    (dict(OVERFLOWING_METRIC, g_1_1="exp(700*x2)"), ("curvature_condition", "nan")),
+    (dict(OVERFLOWING_METRIC, g_1_1="exp(709*x2)"), ("projectable", "inf")),
+], ids=["extension", "nan_residual", "inf_residual"])
+def test_main_structured_output_is_json(tmp_path, capsys, problem, nonfinite):
+    path = write(tmp_path, problem)
+    assert main(["check", path, "--format", "report-structured"]) == (1 if nonfinite else 0)
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert payload["verdict"] is (nonfinite is None)
     assert payload["seed"] == 42
     assert {"name", "residual", "pass", "worst_point"} <= set(payload["checks"][0])
+    if nonfinite is not None:
+        name, value = nonfinite
+        record = next(c for c in payload["checks"] if c["name"] == name)
+        assert record["residual"] is None and record["pass"] is False
+        assert record["error"] == f"non-finite residual: {value}"
 
 
 def test_main_writes_output_file_and_respects_overrides(tmp_path, capsys):
@@ -239,6 +269,12 @@ def test_main_build_verb(tmp_path, capsys):
     assert main(["build", path]) == 0
     out = capsys.readouterr().out
     assert "g_1_1 = x2 - 2.0*x3*x1" in out
+
+
+def test_main_deeply_nested_expression_is_usage_error(tmp_path, capsys):
+    path = write(tmp_path, dict(MINIMAL_METRIC, g_1_1="(" * 3000 + "1" + ")" * 3000))
+    assert main(["check", path]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_main_missing_file_is_usage_error(capsys):

@@ -96,6 +96,24 @@ def test_parse_precedence():
     assert abs(evaluate(f, [2.0]) - (1 + 2 * 4 / 4 - 3)) < 1e-15
 
 
+@pytest.mark.parametrize("deep", [
+    "(" * 3000 + "x1" + ")" * 3000,
+    "sin(" * 3000 + "x1" + ")" * 3000,
+    "x1" + "/2" * 3000,
+], ids=["parentheses", "calls", "quotients"])
+def test_parse_rejects_nesting_deeper_than_limit(deep):
+    with pytest.raises(ExpressionSyntaxError, match="nested deeper") as err:
+        parse_expression(deep, 1)
+    assert 0 < err.value.position < len(deep)
+
+
+def test_parse_accepts_nesting_at_limit():
+    f = parse_expression("(" * 100 + "x1" + ")" * 100, 1)
+    assert evaluate(f, [0.5]) == 0.5
+    g = parse_expression("sin(" * 100 + "x1" + ")" * 100, 1)
+    assert abs(evaluate(g.partial(1), [0.0]) - 1.0) < 1e-15
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------

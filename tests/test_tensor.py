@@ -6,6 +6,7 @@ import pytest
 from walkergeom import (
     ChartSplit,
     MetricField,
+    build_pullback_extension,
     SingularMetricError,
     SymbolicConnection,
     christoffel,
@@ -16,7 +17,8 @@ from walkergeom import (
     lower_curvature,
     parse_expression,
 )
-from walkergeom.corpus import random_metric, random_walker_metric
+from walkergeom.corpus import random_extension_spec, random_metric, random_walker_metric
+from walkergeom.expr import evaluate_fields
 from walkergeom.sampling import sample_points
 
 
@@ -220,6 +222,37 @@ def test_covariant_derivative_vector_flat_reduces_to_directional():
     pts = np.array([[0.5, 2.0]])
     out = covariant_derivative_vector(flat, w, v, pts)
     assert np.allclose(out, [[2.0, 0.0]])
+
+
+def _slot_oracle(field_at, n, rank, pts):
+    """Dense table at ``pts`` evaluated slot by slot, each slot its own field."""
+    slots = np.empty((n,) * rank, dtype=object)
+    for idx in np.ndindex(*slots.shape):
+        slots[idx] = field_at(*(i + 1 for i in idx))
+    return evaluate_fields(slots.tolist(), pts)
+
+
+def test_component_tables_match_per_slot_oracle():
+    spec = random_extension_spec(np.random.default_rng(41), 2, 1)
+    metrics = [
+        build_pullback_extension(spec),
+        random_metric(np.random.default_rng(42), two_block(4)),
+    ]
+    for g in metrics:
+        n, comp = g.n, g.component
+        pts = sample_points(n, 4, seed=n, metric=g)
+        assert np.array_equal(g.value(pts), _slot_oracle(comp, n, 2, pts))
+        assert np.array_equal(g.partial_value(pts), _slot_oracle(
+            lambda i, mu, nu: comp(mu, nu).partial(i), n, 3, pts))
+        # the table differentiates in ascending direction order
+        d2 = _slot_oracle(lambda i, j, mu, nu: comp(mu, nu).partial(min(i, j)).partial(max(i, j)),
+                          n, 4, pts)
+        assert np.array_equal(g.second_partial_value(pts), d2)
+    D, r = spec.base_connection, spec.r
+    base_pts = sample_points(metrics[0].n, 4, seed=1, metric=metrics[0])[:, :r]
+    assert np.array_equal(D.gamma(base_pts), _slot_oracle(D.component, r, 3, base_pts))
+    assert np.array_equal(D.gamma_partial(base_pts), _slot_oracle(
+        lambda mu, l, j, k: D.component(l, j, k).partial(mu), r, 4, base_pts))
 
 
 def test_metric_rejects_conflicting_symmetric_entries():
