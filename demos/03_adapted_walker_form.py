@@ -41,7 +41,7 @@ for name, g in [("good", good), ("bad", bad)]:
     P = DistributionSpec.null_block(chart)
     V = DistributionSpec.orthocomplement(chart)
     print(f"--- {name} metric")
-    print("  canonical form verdict:", check_walker_form(g, pts).verdict)
+    print("  canonical form verdict:", all(r.passes(1e-8) for r in check_walker_form(g, pts)))
     print("  null residual:         ", check_null(g, P, pts).residual)
     print("  parallel residual:     ", check_parallel(g, P, pts, conn=conn).residual)
     print("  second-partial check:  ", walker_projectability(g, pts).residual)

@@ -3,7 +3,6 @@ metrics on cotangent-type bundles, and projectability verification."""
 
 from .chart import ChartSplit
 from .distributions import (
-    CheckReport,
     CheckResult,
     DistributionSpec,
     NotProjectableError,

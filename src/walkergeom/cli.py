@@ -25,7 +25,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +33,8 @@ from .chart import ChartSplit
 from .distributions import (
     CheckResult,
     DistributionSpec,
+    _family_max,
+    _reduced,
     check_null,
     check_parallel,
     check_projectable,
@@ -45,12 +47,13 @@ from .expr import ExpressionError, parse_expression
 from .extensions import (
     ExtensionSpec,
     build_pullback_extension,
+    recover_vertical_metric,
     transformation_rule_residual,
     vertical_metric_fields,
 )
 from .corpus import random_one_form
 from .sampling import sample_points
-from .tensor import MetricField, SymbolicConnection, christoffel
+from .tensor import ConnectionField, MetricField, SymbolicConnection, christoffel
 from .transport import CurveSpec, parallel_transport, projection_commutes_residual
 
 __all__ = ["ProblemSpec", "Report", "CheckRecord", "SpecFormatError", "load_spec",
@@ -67,17 +70,6 @@ _H_KEY = re.compile(rf"^h_{_INDEX}_{_INDEX}$")
 _COMMON_KEYS = {"kind", "checks", "samples", "seed", "tolerance", "transport"}
 _METRIC_KEYS = _COMMON_KEYS | {"n", "r", "middle"}
 _EXTENSION_KEYS = _COMMON_KEYS | {"r", "m", "g_ia"}
-
-_METRIC_CHECKS = ["null", "parallel", "projectable", "curvature_condition"]
-_EXTENSION_CHECKS = [
-    "null",
-    "parallel",
-    "projectable",
-    "curvature_condition",
-    "projected_connection",
-    "vertical_metric",
-    "transformation_rule",
-]
 
 
 class SpecFormatError(ValueError):
@@ -190,6 +182,19 @@ def _parse_field(key: str, text, n: int):
         raise SpecFormatError(f"bad expression for '{key}': {exc}") from None
 
 
+def _numeric(value, what: str, kind=float):
+    """``value`` from the file as ``kind``: ``int``, ``float``, or
+    ``np.ndarray`` for a float array.  Anything that does not convert, or
+    holds a value that is not finite, is a SpecFormatError."""
+    try:
+        out = np.asarray(value, dtype=float) if kind is np.ndarray else kind(value)
+        finite = bool(np.all(np.isfinite(out)))
+    except (TypeError, ValueError, OverflowError):
+        finite = False
+    _require(finite, f"'{what}' must be numeric and finite")
+    return out
+
+
 def load_spec(path: str) -> ProblemSpec:
     """Load and validate a problem file, applying defaults."""
     try:
@@ -204,9 +209,9 @@ def load_spec(path: str) -> ProblemSpec:
     kind = raw.get("kind")
     _require(kind in ("metric", "extension"), "'kind' must be 'metric' or 'extension'")
 
-    samples = int(raw.get("samples", 100))
-    seed = int(raw.get("seed", 42))
-    tolerance = float(raw.get("tolerance", 1e-8))
+    samples = _numeric(raw.get("samples", 100), "samples", int)
+    seed = _numeric(raw.get("seed", 42), "seed", int)
+    tolerance = _numeric(raw.get("tolerance", 1e-8), "tolerance")
     _require(samples > 0, "'samples' must be positive")
     _require(seed >= 0, "'seed' must be non-negative")
     _require(tolerance > 0, "'tolerance' must be positive")
@@ -219,15 +224,13 @@ def load_spec(path: str) -> ProblemSpec:
 
     checks = raw.get("checks")
     if checks is None:
-        checks = list(_METRIC_CHECKS if kind == "metric" else _EXTENSION_CHECKS)
+        checks = [c for c, check in _CHECKS.items() if check.default and kind in check.kinds]
     _require(isinstance(checks, list) and all(isinstance(c, str) for c in checks),
              "'checks' must be a list of names")
-    known = set(_EXTENSION_CHECKS) | {"walker_form", "walker_projectability"}
     for c in checks:
-        _require(c in known, f"unknown check '{c}'")
-        if kind == "metric":
-            _require(c in _METRIC_CHECKS + ["walker_form", "walker_projectability"],
-                     f"check '{c}' applies to extension problems only")
+        _require(c in _CHECKS, f"unknown check '{c}'")
+        _require(kind in _CHECKS[c].kinds,
+                 f"check '{c}' applies to {' and '.join(_CHECKS[c].kinds)} problems only")
     spec.checks = checks
 
     if "transport" in raw:
@@ -241,12 +244,12 @@ def _load_metric(raw: dict, path: str) -> ProblemSpec:
     for key in raw:
         _require(key in _METRIC_KEYS or key in comp_keys, f"unknown key '{key}'")
     _require("n" in raw, "metric problem needs 'n'")
-    n = int(raw["n"])
+    n = _numeric(raw["n"], "n", int)
     _require(n >= 2, "'n' must be at least 2")
-    r = int(raw.get("r", 1))
+    r = _numeric(raw.get("r", 1), "r", int)
     _require(0 < r < n, f"'r' must satisfy 0 < r < n={n}")
     if "middle" in raw:
-        middle = int(raw["middle"])
+        middle = _numeric(raw["middle"], "middle", int)
         _require(middle == n - 2 * r, f"'middle' must equal n - 2r = {n - 2 * r}")
         chart = ChartSplit.three_block(n, r)
     else:
@@ -268,7 +271,7 @@ def _load_extension(raw: dict, path: str) -> ProblemSpec:
     for key in raw:
         _require(key in _EXTENSION_KEYS or key in entry_keys, f"unknown key '{key}'")
     _require("r" in raw and "m" in raw, "extension problem needs 'r' and 'm'")
-    r, m = int(raw["r"]), int(raw["m"])
+    r, m = _numeric(raw["r"], "r", int), _numeric(raw["m"], "m", int)
     _require(r >= 1 and m >= 0, "'r' must be >= 1 and 'm' >= 0")
     q = r + m
 
@@ -294,7 +297,7 @@ def _load_extension(raw: dict, path: str) -> ProblemSpec:
 
     g_ia = raw.get("g_ia")
     if g_ia is not None:
-        g_ia = np.asarray(g_ia, dtype=float)
+        g_ia = _numeric(g_ia, "g_ia", np.ndarray)
         _require(g_ia.shape == (r, r), f"'g_ia' must be an {r}x{r} array")
     try:
         ext = ExtensionSpec(r=r, m=m, base_connection=SymbolicConnection(r, conn),
@@ -314,16 +317,15 @@ def _load_transport(raw: dict, n: int) -> TransportSection:
     _require(isinstance(curve_exprs, list) and len(curve_exprs) == n,
              f"'curve' must list {n} component expressions")
     comps = tuple(_parse_field(f"curve[{k}]", text, 1) for k, text in enumerate(curve_exprs))
-    t_span = tuple(float(v) for v in raw.get("t_span", (0.0, 1.0)))
-    _require(len(t_span) == 2, "'t_span' must be [t0, t1]")
-    step = float(raw.get("step", 1e-3))
-    w0 = np.asarray(raw["w0"], dtype=float)
+    t_span = _numeric(raw.get("t_span", (0.0, 1.0)), "t_span", np.ndarray)
+    _require(t_span.shape == (2,), "'t_span' must be [t0, t1]")
+    step = _numeric(raw.get("step", 1e-3), "step")
+    _require(step > 0, "transport 'step' must be positive")
+    w0 = _numeric(raw["w0"], "w0", np.ndarray)
     _require(w0.shape == (n,), f"'w0' must list {n} components")
-    return TransportSection(
-        curve=CurveSpec(comps, t_span, step),
-        w0=w0,
-        tolerance=float(raw.get("tolerance", 1e-6)),
-    )
+    tolerance = _numeric(raw.get("tolerance", 1e-6), "tolerance")
+    _require(tolerance > 0, "transport 'tolerance' must be positive")
+    return TransportSection(CurveSpec(comps, tuple(t_span.tolist()), step), w0, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -331,138 +333,150 @@ def _load_transport(raw: dict, n: int) -> TransportSection:
 # ---------------------------------------------------------------------------
 
 
-def _record(name: str, tolerance: float, fn) -> CheckRecord:
+def _record(name: str, tolerance: float, fn) -> List[CheckRecord]:
+    """Run and time one row's function.  A list of results (one call judging
+    several clauses) gives a ``<name>:<clause>`` row each, splitting the time."""
     start = time.perf_counter()
     try:
-        result = fn()
+        with np.errstate(all="ignore"):  # a non-finite residual is reported below
+            result = fn()
     except Exception as exc:  # a failing clause is data, not a crash
-        return CheckRecord(name=name, residual=None, passed=False,
-                           error=f"{type(exc).__name__}: {exc}",
-                           wall_time=time.perf_counter() - start)
-    if isinstance(result, CheckResult):
-        residual, worst = result.residual, result.worst_point
-    else:
-        residual, worst = float(result), None
-    # JSON has no NaN or Infinity, and neither is a verdict
-    finite = bool(np.isfinite(residual))
-    return CheckRecord(
-        name=name,
-        residual=residual if finite else None,
-        passed=finite and residual <= tolerance,
-        worst_point=None if worst is None else [float(v) for v in worst],
-        error=None if finite else f"non-finite residual: {residual}",
-        wall_time=time.perf_counter() - start,
-    )
+        return [CheckRecord(name=name, residual=None, passed=False,
+                            error=f"{type(exc).__name__}: {exc}",
+                            wall_time=time.perf_counter() - start)]
+    rows = ([(f"{name}:{res.name}", res) for res in result] if isinstance(result, list)
+            else [(name, result)])
+    wall_time = (time.perf_counter() - start) / len(rows)
+    records = []
+    for row, res in rows:
+        if isinstance(res, CheckResult):
+            residual, worst = res.residual, res.worst_point
+        else:
+            residual, worst = float(res), None
+        # JSON has no NaN or Infinity, and neither is a verdict
+        finite = bool(np.isfinite(residual))
+        records.append(CheckRecord(
+            name=row,
+            residual=residual if finite else None,
+            passed=finite and residual <= tolerance,
+            worst_point=None if worst is None else [float(v) for v in worst],
+            error=None if finite else f"non-finite residual: {residual}",
+            wall_time=wall_time,
+        ))
+    return records
+
+
+@dataclass
+class _Context:
+    """What the checks of one run share."""
+
+    spec: ProblemSpec
+    g: MetricField
+    pts: np.ndarray
+    conn: ConnectionField
+    dist: DistributionSpec  # the trailing null block
+    ortho: Optional[DistributionSpec]  # middle + trailing span, three-block charts only
+
+
+@dataclass(frozen=True)
+class _Check:
+    """A named check: the problem kinds it applies to, whether it runs by
+    default, and ``rows(context, name)``, its rows as (row name, function)
+    pairs; each row is run and timed on its own."""
+
+    kinds: Tuple[str, ...]
+    default: bool
+    rows: Callable[[_Context, str], List[Tuple[str, Callable]]]
+
+
+def _row(fn) -> Callable:
+    """Rows of a check with one row, named after the check."""
+    return lambda c, name: [(name, lambda: fn(c))]
+
+
+def _projectable_rows(c: _Context, name: str):
+    if c.ortho is None:
+        return [(name, lambda: check_projectable(c.conn, c.dist, c.pts))]
+    return [(f"{name}:s=r", lambda: check_projectable(c.conn, c.dist, c.pts)),
+            (f"{name}:s=n-r", lambda: check_projectable(c.conn, c.ortho, c.pts))]
+
+
+def _projected_connection(c: _Context) -> CheckResult:
+    base_pts = c.pts[:, : c.g.chart.r]
+    diff = (restrict_connection(c.conn, c.ortho).gamma(base_pts)
+            - c.spec.extension.base_connection.gamma(base_pts))
+    return _reduced("projected_connection", _family_max(diff), c.pts)
+
+
+def _vertical_metric(c: _Context) -> CheckResult:
+    ext = c.spec.extension
+    r, m = ext.r, ext.m
+    fields = vertical_metric_fields(c.g)
+    if all(fields[p][q].same_expression(ext.h_component(r + p + 1, r + q + 1))
+           for p in range(m) for q in range(p, m)):
+        return CheckResult("vertical_metric", 0.0, None)
+    hv = np.empty(c.pts.shape[:-1] + (m, m))
+    for p in range(m):
+        for q in range(m):
+            hv[..., p, q] = ext.h_component(r + p + 1, r + q + 1).evaluate(
+                c.pts[:, : r + m], checked=False)
+    diff = recover_vertical_metric(c.g, c.pts) - hv
+    return _reduced("vertical_metric", _family_max(diff), c.pts)
+
+
+def _transformation_rule(c: _Context) -> CheckResult:
+    """The worst of three seeded random one-form sections on the first 20 points."""
+    ext = c.spec.extension
+    rng = np.random.default_rng(c.spec.seed)
+    best = CheckResult("transformation_rule", 0.0, None)
+    for _ in range(3):
+        omega = random_one_form(rng, ext.r, ext.m)
+        res = transformation_rule_residual(c.g, ext, omega, c.pts[:20])
+        if res.residual >= best.residual:
+            best = res
+    return best
+
+
+_ANY = ("metric", "extension")
+
+# every check, in default-suite order
+_CHECKS: Dict[str, _Check] = {
+    "null": _Check(_ANY, True, _row(lambda c: check_null(c.g, c.dist, c.pts))),
+    "parallel": _Check(_ANY, True, _row(
+        lambda c: check_parallel(c.g, c.dist, c.pts, conn=c.conn))),
+    "projectable": _Check(_ANY, True, _projectable_rows),
+    "curvature_condition": _Check(_ANY, True, _row(
+        lambda c: curvature_condition(c.g, c.ortho or c.dist, c.pts, conn=c.conn))),
+    "walker_form": _Check(_ANY, False, _row(lambda c: check_walker_form(c.g, c.pts))),
+    "walker_projectability": _Check(_ANY, False, _row(
+        lambda c: walker_projectability(c.g, c.pts))),
+    "projected_connection": _Check(("extension",), True, _row(_projected_connection)),
+    "vertical_metric": _Check(("extension",), True, _row(_vertical_metric)),
+    "transformation_rule": _Check(("extension",), True, _row(_transformation_rule)),
+}
+
+
+def _metric(spec: ProblemSpec) -> MetricField:
+    """The metric a problem is about: the file's own, or the built extension."""
+    return build_pullback_extension(spec.extension) if spec.kind == "extension" else spec.metric
 
 
 def run_checks(spec: ProblemSpec) -> Report:
     """Execute the requested checks; never aborts on a failing clause."""
     report = Report(spec=spec.path, seed=spec.seed, tolerance=spec.tolerance)
-    if spec.kind == "extension":
-        g = build_pullback_extension(spec.extension)
-    else:
-        g = spec.metric
-    chart = g.chart
-    three_block = chart.mode == "three_block"
-
+    g = _metric(spec)
     try:
         pts = sample_points(g.n, spec.samples, spec.seed, metric=g)
     except RuntimeError as exc:
         report.checks.append(CheckRecord("sampling", None, False, error=str(exc)))
         return report
 
-    conn = christoffel(g)
-    dist = DistributionSpec.null_block(chart)
-    ortho = DistributionSpec.orthocomplement(chart) if three_block else None
-    tol = spec.tolerance
-
+    three_block = g.chart.mode == "three_block"
+    context = _Context(spec, g, pts, christoffel(g), DistributionSpec.null_block(g.chart),
+                       DistributionSpec.orthocomplement(g.chart) if three_block else None)
     for name in spec.checks:
-        if name == "null":
-            report.checks.append(_record(name, tol, lambda: check_null(g, dist, pts)))
-        elif name == "parallel":
-            report.checks.append(
-                _record(name, tol, lambda: check_parallel(g, dist, pts, conn=conn))
-            )
-        elif name == "projectable":
-            if three_block:
-                report.checks.append(
-                    _record("projectable:s=r", tol,
-                            lambda: check_projectable(conn, dist, pts))
-                )
-                report.checks.append(
-                    _record("projectable:s=n-r", tol,
-                            lambda: check_projectable(conn, ortho, pts))
-                )
-            else:
-                report.checks.append(
-                    _record(name, tol, lambda: check_projectable(conn, dist, pts))
-                )
-        elif name == "curvature_condition":
-            d = ortho if three_block else dist
-            report.checks.append(
-                _record(name, tol, lambda: curvature_condition(g, d, pts, conn=conn))
-            )
-        elif name == "walker_form":
-            def _walker_rows():
-                sub = check_walker_form(g, pts, tolerance=tol)
-                return sub.results
-            try:
-                for res in _walker_rows():
-                    report.checks.append(_record(f"walker_form:{res.name}", tol, lambda r=res: r))
-            except Exception as exc:
-                report.checks.append(CheckRecord(name, None, False,
-                                                 error=f"{type(exc).__name__}: {exc}"))
-        elif name == "walker_projectability":
-            report.checks.append(_record(name, tol, lambda: walker_projectability(g, pts)))
-        elif name == "projected_connection":
-            def _proj_residual():
-                projected = restrict_connection(conn, ortho)
-                base_pts = pts[:, : chart.r]
-                diff = projected.gamma(base_pts) - spec.extension.base_connection.gamma(base_pts)
-                flat = np.max(np.abs(diff), axis=(-1, -2, -3))
-                worst = int(np.argmax(flat))
-                return CheckResult(name, float(flat[worst]), pts[worst])
-            report.checks.append(_record(name, tol, _proj_residual))
-        elif name == "vertical_metric":
-            def _vertical_residual():
-                fields = vertical_metric_fields(g)
-                m = spec.extension.m
-                r = spec.extension.r
-                identical = all(
-                    fields[p][q].same_expression(spec.extension.h_component(r + p + 1, r + q + 1))
-                    for p in range(m)
-                    for q in range(p, m)
-                )
-                if identical:
-                    return CheckResult(name, 0.0, None)
-                from .extensions import recover_vertical_metric
-
-                hv = np.empty(pts.shape[:-1] + (m, m))
-                for p in range(m):
-                    for q in range(m):
-                        hv[..., p, q] = spec.extension.h_component(
-                            r + p + 1, r + q + 1
-                        ).evaluate(pts[:, : r + m], checked=False)
-                diff = np.abs(recover_vertical_metric(g, pts) - hv)
-                flat = diff.reshape(len(pts), -1)
-                per = flat.max(axis=1) if flat.shape[1] else np.zeros(len(pts))
-                worst = int(np.argmax(per))
-                return CheckResult(name, float(per[worst]), pts[worst])
-            report.checks.append(_record(name, tol, _vertical_residual))
-        elif name == "transformation_rule":
-            def _transformation_residual():
-                rng = np.random.default_rng(spec.seed)
-                sub = pts[: min(20, len(pts))]
-                best = CheckResult(name, 0.0, None)
-                for _ in range(3):
-                    omega = random_one_form(rng, spec.extension.r, spec.extension.m)
-                    res = transformation_rule_residual(g, spec.extension, omega, sub)
-                    if res.residual >= best.residual:
-                        best = res
-                return best
-            report.checks.append(_record(name, tol, _transformation_residual))
-        else:  # unreachable after validation
-            report.checks.append(CheckRecord(name, None, False, error="unknown check"))
+        for row, fn in _CHECKS[name].rows(context, name):
+            report.checks += _record(row, spec.tolerance, fn)
     return report
 
 
@@ -472,10 +486,7 @@ def run_transport(spec: ProblemSpec) -> Report:
     if spec.transport is None:
         raise SpecFormatError("problem file has no transport section")
     report = Report(spec=spec.path, seed=spec.seed, tolerance=spec.transport.tolerance)
-    if spec.kind == "extension":
-        g = build_pullback_extension(spec.extension)
-    else:
-        g = spec.metric
+    g = _metric(spec)
     conn = christoffel(g)
     section = spec.transport
     tol = section.tolerance
@@ -486,7 +497,7 @@ def run_transport(spec: ProblemSpec) -> Report:
         norms = np.einsum("...ij,...i,...j->...", gs, res.vectors, res.vectors)
         return float(np.max(np.abs(norms - norms[0])))
 
-    report.checks.append(_record("transport_norm_preservation", tol, _norm_residual))
+    report.checks += _record("transport_norm_preservation", tol, _norm_residual)
 
     if spec.kind == "extension":
         def _commute_residual():
@@ -494,7 +505,7 @@ def run_transport(spec: ProblemSpec) -> Report:
             return projection_commutes_residual(
                 g, spec.extension.base_connection, ortho, section.curve, section.w0, conn=conn
             )
-        report.checks.append(_record("transport_projection_commutes", tol, _commute_residual))
+        report.checks += _record("transport_projection_commutes", tol, _commute_residual)
     return report
 
 

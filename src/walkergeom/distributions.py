@@ -22,7 +22,7 @@ Component families checked (indices: i,j,k leading; p,q middle; a,b trailing):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -41,7 +41,6 @@ from .tensor import (
 __all__ = [
     "DistributionSpec",
     "CheckResult",
-    "CheckReport",
     "NotProjectableError",
     "check_field_projectable",
     "check_null",
@@ -111,37 +110,12 @@ class CheckResult:
     name: str
     residual: float
     worst_point: Optional[np.ndarray] = None
-    error: Optional[str] = None
 
     def __float__(self) -> float:
         return self.residual
 
     def passes(self, tolerance: float) -> bool:
-        return self.error is None and self.residual <= tolerance
-
-
-@dataclass
-class CheckReport:
-    """A batch of named residuals judged against one tolerance."""
-
-    tolerance: float
-    results: List[CheckResult] = field(default_factory=list)
-
-    def add(self, result: CheckResult) -> None:
-        self.results.append(result)
-
-    def result(self, name: str) -> CheckResult:
-        for r in self.results:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
-    @property
-    def verdict(self) -> bool:
-        return all(r.passes(self.tolerance) for r in self.results)
-
-    def failed(self) -> List[str]:
-        return [r.name for r in self.results if not r.passes(self.tolerance)]
+        return self.residual <= tolerance
 
 
 def _reduced(name: str, per_point: np.ndarray, points: np.ndarray) -> CheckResult:
@@ -248,9 +222,8 @@ def curvature_condition(
     return _reduced("curvature_condition", _family_max(fam), pts)
 
 
-def check_walker_form(g: MetricField, points, *, det_floor: float = 1e-6,
-                      tolerance: float = 1e-8) -> CheckReport:
-    """Clause-by-clause validation of the adapted three-block canonical form.
+def check_walker_form(g: MetricField, points, *, det_floor: float = 1e-6) -> List[CheckResult]:
+    """Clause-by-clause residuals of the adapted three-block canonical form.
 
     Checks, at the sampled points: vanishing of the trailing-trailing and
     trailing-middle blocks, constancy of the leading-trailing block,
@@ -265,37 +238,29 @@ def check_walker_form(g: MetricField, points, *, det_floor: float = 1e-6,
 
     gv = g.value(pts)
     dg = g.partial_value(pts)
-    report = CheckReport(tolerance=tolerance)
-    report.add(_reduced("null_trailing_block", _family_max(gv[:, trail, trail]), pts))
-    report.add(_reduced("null_middle_trailing_block", _family_max(gv[:, mid, trail]), pts))
-    report.add(
-        _reduced("constant_leading_trailing_block", _family_max(dg[:, :, lead, trail]), pts)
-    )
-    report.add(
-        _reduced("trailing_independence_middle_block", _family_max(dg[:, trail, mid, mid]), pts)
-    )
-    report.add(
+    det_ia = np.abs(np.linalg.det(gv[:, lead, trail]))
+    results = [
+        _reduced("null_trailing_block", _family_max(gv[:, trail, trail]), pts),
+        _reduced("null_middle_trailing_block", _family_max(gv[:, mid, trail]), pts),
+        _reduced("constant_leading_trailing_block", _family_max(dg[:, :, lead, trail]), pts),
+        _reduced("trailing_independence_middle_block", _family_max(dg[:, trail, mid, mid]), pts),
         _reduced(
             "trailing_independence_middle_leading_block",
             _family_max(dg[:, trail, mid, lead]),
             pts,
-        )
-    )
-
-    det_ia = np.abs(np.linalg.det(gv[:, lead, trail]))
-    report.add(
+        ),
         _reduced(
             "nonsingular_leading_trailing_block",
             np.maximum(0.0, 1.0 - det_ia / det_floor),
             pts,
-        )
-    )
+        ),
+    ]
     if chart.middle_size > 0:
         det_pq = np.abs(np.linalg.det(gv[:, mid, mid]))
-        report.add(
+        results.append(
             _reduced("nonsingular_middle_block", np.maximum(0.0, 1.0 - det_pq / det_floor), pts)
         )
-    return report
+    return results
 
 
 def walker_projectability(g: MetricField, points) -> CheckResult:

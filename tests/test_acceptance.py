@@ -22,7 +22,6 @@ from walkergeom import (
     christoffel,
     covariant_derivative_metric_residual,
     curvature_components,
-    euler_transport,
     fiber_translate_pullback,
     killing_operator,
     lower_curvature,
@@ -402,22 +401,10 @@ def test_ac7_plane_fronted_wave():
 # ---------------------------------------------------------------------------
 
 
-def test_ac8_integrator_order():
-    from walkergeom import CurveSpec
-
-    problems = [
-        (SymbolicConnection(1, {(1, 1, 1): "2 + 3*x1^2"}), 1, 0.1),
-        (SymbolicConnection(2, {(1, 1, 1): "3*x2 + 2", (1, 2, 2): "2*x1", (2, 1, 2): "4*x1*x2"}), 2, 0.2),
-        (SymbolicConnection(2, {(1, 1, 2): "4*cos(2*x1)", (2, 2, 2): "3 + x2", (2, 1, 1): "2*x1"}), 2, 0.2),
-        (SymbolicConnection(2, {(1, 1, 1): "2 + 2*x2^2", (2, 1, 2): "3*x1"}), 2, 0.2),
-        (SymbolicConnection(1, {(1, 1, 1): "4*cos(3*x1)"}), 1, 0.2),
-    ]
+def test_ac8_integrator_order(order_problems):
     ratios = []
-    for conn, n, h in problems:
-        comps = tuple(parse_expression(c, 1) for c in ["x1"] + ["0.2*x1"] * (n - 1))
-        curve = CurveSpec(comps, (0.0, 1.0), h)
-        w0 = np.full(n, 1.0)
-        ref = euler_transport(conn, curve, w0, step=1e-6)
+    for conn, curve, w0, ref in order_problems:
+        h = curve.step
         e1 = np.max(np.abs(parallel_transport(conn, curve, w0).final - ref))
         e2 = np.max(
             np.abs(

@@ -1,10 +1,12 @@
 """Problem-file loading, check orchestration, report emission, exit codes."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
+from walkergeom import check_walker_form, cli
 from walkergeom.cli import (
     SpecFormatError,
     build_components,
@@ -46,6 +48,12 @@ def test_load_minimal_metric_applies_defaults(tmp_path):
     assert (spec.samples, spec.seed, spec.tolerance) == (100, 42, 1e-8)
     assert spec.checks == ["null", "parallel", "projectable", "curvature_condition"]
     assert spec.metric.n == 2
+
+
+def test_load_extension_applies_default_suite(tmp_path):
+    spec = load_spec(write(tmp_path, {"kind": "extension", "r": 1, "m": 1}))
+    assert spec.checks == ["null", "parallel", "projectable", "curvature_condition",
+                           "projected_connection", "vertical_metric", "transformation_rule"]
 
 
 def test_load_extension_with_all_zero_data_defaults_identity_block(tmp_path):
@@ -119,6 +127,29 @@ def test_load_rejects_extension_checks_on_metric(tmp_path):
         load_spec(write(tmp_path, payload))
 
 
+TRANSPORT = {"curve": ["x1", "0.1*x1", "0.2*x1"], "w0": [1.0, 0.0, 0.0]}
+
+
+@pytest.mark.parametrize("payload", [
+    dict(MINIMAL_METRIC, samples="abc"),
+    dict(MINIMAL_METRIC, n=None),
+    dict(MINIMAL_METRIC, n="x"),
+    dict(MINIMAL_METRIC, tolerance=[1]),
+    dict(EXTENSION, transport=dict(TRANSPORT, step=0)),
+    dict(EXTENSION, transport=dict(TRANSPORT, w0=["a", 0, 0])),
+    dict(EXTENSION, transport=dict(TRANSPORT, w0=[float("nan"), 0, 0])),
+    dict(EXTENSION, transport=dict(TRANSPORT, t_span="ab")),
+    dict(EXTENSION, transport=dict(TRANSPORT, tolerance=-1)),
+    dict(EXTENSION, g_ia=[["a"]]),
+    dict(EXTENSION, g_ia=[[float("nan")]]),
+], ids=["samples_text", "n_null", "n_text", "tolerance_list", "step_zero", "w0_text",
+        "w0_nan", "t_span_text", "transport_tolerance_negative", "g_ia_text", "g_ia_nan"])
+def test_main_refuses_malformed_values(tmp_path, capsys, payload):
+    for verb in ("check", "transport"):
+        assert main([verb, write(tmp_path, payload)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 def test_load_validates_transport_section(tmp_path):
     payload = dict(MINIMAL_METRIC, transport={"curve": ["x1"], "w0": [1, 0]})
     with pytest.raises(SpecFormatError, match="curve"):
@@ -183,6 +214,31 @@ def test_walker_checks_on_metric_problem(tmp_path):
     assert not report.verdict
 
 
+def test_walker_checks_on_two_block_metric_are_error_rows(tmp_path):
+    payload = dict(MINIMAL_METRIC, checks=["walker_form", "walker_projectability"])
+    report = run_checks(load_spec(write(tmp_path, payload)))
+    assert [(c.name, c.passed, c.residual, c.error) for c in report.checks] == [
+        ("walker_form", False, None,
+         "ValueError: check_walker_form requires a metric on a three-block chart"),
+        ("walker_projectability", False, None,
+         "ValueError: walker_projectability requires a metric on a three-block chart"),
+    ]
+
+
+def test_walker_form_rows_share_the_measured_time(tmp_path, monkeypatch):
+    def slow_walker_form(*args, **kwargs):
+        time.sleep(0.07)
+        return check_walker_form(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "check_walker_form", slow_walker_form)
+    payload = {"kind": "metric", "n": 4, "r": 1, "middle": 2, "g_1_4": "1", "g_2_2": "1",
+               "g_3_3": "1", "checks": ["walker_form"]}
+    report = run_checks(load_spec(write(tmp_path, payload)))
+    assert len(report.checks) == 7
+    assert all(c.name.startswith("walker_form:") for c in report.checks)
+    assert all(c.wall_time >= 0.01 for c in report.checks)
+
+
 def test_run_transport_extension(tmp_path):
     payload = dict(
         EXTENSION,
@@ -238,10 +294,12 @@ OVERFLOWING_METRIC = {"kind": "metric", "n": 2, "r": 1, "g_1_2": "1", "samples":
     (dict(OVERFLOWING_METRIC, g_1_1="exp(700*x2)"), ("curvature_condition", "nan")),
     (dict(OVERFLOWING_METRIC, g_1_1="exp(709*x2)"), ("projectable", "inf")),
 ], ids=["extension", "nan_residual", "inf_residual"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_main_structured_output_is_json(tmp_path, capsys, problem, nonfinite):
     path = write(tmp_path, problem)
     assert main(["check", path, "--format", "report-structured"]) == (1 if nonfinite else 0)
-    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out, parse_constant=_reject_constant)
     assert payload["verdict"] is (nonfinite is None)
     assert payload["seed"] == 42
     assert {"name", "residual", "pass", "worst_point"} <= set(payload["checks"][0])
@@ -250,6 +308,7 @@ def test_main_structured_output_is_json(tmp_path, capsys, problem, nonfinite):
         record = next(c for c in payload["checks"] if c["name"] == name)
         assert record["residual"] is None and record["pass"] is False
         assert record["error"] == f"non-finite residual: {value}"
+        assert captured.err == ""
 
 
 def test_main_writes_output_file_and_respects_overrides(tmp_path, capsys):

@@ -195,15 +195,16 @@ def test_built_extension_passes_walker_form():
     spec = random_extension_spec(np.random.default_rng(5), 2, 1)
     g = build_pullback_extension(spec)
     pts = sample_points(g.n, 25, seed=7, metric=g)
-    report = check_walker_form(g, pts)
-    assert report.verdict, report.failed()
+    results = check_walker_form(g, pts)
+    assert all(r.passes(1e-8) for r in results), [r.name for r in results if not r.passes(1e-8)]
 
 
 def test_identity_metric_fails_null_clause():
     g = MetricField(ChartSplit.three_block(2, 1), {(1, 1): 1.0, (2, 2): 1.0})
-    report = check_walker_form(g, PTS2)
-    assert not report.verdict
-    assert "null_trailing_block" in report.failed()
+    results = check_walker_form(g, PTS2)
+    failed = [r.name for r in results if not r.passes(1e-8)]
+    assert not all(r.passes(1e-8) for r in results)
+    assert "null_trailing_block" in failed
 
 
 def test_trailing_dependent_middle_block_fails():
@@ -212,8 +213,10 @@ def test_trailing_dependent_middle_block_fails():
         {(1, 4): 1.0, (2, 2): "1 + x4", (3, 3): 1.0},
     )
     pts = sample_points(4, 30, seed=8, metric=g)
-    report = check_walker_form(g, pts)
-    assert "trailing_independence_middle_block" in report.failed()
+    results = check_walker_form(g, pts)
+    assert "trailing_independence_middle_block" in [
+        r.name for r in results if not r.passes(1e-8)
+    ]
 
 
 def test_walker_projectability_examples():

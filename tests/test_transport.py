@@ -59,24 +59,11 @@ def test_transport_preserves_metric_norm():
     assert np.max(np.abs(norms - norms[0])) < 1e-6
 
 
-ORDER_TEST_PROBLEMS = [
-    # (connection, dimension, coarse step); steps chosen so both errors sit
-    # well above the first-order reference's own error
-    (SymbolicConnection(1, {(1, 1, 1): "2 + 3*x1^2"}), 1, 0.1),
-    (SymbolicConnection(2, {(1, 1, 1): "3*x2 + 2", (1, 2, 2): "2*x1", (2, 1, 2): "4*x1*x2"}), 2, 0.2),
-    (SymbolicConnection(2, {(1, 1, 2): "4*cos(2*x1)", (2, 2, 2): "3 + x2", (2, 1, 1): "2*x1"}), 2, 0.2),
-    (SymbolicConnection(2, {(1, 1, 1): "2 + 2*x2^2", (2, 1, 2): "3*x1"}), 2, 0.2),
-    (SymbolicConnection(1, {(1, 1, 1): "4*cos(3*x1)"}), 1, 0.2),
-]
-
-
-def test_integrator_is_fourth_order():
+def test_integrator_is_fourth_order(order_problems):
     # halving the step shrinks the error against the independent reference
     # by roughly 2^4
-    for conn, n, h in ORDER_TEST_PROBLEMS:
-        curve = line_curve(n, step=h)
-        w0 = np.full(n, 1.0)
-        ref = euler_transport(conn, curve, w0, step=1e-6)
+    for conn, curve, w0, ref in order_problems:
+        h = curve.step
         e1 = np.max(np.abs(parallel_transport(conn, curve, w0).final - ref))
         e2 = np.max(np.abs(parallel_transport(conn, dataclasses.replace(curve, step=h / 2), w0).final - ref))
         assert 12.0 <= e1 / e2 <= 20.0, (e1, e2, e1 / e2)
