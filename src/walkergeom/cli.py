@@ -185,13 +185,17 @@ def _parse_field(key: str, text, n: int):
 def _numeric(value, what: str, kind=float):
     """``value`` from the file as ``kind``: ``int``, ``float``, or
     ``np.ndarray`` for a float array.  Anything that does not convert, or
-    holds a value that is not finite, is a SpecFormatError."""
+    holds a value that is not finite, is a SpecFormatError; so is an ``int``
+    given as a boolean or with a fractional part (``2000.0`` is accepted)."""
     try:
-        out = np.asarray(value, dtype=float) if kind is np.ndarray else kind(value)
+        out = np.asarray(value, dtype=float) if kind is np.ndarray else float(value)
         finite = bool(np.all(np.isfinite(out)))
     except (TypeError, ValueError, OverflowError):
         finite = False
     _require(finite, f"'{what}' must be numeric and finite")
+    if kind is int:
+        _require(not isinstance(value, bool) and out.is_integer(), f"'{what}' must be an integer")
+        return value if isinstance(value, int) else int(out)
     return out
 
 

@@ -3,7 +3,12 @@
 Components are :class:`~walkergeom.expr.ScalarField` expressions, so all
 coordinate partials entering Christoffel symbols and curvature are exact;
 floating point enters only through point evaluation and through the inverse
-metric, which is solved densely per evaluation point rather than symbolically.
+metric, which is solved numerically at the evaluation points rather than
+symbolically.  A :class:`LeviCivitaConnection` keeps one jet, the inverse
+metric, Gamma and d Gamma at the last point set it was asked about, each
+computed on first use; calls on points equal to that set by value reuse it,
+so the checks of one suite on one sample share one Gamma / d Gamma
+evaluation.
 
 Index conventions: component accessors take 1-based indices matching the
 coordinate names ``x1..xn``; evaluated numpy arrays are 0-based.  Connection
@@ -238,6 +243,62 @@ class SymbolicConnection(ConnectionField):
         return SymbolicConnection(self.n, comps)
 
 
+def _lowered(dg: np.ndarray) -> np.ndarray:
+    """Gamma_{m,jk} = (1/2)(d_j g_{mk} + d_k g_{jm} - d_m g_{jk}) over the last
+    three axes of ``dg`` (``[..., j, m, k] = d_j g_{mk}``), in one buffer."""
+    low = np.einsum("...jmk->...mjk", dg) + np.einsum("...kjm->...mjk", dg)
+    low -= dg
+    low *= 0.5
+    return low
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class _Jet:
+    """g^{-1}, Gamma and d Gamma of one metric at one point set, each computed
+    on first use; Gamma and d Gamma are kept read-only.
+
+    The jet keeps a copy of the points, so it answers for them only while a
+    caller's points equal that copy; g's partials are evaluated again where
+    needed rather than kept, since d^2 g is the largest array of all.
+    """
+
+    def __init__(self, metric: MetricField, x: np.ndarray, det_floor: float):
+        self.metric, self.x, self.det_floor = metric, x.copy(), det_floor
+        self._ginv = self._gamma = self._gamma_partial = None
+
+    def holds(self, x: np.ndarray, det_floor: float) -> bool:
+        return det_floor == self.det_floor and np.array_equal(x, self.x)
+
+    def ginv(self) -> np.ndarray:
+        if self._ginv is None:
+            self._ginv = self.metric.inverse_value(self.x, self.det_floor)
+        return self._ginv
+
+    def gamma(self) -> np.ndarray:
+        if self._gamma is None:
+            low = _lowered(self.metric.partial_value(self.x))
+            self._gamma = _frozen(np.einsum("...lm,...mjk->...ljk", self.ginv(), low))
+        return self._gamma
+
+    def gamma_partial(self) -> np.ndarray:
+        if self._gamma_partial is None:
+            ginv, n = self.ginv()[..., None, :, :], self.metric.n
+            dg = self.metric.partial_value(self.x)
+            low = _lowered(dg).reshape(dg.shape[:-3] + (1, n, n * n))
+            # d_u(low) straight from d^2 g, which is freed on return
+            dlow = _lowered(self.metric.second_partial_value(self.x))
+            out = np.matmul(ginv, dlow.reshape(dlow.shape[:-2] + (n * n,)))
+            del dlow
+            dginv = -np.matmul(np.matmul(ginv, dg), ginv)  # d_u(g^{-1})
+            out += np.matmul(dginv, low)
+            self._gamma_partial = _frozen(out.reshape(out.shape[:-1] + (n, n)))
+        return self._gamma_partial
+
+
 class LeviCivitaConnection(ConnectionField):
     """Levi-Civita connection of a metric.
 
@@ -248,41 +309,36 @@ class LeviCivitaConnection(ConnectionField):
     with the partials of g taken symbolically first and the inverse metric
     solved numerically at each point.  ``gamma_partial`` differentiates the
     same formula exactly, using d(g^{-1}) = -g^{-1} (dg) g^{-1} and the
-    symbolic second partials of g.
+    symbolic second partials of g:
+
+        d_u Gamma = g^{-1} d_u(low) + d_u(g^{-1}) low,   low = Gamma_{m,jk}.
+
+    The connection keeps the jet of the last point set it was asked about:
+    g^{-1}, Gamma and d Gamma there, each computed on first use.  A later
+    call whose points equal that set by value (same shape, equal entries;
+    points changed in place since do not match) reuses it, so checks that
+    share their sample points share one evaluation.  Arrays returned from the
+    jet are read-only.
     """
 
     def __init__(self, metric: MetricField, det_floor: float = 1e-12):
         self.metric = metric
         self.n = metric.n
         self.det_floor = det_floor
+        self._jet = None
 
-    def _lowered(self, dg: np.ndarray) -> np.ndarray:
-        # Gamma_{m,jk} = (1/2)(d_j g_{mk} + d_k g_{jm} - d_m g_{jk})
-        t1 = np.einsum("...jmk->...mjk", dg)
-        t2 = np.einsum("...kjm->...mjk", dg)
-        return 0.5 * (t1 + t2 - dg)
+    def _jet_at(self, x) -> _Jet:
+        x = np.asarray(x, dtype=float)
+        jet = self._jet
+        if jet is None or not jet.holds(x, self.det_floor):
+            jet = self._jet = _Jet(self.metric, x, self.det_floor)
+        return jet
 
     def gamma(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        ginv = self.metric.inverse_value(x, self.det_floor)
-        dg = self.metric.partial_value(x)
-        return np.einsum("...lm,...mjk->...ljk", ginv, self._lowered(dg))
+        return self._jet_at(x).gamma()
 
     def gamma_partial(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        ginv = self.metric.inverse_value(x, self.det_floor)
-        dg = self.metric.partial_value(x)
-        d2g = self.metric.second_partial_value(x)
-        low = self._lowered(dg)
-        dlow = 0.5 * (
-            np.einsum("...ujmk->...umjk", d2g)
-            + np.einsum("...ukjm->...umjk", d2g)
-            - d2g
-        )
-        dginv = -np.einsum("...ls,...ust,...tm->...ulm", ginv, dg, ginv)
-        return np.einsum("...ulm,...mjk->...uljk", dginv, low) + np.einsum(
-            "...lm,...umjk->...uljk", ginv, dlow
-        )
+        return self._jet_at(x).gamma_partial()
 
 
 class RestrictedConnection(ConnectionField):

@@ -142,12 +142,32 @@ TRANSPORT = {"curve": ["x1", "0.1*x1", "0.2*x1"], "w0": [1.0, 0.0, 0.0]}
     dict(EXTENSION, transport=dict(TRANSPORT, tolerance=-1)),
     dict(EXTENSION, g_ia=[["a"]]),
     dict(EXTENSION, g_ia=[[float("nan")]]),
+    dict(MINIMAL_METRIC, n=2.9),
+    dict(MINIMAL_METRIC, samples=True),
+    dict(MINIMAL_METRIC, seed=1.5),
 ], ids=["samples_text", "n_null", "n_text", "tolerance_list", "step_zero", "w0_text",
-        "w0_nan", "t_span_text", "transport_tolerance_negative", "g_ia_text", "g_ia_nan"])
+        "w0_nan", "t_span_text", "transport_tolerance_negative", "g_ia_text", "g_ia_nan",
+        "n_fraction", "samples_bool", "seed_fraction"])
 def test_main_refuses_malformed_values(tmp_path, capsys, payload):
     for verb in ("check", "transport"):
         assert main([verb, write(tmp_path, payload)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", 2.9), ("r", 0.5), ("middle", 0.5), ("samples", True), ("samples", 12.5),
+    ("seed", False), ("seed", 1.5),
+])
+def test_load_refuses_non_integral_counts(tmp_path, key, value):
+    payload = dict(MINIMAL_METRIC, **{key: value})
+    with pytest.raises(SpecFormatError, match=f"^'{key}' must be an integer$"):
+        load_spec(write(tmp_path, payload))
+
+
+def test_load_accepts_integral_float_counts(tmp_path):
+    spec = load_spec(write(tmp_path, dict(MINIMAL_METRIC, n=2.0, samples=2000.0, seed=7.0)))
+    assert (spec.metric.n, spec.samples, spec.seed) == (2, 2000, 7)
+    assert all(type(v) is int for v in (spec.metric.n, spec.samples, spec.seed))
 
 
 def test_load_validates_transport_section(tmp_path):

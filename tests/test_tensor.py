@@ -5,6 +5,7 @@ import pytest
 
 from walkergeom import (
     ChartSplit,
+    cli,
     MetricField,
     build_pullback_extension,
     SingularMetricError,
@@ -258,3 +259,86 @@ def test_component_tables_match_per_slot_oracle():
 def test_metric_rejects_conflicting_symmetric_entries():
     with pytest.raises(ValueError):
         MetricField(two_block(2), {(1, 2): "x1", (2, 1): "x2"})
+
+
+# ---------------------------------------------------------------------------
+# the Levi-Civita jet
+# ---------------------------------------------------------------------------
+
+
+def _jet_metrics():
+    rng = np.random.default_rng(43)
+    metrics = [build_pullback_extension(random_extension_spec(rng, r, m))
+               for r, m in [(1, 1), (2, 2), (3, 2)]]
+    return metrics + [random_metric(rng, ChartSplit.two_block(5, 2))]
+
+
+def _einsum_gamma_partial(g, x):
+    """d Gamma by the three-operand einsum formula, term for term."""
+    ginv, dg, d2g = g.inverse_value(x), g.partial_value(x), g.second_partial_value(x)
+    low = 0.5 * (np.einsum("...jmk->...mjk", dg) + np.einsum("...kjm->...mjk", dg) - dg)
+    dlow = 0.5 * (np.einsum("...ujmk->...umjk", d2g) + np.einsum("...ukjm->...umjk", d2g) - d2g)
+    dginv = -np.einsum("...ls,...ust,...tm->...ulm", ginv, dg, ginv)
+    return (np.einsum("...ulm,...mjk->...uljk", dginv, low)
+            + np.einsum("...lm,...umjk->...uljk", ginv, dlow))
+
+
+def _finite_difference_gamma_partial(conn, x, h=1e-5):
+    """Central differences of Gamma in each coordinate direction."""
+    steps = h * np.eye(conn.n)
+    return np.stack([(conn.gamma(x + e) - conn.gamma(x - e)) / (2 * h) for e in steps], axis=-4)
+
+
+def _relative_error(value, reference):
+    return np.max(np.abs(value - reference)) / np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("g", _jet_metrics(), ids=["ext11", "ext22", "ext32", "two_block"])
+def test_gamma_partial_matches_einsum_and_finite_difference_oracles(g):
+    pts = sample_points(g.n, 12, seed=g.n, metric=g)
+    for x in (pts, pts[5]):
+        dG = christoffel(g).gamma_partial(x)
+        assert dG.shape == x.shape[:-1] + (g.n,) * 4
+        assert _relative_error(dG, _einsum_gamma_partial(g, x)) <= 1e-12
+        assert _relative_error(dG, _finite_difference_gamma_partial(christoffel(g), x)) <= 1e-6
+
+
+def test_jet_is_matched_by_value_not_identity():
+    g = _jet_metrics()[1]
+    a = sample_points(g.n, 10, seed=1, metric=g)
+    b = sample_points(g.n, 10, seed=2, metric=g)
+    conn = christoffel(g)
+
+    def fresh(x):
+        other = christoffel(g)
+        return other.gamma(x), other.gamma_partial(x)
+
+    x = a.copy()
+    conn.gamma_partial(x)
+    x[3, 1] += 0.25  # in place: same object, new values
+    for got, want in zip((conn.gamma(x), conn.gamma_partial(x)), fresh(x)):
+        assert np.array_equal(got, want)
+    for pts in (a, b, a):
+        for got, want in zip((conn.gamma(pts), conn.gamma_partial(pts)), fresh(pts)):
+            assert np.array_equal(got, want)
+    assert not conn.gamma(a).flags.writeable
+
+
+def test_default_extension_suite_shares_one_jet(tmp_path, monkeypatch):
+    calls = {"inverse_value": 0, "second_partial_value": 0}
+    for name in calls:
+        original = getattr(MetricField, name)
+
+        def counted(self, *args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(MetricField, name, counted)
+    path = tmp_path / "extension.json"
+    path.write_text('{"kind": "extension", "r": 2, "m": 1, "D_1_1_2": "x1*x2", '
+                    '"lambda_1_3": "x2*x3", "h_3_3": "2 + x1^2", "samples": 30}')
+    report = cli.run_checks(cli.load_spec(str(path)))
+    assert report.verdict
+    # the sample points, then the base points of projected_connection
+    assert calls["inverse_value"] <= 2
+    assert calls["second_partial_value"] <= 2
