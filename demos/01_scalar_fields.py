@@ -6,14 +6,14 @@ differentiation, so iterated partials are exact down to rounding.
 
 import numpy as np
 
-from walkergeom import parse_expression, partial, evaluate
+from walkergeom import parse_expression
 
 f = parse_expression("x1^2*x2 + sin(x1*x2) - 1/(2 + x2^2)", 2)
 print("f        =", f)
-print("f(0.5,2) =", evaluate(f, [0.5, 2.0]))
+print("f(0.5,2) =", f.evaluate([0.5, 2.0]))
 
-d1 = partial(f, 1)
-d12 = partial(d1, 2)
+d1 = f.partial(1)
+d12 = d1.partial(2)
 print("d f/dx1        =", d1)
 print("d^2 f/dx1 dx2  =", d12)
 
@@ -24,7 +24,7 @@ fd = (f.evaluate(x + [h, 0]) - f.evaluate(x - [h, 0])) / (2 * h)
 print("exact vs centred difference:", d1.evaluate(x), fd)
 
 # mixed partials commute
-print("commutes:", partial(partial(f, 2), 1).evaluate(x) - d12.evaluate(x))
+print("commutes:", f.partial(2).partial(1).evaluate(x) - d12.evaluate(x))
 
 # substitution pins coordinates; trailing zeros recover summands exactly
 lam = parse_expression("x1 + x2^2", 3)

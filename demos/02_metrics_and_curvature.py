@@ -11,7 +11,7 @@ from walkergeom import (
     MetricField,
     christoffel,
     covariant_derivative_metric_residual,
-    curvature,
+    curvature_components,
     lower_curvature,
 )
 
@@ -27,11 +27,12 @@ print("metric compatibility residual:", covariant_derivative_metric_residual(pol
 
 # round-sphere-type metric diag(1, sin^2 x1)
 sphere = MetricField(chart, {(1, 1): 1.0, (2, 2): "sin(x1)^2"})
-R = curvature(christoffel(sphere), np.array([np.pi / 2, 0.0]))
-print("sphere R_121^2 at the equator:", R.components[0, 1, 0, 1])
+equator = np.array([np.pi / 2, 0.0])
+R = curvature_components(christoffel(sphere), equator)
+print("sphere R_121^2 at the equator:", R[0, 1, 0, 1])
 
-low = lower_curvature(R, sphere)
+low = lower_curvature(R, sphere.value(equator))
 print("pair-interchange residual:", np.max(np.abs(low - np.einsum("klij->ijkl", low))))
 
 # the inverse metric is solved per point, never symbolically
-print("det g on a batch:", sphere.determinant(np.array([[0.4, 0.0], [1.2, 0.3]])))
+print("det g on a batch:", np.linalg.det(sphere.value(np.array([[0.4, 0.0], [1.2, 0.3]]))))

@@ -43,7 +43,7 @@ for name, g in [("good", good), ("bad", bad)]:
     print(f"--- {name} metric")
     print("  canonical form verdict:", all(r.passes(1e-8) for r in check_walker_form(g, pts)))
     print("  null residual:         ", check_null(g, P, pts).residual)
-    print("  parallel residual:     ", check_parallel(g, P, pts, conn=conn).residual)
+    print("  parallel residual:     ", check_parallel(conn, P, pts).residual)
     print("  second-partial check:  ", walker_projectability(g, pts).residual)
     print("  connection check (P):  ", check_projectable(conn, P, pts).residual)
     print("  connection check (V):  ", check_projectable(conn, V, pts).residual)

@@ -42,7 +42,7 @@ conn = christoffel(g)
 V = DistributionSpec.orthocomplement(g.chart)
 P = DistributionSpec.null_block(g.chart)
 print("null residual:    ", check_null(g, P, pts).residual)
-print("parallel residual:", check_parallel(g, P, pts, conn=conn).residual)
+print("parallel residual:", check_parallel(conn, P, pts).residual)
 
 projected = projected_connection(conn, V, pts)
 base_pts = pts[:, :2]

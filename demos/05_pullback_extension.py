@@ -44,7 +44,7 @@ P = DistributionSpec.null_block(g.chart)
 V = DistributionSpec.orthocomplement(g.chart)
 print("projectable along trailing span:   ", check_projectable(conn, P, pts).residual)
 print("projectable along orthocomplement: ", check_projectable(conn, V, pts).residual)
-print("curvature condition:               ", curvature_condition(g, V, pts, conn=conn).residual)
+print("curvature condition:               ", curvature_condition(conn, V, pts).residual)
 
 # the vertical metric comes back as the same expressions that went in
 fields = vertical_metric_fields(g)

@@ -35,7 +35,7 @@ print("transformation-rule residual:",
       transformation_rule_residual(g, spec, omega, pts).residual)
 
 # a rotational section over a flat base has vanishing Killing image
-flat = ExtensionSpec(r=2, m=0, base_connection=SymbolicConnection.zero(2),
+flat = ExtensionSpec(r=2, m=0, base_connection=SymbolicConnection(2),
                      lam={(1, 1): "x2", (2, 2): "x1^2"})
 g_flat = build_pullback_extension(flat)
 rotation = OneFormSection.from_values(2, 0, ["x2", "-x1"])

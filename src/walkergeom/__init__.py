@@ -23,11 +23,8 @@ from .expr import (
     ExpressionSyntaxError,
     ScalarField,
     VariableRangeError,
-    constant,
     coordinate,
-    evaluate,
     parse_expression,
-    partial,
 )
 from .extensions import (
     ExtensionSpec,
@@ -45,7 +42,6 @@ from .extensions import (
 from .sampling import sample_points
 from .tensor import (
     ConnectionField,
-    CurvatureValue,
     LeviCivitaConnection,
     MetricField,
     RestrictedConnection,
@@ -54,7 +50,6 @@ from .tensor import (
     christoffel,
     covariant_derivative_metric_residual,
     covariant_derivative_vector,
-    curvature,
     curvature_components,
     lower_curvature,
 )

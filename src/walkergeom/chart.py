@@ -1,4 +1,4 @@
-"""Coordinate-chart bookkeeping: block index splits and their truncations.
+"""Coordinate-chart bookkeeping: block index splits.
 
 Charts come in two flavours.  A *two-block* split separates the coordinates
 into a leading block ``x^1..x^{n-s}`` and a trailing block spanned by the
@@ -8,16 +8,16 @@ last ``s`` coordinate vector fields.  A *three-block* split is the adapted
     1 <= i,j,k <= r  <  p,q <= n-r  <  a,b <= n
 
 with leading block of size ``r``, middle block of size ``n-2r`` and trailing
-block of size ``r``.  The chart projections are plain coordinate
-truncations: ``pi`` keeps the leading block, ``p`` keeps leading+middle and
-``q`` maps leading+middle down to leading.
+block of size ``r``.  The bundle projections of the adapted chart are plain
+coordinate truncations, which callers take by slicing points: ``pi`` keeps
+the leading block (``x[..., chart.leading]``), ``p`` keeps leading+middle
+(``x[..., :n - r]``) and ``q`` maps leading+middle down to leading
+(``y[..., :r]``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = ["ChartSplit"]
 
@@ -70,24 +70,3 @@ class ChartSplit:
     @property
     def trailing_size(self) -> int:
         return self.r if self.mode == "three_block" else self.s
-
-    # -- chart projections as coordinate truncations --------------------------
-
-    def project_base(self, x: np.ndarray) -> np.ndarray:
-        """pi: keep the leading block."""
-        x = np.asarray(x, dtype=float)
-        return x[..., self.leading]
-
-    def project_mid(self, x: np.ndarray) -> np.ndarray:
-        """p: drop the trailing block (three-block charts)."""
-        if self.mode != "three_block":
-            raise ValueError("p-projection requires a three-block split")
-        x = np.asarray(x, dtype=float)
-        return x[..., : self.n - self.r]
-
-    def project_mid_to_base(self, y: np.ndarray) -> np.ndarray:
-        """q: from leading+middle coordinates down to the leading block."""
-        if self.mode != "three_block":
-            raise ValueError("q-projection requires a three-block split")
-        y = np.asarray(y, dtype=float)
-        return y[..., : self.r]

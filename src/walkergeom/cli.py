@@ -407,7 +407,8 @@ def _projectable_rows(c: _Context, name: str):
 
 def _projected_connection(c: _Context) -> CheckResult:
     base_pts = c.pts[:, : c.g.chart.r]
-    diff = (restrict_connection(c.conn, c.ortho).gamma(base_pts)
+    # its own connection, so the jet of c.conn stays on the sample points
+    diff = (restrict_connection(christoffel(c.g), c.ortho).gamma(base_pts)
             - c.spec.extension.base_connection.gamma(base_pts))
     return _reduced("projected_connection", _family_max(diff), c.pts)
 
@@ -447,10 +448,10 @@ _ANY = ("metric", "extension")
 _CHECKS: Dict[str, _Check] = {
     "null": _Check(_ANY, True, _row(lambda c: check_null(c.g, c.dist, c.pts))),
     "parallel": _Check(_ANY, True, _row(
-        lambda c: check_parallel(c.g, c.dist, c.pts, conn=c.conn))),
+        lambda c: check_parallel(c.conn, c.dist, c.pts))),
     "projectable": _Check(_ANY, True, _projectable_rows),
     "curvature_condition": _Check(_ANY, True, _row(
-        lambda c: curvature_condition(c.g, c.ortho or c.dist, c.pts, conn=c.conn))),
+        lambda c: curvature_condition(c.conn, c.ortho or c.dist, c.pts))),
     "walker_form": _Check(_ANY, False, _row(lambda c: check_walker_form(c.g, c.pts))),
     "walker_projectability": _Check(_ANY, False, _row(
         lambda c: walker_projectability(c.g, c.pts))),
@@ -579,10 +580,11 @@ def main(argv=None) -> int:
             _require(args.seed >= 0, "--seed must be non-negative")
             spec.seed = args.seed
         if args.tol is not None:
-            _require(args.tol > 0, "--tol must be positive")
-            spec.tolerance = args.tol
+            tol = _numeric(args.tol, "--tol")
+            _require(tol > 0, "--tol must be positive")
+            spec.tolerance = tol
             if spec.transport is not None:
-                spec.transport.tolerance = args.tol
+                spec.transport.tolerance = tol
 
         if args.verb == "build":
             payload = build_components(spec)

@@ -29,14 +29,7 @@ import numpy as np
 
 from .chart import ChartSplit
 from .expr import ScalarField, evaluate_fields
-from .tensor import (
-    ConnectionField,
-    MetricField,
-    RestrictedConnection,
-    SymbolicConnection,
-    christoffel,
-    curvature_components,
-)
+from .tensor import ConnectionField, MetricField, RestrictedConnection, curvature_components
 
 __all__ = [
     "DistributionSpec",
@@ -53,6 +46,10 @@ __all__ = [
     "projected_connection",
     "restrict_connection",
 ]
+
+# a leading-trailing or middle block with |det| below this counts as singular
+# in check_walker_form
+WALKER_DET_FLOOR = 1e-6
 
 
 class NotProjectableError(ValueError):
@@ -169,12 +166,9 @@ def check_null(g: MetricField, dist: DistributionSpec, points) -> CheckResult:
     return _reduced("null", _family_max(block), pts)
 
 
-def check_parallel(
-    g: MetricField, dist: DistributionSpec, points, conn: Optional[ConnectionField] = None
-) -> CheckResult:
+def check_parallel(conn: ConnectionField, dist: DistributionSpec, points) -> CheckResult:
     """Residual of parallelism of the trailing span: max |Gamma^i_{a mu}|."""
     pts = _points2d(points)
-    conn = conn if conn is not None else christoffel(g)
     G = conn.gamma(pts)
     fam = G[:, dist.leading, dist.trailing, :]
     return _reduced("parallel", _family_max(fam), pts)
@@ -211,18 +205,15 @@ def check_projectable(conn: ConnectionField, dist: DistributionSpec, points) -> 
     return CheckResult("projectable", winner.residual, winner.worst_point)
 
 
-def curvature_condition(
-    g: MetricField, dist: DistributionSpec, points, conn: Optional[ConnectionField] = None
-) -> CheckResult:
+def curvature_condition(conn: ConnectionField, dist: DistributionSpec, points) -> CheckResult:
     """Residual of the curvature condition: max |R_{a mu nu}{}^i|."""
     pts = _points2d(points)
-    conn = conn if conn is not None else christoffel(g)
     R = curvature_components(conn, pts)
     fam = R[:, dist.trailing, :, :, dist.leading]
     return _reduced("curvature_condition", _family_max(fam), pts)
 
 
-def check_walker_form(g: MetricField, points, *, det_floor: float = 1e-6) -> List[CheckResult]:
+def check_walker_form(g: MetricField, points) -> List[CheckResult]:
     """Clause-by-clause residuals of the adapted three-block canonical form.
 
     Checks, at the sampled points: vanishing of the trailing-trailing and
@@ -251,15 +242,15 @@ def check_walker_form(g: MetricField, points, *, det_floor: float = 1e-6) -> Lis
         ),
         _reduced(
             "nonsingular_leading_trailing_block",
-            np.maximum(0.0, 1.0 - det_ia / det_floor),
+            np.maximum(0.0, 1.0 - det_ia / WALKER_DET_FLOOR),
             pts,
         ),
     ]
     if chart.middle_size > 0:
         det_pq = np.abs(np.linalg.det(gv[:, mid, mid]))
-        results.append(
-            _reduced("nonsingular_middle_block", np.maximum(0.0, 1.0 - det_pq / det_floor), pts)
-        )
+        results.append(_reduced(
+            "nonsingular_middle_block", np.maximum(0.0, 1.0 - det_pq / WALKER_DET_FLOOR), pts
+        ))
     return results
 
 
@@ -288,17 +279,7 @@ def restrict_connection(conn: ConnectionField, dist: DistributionSpec) -> Connec
     for the verified operation.  For a non-projectable connection the result
     depends on the pinned values and carries no invariant meaning.
     """
-    keep = dist.n - dist.s
-    if isinstance(conn, SymbolicConnection):
-        zeros = {a: 0.0 for a in range(keep + 1, dist.n + 1)}
-        comps = {}
-        for l in range(1, keep + 1):
-            for j in range(1, keep + 1):
-                for k in range(j, keep + 1):
-                    f = conn.component(l, j, k).substitute(zeros)
-                    comps[(l, j, k)] = f.with_dimension(keep)
-        return SymbolicConnection(keep, comps)
-    return RestrictedConnection(conn, keep)
+    return RestrictedConnection(conn, dist.n - dist.s)
 
 
 def projected_connection(

@@ -25,9 +25,6 @@ __all__ = [
     "EvaluationError",
     "ScalarField",
     "parse_expression",
-    "partial",
-    "evaluate",
-    "constant",
     "coordinate",
 ]
 
@@ -645,12 +642,6 @@ class ScalarField:
     def constant(value: float, n: int) -> "ScalarField":
         return ScalarField(_Const(value), n)
 
-    @staticmethod
-    def coordinate(i: int, n: int) -> "ScalarField":
-        if not 1 <= i <= n:
-            raise VariableRangeError(f"coordinate x{i} out of range for dimension {n}")
-        return ScalarField(_Var(i), n)
-
     def with_dimension(self, n: int) -> "ScalarField":
         """Reinterpret this field on an ``n``-dimensional chart."""
         return ScalarField(self.node, n)
@@ -767,18 +758,6 @@ class ScalarField:
         """Structural equality of the trees, ignoring chart dimension."""
         return self.node == other.node
 
-    @property
-    def sin(self):
-        return ScalarField(call("sin", self.node), self.n)
-
-    @property
-    def cos(self):
-        return ScalarField(call("cos", self.node), self.n)
-
-    @property
-    def exp(self):
-        return ScalarField(call("exp", self.node), self.n)
-
 
 def parse_expression(text: str, n: int) -> ScalarField:
     """Parse expression source over coordinates ``x1 .. xn``.
@@ -790,22 +769,11 @@ def parse_expression(text: str, n: int) -> ScalarField:
     return ScalarField(node, n)
 
 
-def partial(f: ScalarField, i: int) -> ScalarField:
-    """Exact partial derivative ``∂f/∂x_i`` as a new field."""
-    return f.partial(i)
-
-
-def evaluate(f: ScalarField, x: PointLike) -> float:
-    """Checked evaluation of ``f`` at the point ``x``."""
-    return f.evaluate(x, checked=True)
-
-
-def constant(value: float, n: int) -> ScalarField:
-    return ScalarField.constant(value, n)
-
-
 def coordinate(i: int, n: int) -> ScalarField:
-    return ScalarField.coordinate(i, n)
+    """The coordinate ``x_i`` as a field on an ``n``-chart."""
+    if not 1 <= i <= n:
+        raise VariableRangeError(f"coordinate x{i} out of range for dimension {n}")
+    return ScalarField(_Var(i), n)
 
 
 def as_field(value, n: int) -> ScalarField:
@@ -814,7 +782,7 @@ def as_field(value, n: int) -> ScalarField:
         return value.with_dimension(n)
     if isinstance(value, str):
         return parse_expression(value, n)
-    return constant(float(value), n)
+    return ScalarField.constant(float(value), n)
 
 
 def evaluate_fields(fields, x: np.ndarray, checked: bool = False) -> np.ndarray:

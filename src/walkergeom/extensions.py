@@ -26,7 +26,7 @@ from .chart import ChartSplit
 from .distributions import CheckResult, _family_max, _points2d, _reduced
 from .expr import ScalarField, as_field, coordinate, evaluate_fields
 from .tensor import (
-    ConnectionField,
+    DET_FLOOR,
     MetricField,
     SingularMetricError,
     SymbolicConnection,
@@ -69,9 +69,6 @@ class OneFormSection:
     def from_values(cls, r: int, m: int, values: Sequence) -> "OneFormSection":
         return cls(r, m, tuple(as_field(v, r + m) for v in values))
 
-    def zero_like(self) -> "OneFormSection":
-        return OneFormSection.from_values(self.r, self.m, [0.0] * self.r)
-
 
 @dataclass
 class ExtensionSpec:
@@ -102,7 +99,7 @@ class ExtensionSpec:
         self.g_ia = np.asarray(self.g_ia, dtype=float)
         if self.g_ia.shape != (self.r, self.r):
             raise ValueError(f"[g_ia] must be {self.r}x{self.r}")
-        if abs(np.linalg.det(self.g_ia)) < 1e-12:
+        if abs(np.linalg.det(self.g_ia)) < DET_FLOOR:
             raise SingularMetricError("the constant block [g_ia] is singular")
 
     @property
@@ -272,7 +269,7 @@ def transformation_rule_residual(
 # ---------------------------------------------------------------------------
 
 
-def recover_vertical_metric(g: MetricField, x, det_floor: float = 1e-12) -> np.ndarray:
+def recover_vertical_metric(g: MetricField, x) -> np.ndarray:
     """Middle-middle block of ``g``: the vertical metric of the middle bundle.
 
     Raises :class:`SingularMetricError` when the block is degenerate at ``x``.
@@ -282,7 +279,7 @@ def recover_vertical_metric(g: MetricField, x, det_floor: float = 1e-12) -> np.n
         raise ValueError("vertical-metric recovery requires a three-block chart")
     mid = chart.middle
     block = g.value(x)[..., mid, mid]
-    if chart.middle_size > 0 and np.any(np.abs(np.linalg.det(block)) < det_floor):
+    if chart.middle_size > 0 and np.any(np.abs(np.linalg.det(block)) < DET_FLOOR):
         raise SingularMetricError("the middle block is degenerate at a requested point")
     return block
 
@@ -302,14 +299,12 @@ def canonical_vertical_field(xi, g_ia) -> np.ndarray:
     leading-trailing block ``g_ia``.
     """
     C = np.asarray(g_ia, dtype=float)
-    if abs(np.linalg.det(C)) < 1e-12:
+    if abs(np.linalg.det(C)) < DET_FLOOR:
         raise SingularMetricError("the constant block [g_ia] is singular")
     return np.linalg.solve(C, np.asarray(xi, dtype=float))
 
 
-def canonical_field_parallelism(
-    g: MetricField, v_trailing, points, conn: Optional[ConnectionField] = None
-) -> CheckResult:
+def canonical_field_parallelism(g: MetricField, v_trailing, points) -> CheckResult:
     """Residual of parallelism of a constant trailing field along the
     middle+trailing leaves: max over leading mu of |Gamma^mu_{nu a} v^a| with
     nu ranging over the middle and trailing directions."""
@@ -317,8 +312,7 @@ def canonical_field_parallelism(
     if chart.mode != "three_block":
         raise ValueError("canonical fields require a three-block chart")
     pts = _points2d(points)
-    conn = conn if conn is not None else christoffel(g)
-    G = conn.gamma(pts)
+    G = christoffel(g).gamma(pts)
     v = np.asarray(v_trailing, dtype=float)
     leaf_dirs = slice(chart.r, chart.n)  # middle + trailing
     contracted = np.einsum("...lva,a->...lv", G[:, chart.leading, leaf_dirs, chart.trailing], v)

@@ -8,7 +8,13 @@ symbolically.  A :class:`LeviCivitaConnection` keeps one jet, the inverse
 metric, Gamma and d Gamma at the last point set it was asked about, each
 computed on first use; calls on points equal to that set by value reuse it,
 so the checks of one suite on one sample share one Gamma / d Gamma
-evaluation.
+evaluation.  A metric is singular at a point where ``|det g|`` is below
+:data:`DET_FLOOR`; the blocks :mod:`walkergeom.extensions` inverts (the
+constant ``[g_ia]`` and the vertical metric) are held to the same floor.
+
+Curvature comes as batched arrays: :func:`curvature_components` gives
+``R_{ijk}{}^l`` at the points of ``x`` and :func:`lower_curvature` lowers it
+with the metric values at the same points.
 
 Index conventions: component accessors take 1-based indices matching the
 coordinate names ``x1..xn``; evaluated numpy arrays are 0-based.  Connection
@@ -33,8 +39,7 @@ evaluated once however many slots it fills.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -48,13 +53,15 @@ __all__ = [
     "SymbolicConnection",
     "LeviCivitaConnection",
     "RestrictedConnection",
-    "CurvatureValue",
     "christoffel",
-    "curvature",
     "curvature_components",
     "lower_curvature",
+    "covariant_derivative_vector",
     "covariant_derivative_metric_residual",
 ]
+
+# |det| below this counts as singular
+DET_FLOOR = 1e-12
 
 
 class SingularMetricError(ValueError):
@@ -164,17 +171,14 @@ class MetricField:
         """All second partials; ``[..., i, j, mu, nu] = d_i d_j g_{mu nu}``."""
         return _evaluate(self._table(2), x)
 
-    def determinant(self, x) -> np.ndarray:
-        return np.linalg.det(self.value(x))
-
-    def inverse_value(self, x, det_floor: float = 1e-12) -> np.ndarray:
+    def inverse_value(self, x) -> np.ndarray:
         g = self.value(x)
         det = np.linalg.det(g)
-        bad = np.abs(det) < det_floor
+        bad = np.abs(det) < DET_FLOOR
         if np.any(bad):
             where = np.asarray(x, dtype=float).reshape(-1, self.n)[np.argmax(bad.reshape(-1))]
             raise SingularMetricError(
-                f"metric singular (|det| < {det_floor:g}) at point {where.tolist()}"
+                f"metric singular (|det| < {DET_FLOOR:g}) at point {where.tolist()}"
             )
         return np.linalg.inv(g)
 
@@ -215,10 +219,6 @@ class SymbolicConnection(ConnectionField):
         self._comps = _symmetric_store(components, n, 3, "Gamma")
         self._tables = [None, None]
 
-    @classmethod
-    def zero(cls, n: int) -> "SymbolicConnection":
-        return cls(n, {})
-
     def component(self, l: int, j: int, k: int) -> ScalarField:
         return self._comps[_canonical((l, j, k))]
 
@@ -237,10 +237,6 @@ class SymbolicConnection(ConnectionField):
 
     def gamma_partial(self, x) -> np.ndarray:
         return _evaluate(self._table(1), x)
-
-    def substitute(self, assignments) -> "SymbolicConnection":
-        comps = {key: f.substitute(assignments) for key, f in self._comps.items()}
-        return SymbolicConnection(self.n, comps)
 
 
 def _lowered(dg: np.ndarray) -> np.ndarray:
@@ -266,16 +262,16 @@ class _Jet:
     needed rather than kept, since d^2 g is the largest array of all.
     """
 
-    def __init__(self, metric: MetricField, x: np.ndarray, det_floor: float):
-        self.metric, self.x, self.det_floor = metric, x.copy(), det_floor
+    def __init__(self, metric: MetricField, x: np.ndarray):
+        self.metric, self.x = metric, x.copy()
         self._ginv = self._gamma = self._gamma_partial = None
 
-    def holds(self, x: np.ndarray, det_floor: float) -> bool:
-        return det_floor == self.det_floor and np.array_equal(x, self.x)
+    def holds(self, x: np.ndarray) -> bool:
+        return np.array_equal(x, self.x)
 
     def ginv(self) -> np.ndarray:
         if self._ginv is None:
-            self._ginv = self.metric.inverse_value(self.x, self.det_floor)
+            self._ginv = self.metric.inverse_value(self.x)
         return self._ginv
 
     def gamma(self) -> np.ndarray:
@@ -321,17 +317,16 @@ class LeviCivitaConnection(ConnectionField):
     jet are read-only.
     """
 
-    def __init__(self, metric: MetricField, det_floor: float = 1e-12):
+    def __init__(self, metric: MetricField):
         self.metric = metric
         self.n = metric.n
-        self.det_floor = det_floor
         self._jet = None
 
     def _jet_at(self, x) -> _Jet:
         x = np.asarray(x, dtype=float)
         jet = self._jet
-        if jet is None or not jet.holds(x, self.det_floor):
-            jet = self._jet = _Jet(self.metric, x, self.det_floor)
+        if jet is None or not jet.holds(x):
+            jet = self._jet = _Jet(self.metric, x)
         return jet
 
     def gamma(self, x) -> np.ndarray:
@@ -345,24 +340,19 @@ class RestrictedConnection(ConnectionField):
     """A connection on the leaf space of a trailing-coordinate span.
 
     Evaluates the parent's leading components with the trailing coordinates
-    pinned to fixed values (zero by default); only meaningful when the parent
-    passes the projectability check, which makes the choice immaterial.
+    pinned to zero; only meaningful when the parent passes the projectability
+    check, which makes the pinned values immaterial.
     """
 
-    def __init__(self, parent: ConnectionField, keep: int, trailing_values=None):
+    def __init__(self, parent: ConnectionField, keep: int):
         if not 0 < keep < parent.n:
             raise ValueError("leaf dimension must satisfy 0 < keep < n")
         self.parent = parent
         self.n = keep
-        pad = np.zeros(parent.n - keep) if trailing_values is None else np.asarray(trailing_values, float)
-        if pad.shape != (parent.n - keep,):
-            raise ValueError("trailing_values must have length n - keep")
-        self.pad = pad
 
     def _embed(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        pad = np.broadcast_to(self.pad, y.shape[:-1] + self.pad.shape)
-        return np.concatenate([y, pad], axis=-1)
+        return np.concatenate([y, np.zeros(y.shape[:-1] + (self.parent.n - self.n,))], axis=-1)
 
     def gamma(self, y) -> np.ndarray:
         m = self.n
@@ -373,23 +363,14 @@ class RestrictedConnection(ConnectionField):
         return self.parent.gamma_partial(self._embed(y))[..., :m, :m, :m, :m]
 
 
-def christoffel(g: MetricField, det_floor: float = 1e-12) -> LeviCivitaConnection:
+def christoffel(g: MetricField) -> LeviCivitaConnection:
     """Levi-Civita connection of ``g`` (torsion-free, metric-compatible)."""
-    return LeviCivitaConnection(g, det_floor)
+    return LeviCivitaConnection(g)
 
 
 # ---------------------------------------------------------------------------
 # curvature
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class CurvatureValue:
-    """Curvature components at one point; ``components[i,j,k,l] = R_{ijk}{}^l``."""
-
-    point: np.ndarray
-    components: np.ndarray
-    lowered: Optional[np.ndarray] = None
 
 
 def curvature_components(conn: ConnectionField, x) -> np.ndarray:
@@ -401,20 +382,11 @@ def curvature_components(conn: ConnectionField, x) -> np.ndarray:
     return A - np.einsum("...ijkl->...jikl", A)
 
 
-def curvature(conn: ConnectionField, x) -> CurvatureValue:
-    """Curvature of a torsion-free connection at the point ``x``."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("curvature() takes a single point; use curvature_components for batches")
-    return CurvatureValue(point=x, components=curvature_components(conn, x))
-
-
-def lower_curvature(value: CurvatureValue, g: Union[MetricField, np.ndarray]) -> np.ndarray:
-    """(0,4) form ``R_{ijkl} = R_{ijk}{}^m g_{ml}`` at the value's point."""
-    gmat = g.value(value.point) if isinstance(g, MetricField) else np.asarray(g, dtype=float)
-    lowered = np.einsum("ijkm,ml->ijkl", value.components, gmat)
-    value.lowered = lowered
-    return lowered
+def lower_curvature(R: np.ndarray, g_values: np.ndarray) -> np.ndarray:
+    """(0,4) form ``R_{ijkl} = R_{ijk}{}^m g_{ml}``, batched: ``R`` from
+    :func:`curvature_components` and ``g_values`` from ``MetricField.value``
+    at the same points."""
+    return np.einsum("...ijkm,...ml->...ijkl", R, g_values)
 
 
 def covariant_derivative_vector(conn: ConnectionField, w, v, x) -> np.ndarray:

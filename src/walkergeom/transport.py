@@ -30,6 +30,9 @@ __all__ = [
     "projection_commutes_residual",
 ]
 
+# grid steps whose coefficient matrices euler_transport precomputes at once
+EULER_CHUNK = 100_000
+
 
 @dataclass(frozen=True)
 class CurveSpec:
@@ -126,9 +129,7 @@ def parallel_transport(conn: ConnectionField, curve: CurveSpec, w0) -> Transport
     return TransportResult(times=ts, vectors=out)
 
 
-def euler_transport(
-    conn: ConnectionField, curve: CurveSpec, w0, step: float = 1e-6, chunk: int = 100_000
-) -> np.ndarray:
+def euler_transport(conn: ConnectionField, curve: CurveSpec, w0, step: float = 1e-6) -> np.ndarray:
     """Brute-force first-order transport; returns only the final vector.
 
     Kept intentionally naive (forward Euler, fixed step) and fully separate
@@ -139,8 +140,8 @@ def euler_transport(
     w = np.asarray(w0, dtype=float).copy()
     ts = curve.grid(step)
     h = ts[1] - ts[0] if len(ts) > 1 else 0.0
-    for start in range(0, len(ts) - 1, chunk):
-        stop = min(start + chunk, len(ts) - 1)
+    for start in range(0, len(ts) - 1, EULER_CHUNK):
+        stop = min(start + EULER_CHUNK, len(ts) - 1)
         A = _coefficients(conn, curve, ts[start:stop])
         for k in range(stop - start):
             w = w + h * (A[k] @ w)

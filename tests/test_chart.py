@@ -1,6 +1,5 @@
-"""Block splits and coordinate truncations."""
+"""Block splits."""
 
-import numpy as np
 import pytest
 
 from walkergeom import ChartSplit
@@ -40,17 +39,3 @@ def test_two_block_bounds():
     with pytest.raises(ValueError):
         ChartSplit.two_block(3, 3)
 
-
-def test_projections_compose():
-    ch = ChartSplit.three_block(5, 1)
-    x = np.arange(5.0)
-    mid = ch.project_mid(x)
-    assert np.array_equal(mid, [0.0, 1.0, 2.0, 3.0])
-    assert np.array_equal(ch.project_mid_to_base(mid), ch.project_base(x))
-
-
-def test_projection_batch_shapes():
-    ch = ChartSplit.three_block(4, 1)
-    xs = np.zeros((7, 4))
-    assert ch.project_base(xs).shape == (7, 1)
-    assert ch.project_mid(xs).shape == (7, 3)

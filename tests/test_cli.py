@@ -361,12 +361,19 @@ def test_main_missing_file_is_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_main_rejects_bad_overrides(tmp_path, capsys):
-    path = write(tmp_path, MINIMAL_METRIC)
-    assert main(["check", path, "--samples", "0"]) == 2
-    assert main(["check", path, "--seed", "-3"]) == 2
-    assert main(["check", path, "--tol", "0"]) == 2
+@pytest.mark.parametrize("verb", ["check", "transport"])
+def test_main_rejects_bad_overrides(tmp_path, capsys, verb):
+    path = write(tmp_path, dict(MINIMAL_METRIC, transport={"curve": ["x1", "0.1*x1"],
+                                                           "w0": [1.0, 0.0]}))
+    assert main([verb, path, "--samples", "0"]) == 2
+    assert main([verb, path, "--seed", "-3"]) == 2
+    assert main([verb, path, "--tol", "0"]) == 2
     capsys.readouterr()
+    for tol in ("inf", "1e400"):
+        assert main([verb, path, "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: '--tol' must be numeric and finite\n"
 
 
 def test_main_transport_verb(tmp_path):

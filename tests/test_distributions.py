@@ -8,6 +8,8 @@ from walkergeom import (
     DistributionSpec,
     MetricField,
     NotProjectableError,
+    RestrictedConnection,
+    ScalarField,
     SymbolicConnection,
     build_pullback_extension,
     check_field_projectable,
@@ -16,8 +18,8 @@ from walkergeom import (
     check_projectable,
     check_walker_form,
     christoffel,
-    constant,
     covariant_derivative_vector,
+    curvature_components,
     curvature_condition,
     parse_expression,
     projectability_parts,
@@ -81,21 +83,22 @@ def test_identity_metric_is_not_null():
 
 def test_product_metric_trailing_block_is_parallel():
     g = MetricField(ChartSplit.two_block(2, 1), {(1, 1): "1 + 0.5*x1^2", (2, 2): 1.0})
-    assert check_parallel(g, dist2(), PTS2).residual < 1e-14
+    assert check_parallel(christoffel(g), dist2(), PTS2).residual < 1e-14
 
 
 def test_extension_metric_trailing_block_is_parallel():
     spec = random_extension_spec(np.random.default_rng(2), 1, 2)
     g = build_pullback_extension(spec)
     pts = sample_points(g.n, 30, seed=3, metric=g)
-    assert check_parallel(g, DistributionSpec.null_block(g.chart), pts).residual < 1e-10
+    P = DistributionSpec.null_block(g.chart)
+    assert check_parallel(christoffel(g), P, pts).residual < 1e-10
 
 
 def test_coupled_metric_fails_parallelism():
     # hand computation: Gamma^1_22 = 1/(1 - x2^2), so at x2 = 0 the family
     # |Gamma^1_{2 mu}| attains exactly 1
     g = MetricField(ChartSplit.two_block(2, 1), {(1, 1): 1.0, (1, 2): "x2", (2, 2): 1.0})
-    res = check_parallel(g, dist2(), np.array([[0.7, 0.0]]))
+    res = check_parallel(christoffel(g), dist2(), np.array([[0.7, 0.0]]))
     assert abs(res.residual - 1.0) < 1e-14
 
 
@@ -105,7 +108,7 @@ def test_coupled_metric_fails_parallelism():
 
 
 def test_flat_connection_is_projectable():
-    assert check_projectable(SymbolicConnection.zero(2), dist2(), PTS2).residual == 0.0
+    assert check_projectable(SymbolicConnection(2), dist2(), PTS2).residual == 0.0
 
 
 def test_extension_connection_projects_along_both_spans():
@@ -137,7 +140,7 @@ def test_trailing_dependent_component_fails_projectability():
 def test_flat_metric_satisfies_curvature_condition():
     g = MetricField(ChartSplit.two_block(3, 1), {(1, 1): 1.0, (2, 2): 1.0, (3, 3): 1.0})
     pts = RNG.uniform(-1, 1, (10, 3))
-    assert curvature_condition(g, DistributionSpec(g.chart, 1), pts).residual == 0.0
+    assert curvature_condition(christoffel(g), DistributionSpec(g.chart, 1), pts).residual == 0.0
 
 
 def test_extension_metric_satisfies_curvature_condition():
@@ -145,7 +148,7 @@ def test_extension_metric_satisfies_curvature_condition():
     g = build_pullback_extension(spec)
     pts = sample_points(g.n, 25, seed=5, metric=g)
     V = DistributionSpec.orthocomplement(g.chart)
-    assert curvature_condition(g, V, pts).residual < 1e-10
+    assert curvature_condition(christoffel(g), V, pts).residual < 1e-10
 
 
 def test_nonprojectable_adapted_metric_fails_curvature_condition():
@@ -157,7 +160,7 @@ def test_nonprojectable_adapted_metric_fails_curvature_condition():
     pts = sample_points(4, 40, seed=6, metric=g)
     conn = christoffel(g)
     V = DistributionSpec.orthocomplement(g.chart)
-    res = curvature_condition(g, V, pts, conn=conn)
+    res = curvature_condition(conn, V, pts)
     assert res.residual > 1e-3
 
     # independent oracle at the worst point: centred differences of Gamma in
@@ -178,9 +181,7 @@ def test_nonprojectable_adapted_metric_fails_curvature_condition():
         + np.einsum("ljp,pik->ijkl", G, G)
         - np.einsum("lip,pjk->ijkl", G, G)
     )
-    from walkergeom import curvature
-
-    engine = curvature(conn, x).components
+    engine = curvature_components(conn, x)
     assert np.max(np.abs(engine - oracle)) < 1e-6
     assert np.max(np.abs(oracle[1:4, :, :, 0])) > 1e-3
     assert abs(np.max(np.abs(oracle[1:4, :, :, 0])) - res.residual) < 1e-6
@@ -248,7 +249,7 @@ def test_walker_projectability_examples():
 
 
 def test_projected_flat_connection_is_flat():
-    conn = SymbolicConnection.zero(3)
+    conn = SymbolicConnection(3)
     dist = DistributionSpec(ChartSplit.two_block(3, 1), 1)
     proj = projected_connection(conn, dist, RNG.uniform(-1, 1, (10, 3)))
     assert proj.n == 2
@@ -305,8 +306,6 @@ def test_restricted_levi_civita_connection_evaluates():
 
 def test_projection_is_independent_of_pinned_trailing_values():
     # once the check passes, any fixed trailing values give the same functions
-    from walkergeom import RestrictedConnection
-
     spec = random_extension_spec(np.random.default_rng(8), 2, 1)
     g = build_pullback_extension(spec)
     conn = christoffel(g)
@@ -316,7 +315,9 @@ def test_projection_is_independent_of_pinned_trailing_values():
     keep = g.n - V.s
     base_pts = pts[:, :keep]
     at_zero = RestrictedConnection(conn, keep).gamma(base_pts)
-    at_other = RestrictedConnection(conn, keep, trailing_values=[0.4, -0.9, 0.7]).gamma(base_pts)
+    pinned = np.broadcast_to([0.4, -0.9, 0.7], base_pts.shape[:-1] + (V.s,))
+    at_other = christoffel(g).gamma(np.concatenate([base_pts, pinned], axis=-1))
+    at_other = at_other[..., :keep, :keep, :keep]
     assert np.max(np.abs(at_zero - at_other)) < 1e-10
 
 
@@ -367,8 +368,8 @@ def test_curvature_condition_matches_derivative_family_when_parallel():
         pts = sample_points(g.n, 30, seed=200 + k, metric=g)
         conn = christoffel(g)
         V = DistributionSpec.orthocomplement(g.chart)
-        assert check_parallel(g, V, pts, conn=conn).residual <= tol
-        curv = curvature_condition(g, V, pts, conn=conn)
+        assert check_parallel(conn, V, pts).residual <= tol
+        curv = curvature_condition(conn, V, pts)
         _, deriv = projectability_parts(conn, V, pts)
         assert (curv.residual <= tol) == (deriv.residual <= tol), (
             curv.residual,
@@ -406,6 +407,8 @@ def test_covariant_derivatives_along_sections_stay_vertical():
             random_polynomial(rng, n, variables=range(1, keep + 1))
             for _ in range(keep)
         ] + [random_polynomial(rng, n) for _ in range(n - keep)]
-        v = [constant(0.0, n)] * keep + [random_polynomial(rng, n) for _ in range(n - keep)]
+        v = [ScalarField.constant(0.0, n)] * keep + [
+            random_polynomial(rng, n) for _ in range(n - keep)
+        ]
         out = covariant_derivative_vector(conn, w, v, pts)
         assert np.max(np.abs(out[:, :keep])) < 1e-10

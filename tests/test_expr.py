@@ -10,12 +10,10 @@ from walkergeom.expr import (
     EvaluationError,
     ExpressionError,
     ExpressionSyntaxError,
+    ScalarField,
     VariableRangeError,
-    constant,
     coordinate,
-    evaluate,
     parse_expression,
-    partial,
 )
 
 
@@ -26,12 +24,12 @@ from walkergeom.expr import (
 
 def test_parse_product():
     f = parse_expression("x1*x1", 2)
-    assert evaluate(f, [3.0, 0.0]) == 9.0
+    assert f.evaluate([3.0, 0.0]) == 9.0
 
 
 def test_parse_sin_at_zero():
     f = parse_expression("sin(x1)", 1)
-    assert evaluate(f, [0.0]) == 0.0
+    assert f.evaluate([0.0]) == 0.0
 
 
 def test_parse_trailing_operator_is_syntax_error():
@@ -73,27 +71,27 @@ def test_parse_whitespace_and_nesting():
     f = parse_expression("  ( x1 + 2 ) * exp( cos(x2) )  ", 2)
     x = np.array([0.5, 0.25])
     expected = (0.5 + 2) * np.exp(np.cos(0.25))
-    assert abs(evaluate(f, x) - expected) < 1e-15
+    assert abs(f.evaluate(x) - expected) < 1e-15
 
 
 def test_parse_number_formats():
     f = parse_expression("1.5e-3 + 2. + .25 + 3e2", 1)
-    assert abs(evaluate(f, [0.0]) - (1.5e-3 + 2.0 + 0.25 + 300.0)) < 1e-15
+    assert abs(f.evaluate([0.0]) - (1.5e-3 + 2.0 + 0.25 + 300.0)) < 1e-15
 
 
 def test_parse_negative_exponent():
     f = parse_expression("x1^-2", 1)
-    assert abs(evaluate(f, [2.0]) - 0.25) < 1e-15
+    assert abs(f.evaluate([2.0]) - 0.25) < 1e-15
 
 
 def test_parse_unary_minus():
     f = parse_expression("-x1 + (-2)*x2", 2)
-    assert evaluate(f, [1.0, 3.0]) == -7.0
+    assert f.evaluate([1.0, 3.0]) == -7.0
 
 
 def test_parse_precedence():
     f = parse_expression("1 + 2*x1^2/4 - 3", 1)
-    assert abs(evaluate(f, [2.0]) - (1 + 2 * 4 / 4 - 3)) < 1e-15
+    assert abs(f.evaluate([2.0]) - (1 + 2 * 4 / 4 - 3)) < 1e-15
 
 
 @pytest.mark.parametrize("deep", [
@@ -109,9 +107,9 @@ def test_parse_rejects_nesting_deeper_than_limit(deep):
 
 def test_parse_accepts_nesting_at_limit():
     f = parse_expression("(" * 100 + "x1" + ")" * 100, 1)
-    assert evaluate(f, [0.5]) == 0.5
+    assert f.evaluate([0.5]) == 0.5
     g = parse_expression("sin(" * 100 + "x1" + ")" * 100, 1)
-    assert abs(evaluate(g.partial(1), [0.0]) - 1.0) < 1e-15
+    assert abs(g.partial(1).evaluate([0.0]) - 1.0) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -120,23 +118,23 @@ def test_parse_accepts_nesting_at_limit():
 
 
 def test_evaluate_product_point():
-    assert evaluate(parse_expression("x1*x2", 2), (2.0, 3.0)) == 6.0
+    assert parse_expression("x1*x2", 2).evaluate((2.0, 3.0)) == 6.0
 
 
 def test_evaluate_exp_zero():
-    assert evaluate(parse_expression("exp(x1)", 2), (0.0, 5.0)) == 1.0
+    assert parse_expression("exp(x1)", 2).evaluate((0.0, 5.0)) == 1.0
 
 
 def test_evaluate_division_by_zero_reports_subexpression():
     f = parse_expression("1/x1", 1)
     with pytest.raises(EvaluationError) as err:
-        evaluate(f, [0.0])
+        f.evaluate([0.0])
     assert "x1" in err.value.subexpression
 
 
 def test_evaluate_checks_point_length():
     with pytest.raises(ValueError):
-        evaluate(parse_expression("x1", 2), [1.0])
+        parse_expression("x1", 2).evaluate([1.0])
 
 
 def test_evaluate_batch_matches_scalar():
@@ -160,25 +158,25 @@ def test_unchecked_evaluation_propagates_inf():
 
 
 def test_partial_power_rule():
-    d = partial(parse_expression("x1^2", 1), 1)
-    assert evaluate(d, [3.0]) == 6.0
+    d = parse_expression("x1^2", 1).partial(1)
+    assert d.evaluate([3.0]) == 6.0
 
 
 def test_partial_of_constant_is_zero_field():
-    d = partial(constant(5.0, 3), 2)
+    d = ScalarField.constant(5.0, 3).partial(2)
     assert d.is_zero
-    assert evaluate(d, [9.0, 9.0, 9.0]) == 0.0
+    assert d.evaluate([9.0, 9.0, 9.0]) == 0.0
 
 
 def test_second_partial_sin():
-    dd = partial(partial(parse_expression("sin(x1)", 1), 1), 1)
-    assert evaluate(dd, [0.0]) == 0.0
-    assert abs(evaluate(dd, [np.pi / 2]) + 1.0) < 1e-15
+    dd = parse_expression("sin(x1)", 1).partial(1).partial(1)
+    assert dd.evaluate([0.0]) == 0.0
+    assert abs(dd.evaluate([np.pi / 2]) + 1.0) < 1e-15
 
 
 def test_partial_index_out_of_range():
     with pytest.raises(VariableRangeError):
-        partial(parse_expression("x1", 1), 2)
+        parse_expression("x1", 1).partial(2)
 
 
 def test_quotient_rule_against_finite_difference():

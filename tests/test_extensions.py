@@ -18,7 +18,7 @@ from walkergeom import (
     check_parallel,
     check_projectable,
     christoffel,
-    curvature,
+    curvature_components,
     curvature_condition,
     fiber_translate_pullback,
     killing_operator,
@@ -40,7 +40,7 @@ def text_of(g, mu, nu):
 
 
 def test_flat_riemann_extension_components():
-    g = build_riemann_extension(SymbolicConnection.zero(1))
+    g = build_riemann_extension(SymbolicConnection(1))
     assert g.n == 2
     assert g.component(1, 1).is_zero
     assert text_of(g, 1, 2) == "1.0"
@@ -57,10 +57,10 @@ def test_riemann_extension_linear_connection_term():
 
 
 def test_constant_section_extension_is_flat():
-    g = build_riemann_extension(SymbolicConnection.zero(1), {(1, 1): 1.0})
+    g = build_riemann_extension(SymbolicConnection(1), {(1, 1): 1.0})
     assert np.allclose(g.value(np.array([0.2, -0.4])), [[1.0, 1.0], [1.0, 0.0]])
-    R = curvature(christoffel(g), np.array([0.3, 0.9]))
-    assert np.max(np.abs(R.components)) == 0.0
+    R = curvature_components(christoffel(g), np.array([0.3, 0.9]))
+    assert np.max(np.abs(R)) == 0.0
 
 
 def test_pullback_extension_m0_equals_riemann_extension():
@@ -77,7 +77,7 @@ def test_pullback_extension_diagonal_case():
     spec = ExtensionSpec(
         r=1,
         m=1,
-        base_connection=SymbolicConnection.zero(1),
+        base_connection=SymbolicConnection(1),
         lam={(2, 2): 1.0},
     )
     g = build_pullback_extension(spec)
@@ -106,7 +106,7 @@ def test_builder_rejects_singular_constant_block():
         ExtensionSpec(
             r=2,
             m=0,
-            base_connection=SymbolicConnection.zero(2),
+            base_connection=SymbolicConnection(2),
             g_ia=np.array([[1.0, 1.0], [1.0, 1.0]]),
         )
 
@@ -138,13 +138,13 @@ def test_restriction_to_zero_section_is_exact():
 
 
 def test_killing_operator_of_zero_form_vanishes():
-    D = SymbolicConnection.zero(2)
+    D = SymbolicConnection(2)
     omega = OneFormSection.from_values(2, 0, [0.0, 0.0])
     assert np.max(np.abs(killing_operator(D, omega, np.array([0.3, 0.4])))) == 0.0
 
 
 def test_killing_operator_flat_shear():
-    D = SymbolicConnection.zero(2)
+    D = SymbolicConnection(2)
     omega = OneFormSection.from_values(2, 0, ["x2", 0.0])
     L = killing_operator(D, omega, np.array([0.7, -0.2]))
     assert np.allclose(L, [[0.0, 1.0], [1.0, 0.0]])
@@ -159,7 +159,7 @@ def test_killing_operator_constant_form_with_constant_connection():
 
 
 def test_killing_operator_middle_block():
-    D = SymbolicConnection.zero(1)
+    D = SymbolicConnection(1)
     omega = OneFormSection.from_values(1, 2, ["x2*x3"])
     L = killing_operator(D, omega, np.array([0.5, 0.3, -0.4]))
     assert L.shape == (3, 3)
@@ -186,7 +186,7 @@ def test_translation_by_zero_form_is_identity():
 
 def test_constant_translation_of_flat_extension_is_isometry():
     spec = ExtensionSpec(
-        r=1, m=0, base_connection=SymbolicConnection.zero(1), lam={(1, 1): 0.25}
+        r=1, m=0, base_connection=SymbolicConnection(1), lam={(1, 1): 0.25}
     )
     g = build_pullback_extension(spec)
     pts = np.random.default_rng(2).uniform(-1, 1, (12, 2))
@@ -227,7 +227,7 @@ def test_fiber_translation_matches_finite_difference_jacobian():
 
 
 def test_fiber_translation_rejects_mismatched_section():
-    spec = ExtensionSpec(r=1, m=1, base_connection=SymbolicConnection.zero(1))
+    spec = ExtensionSpec(r=1, m=1, base_connection=SymbolicConnection(1))
     g = build_pullback_extension(spec)
     wrong = OneFormSection.from_values(1, 0, ["x1"])
     with pytest.raises(ValueError):
@@ -248,7 +248,7 @@ def test_rotational_form_is_isometry_when_killing_vanishes():
     # flat base connection, omega = (x2, -x1): L omega = 0, so the
     # translation is an isometry of the built metric
     spec = random_extension_spec(np.random.default_rng(4), 2, 0)
-    spec = ExtensionSpec(r=2, m=0, base_connection=SymbolicConnection.zero(2),
+    spec = ExtensionSpec(r=2, m=0, base_connection=SymbolicConnection(2),
                          lam=spec.lam, g_ia=spec.g_ia)
     g = build_pullback_extension(spec)
     omega = OneFormSection.from_values(2, 0, ["x2", "-x1"])
@@ -266,7 +266,7 @@ def test_rotational_form_is_isometry_when_killing_vanishes():
 
 def test_recover_vertical_metric_identity_fiber():
     spec = ExtensionSpec(
-        r=1, m=2, base_connection=SymbolicConnection.zero(1),
+        r=1, m=2, base_connection=SymbolicConnection(1),
         lam={(2, 2): 1.0, (3, 3): 1.0},
     )
     g = build_pullback_extension(spec)
@@ -277,13 +277,13 @@ def test_recover_vertical_metric_identity_fiber():
 
 
 def test_recover_vertical_metric_empty_for_midless_charts():
-    g = build_riemann_extension(SymbolicConnection.zero(1))
+    g = build_riemann_extension(SymbolicConnection(1))
     assert recover_vertical_metric(g, np.zeros(2)).shape == (0, 0)
 
 
 def test_recover_vertical_metric_rejects_degenerate_block():
     spec = ExtensionSpec(
-        r=1, m=1, base_connection=SymbolicConnection.zero(1),
+        r=1, m=1, base_connection=SymbolicConnection(1),
         lam={(2, 2): "x1"},
     )
     g = build_pullback_extension(spec)
@@ -293,7 +293,7 @@ def test_recover_vertical_metric_rejects_degenerate_block():
 
 def test_recover_vertical_metric_evaluates_section_data():
     spec = ExtensionSpec(
-        r=1, m=1, base_connection=SymbolicConnection.zero(1),
+        r=1, m=1, base_connection=SymbolicConnection(1),
         lam={(2, 2): "1 + x1^2"},
     )
     g = build_pullback_extension(spec)
@@ -347,7 +347,7 @@ def test_forward_round_trip_conclusions():
     P = DistributionSpec.null_block(g.chart)
     V = DistributionSpec.orthocomplement(g.chart)
     assert check_null(g, P, pts).residual == 0.0
-    assert check_parallel(g, P, pts, conn=conn).residual < 1e-10
+    assert check_parallel(conn, P, pts).residual < 1e-10
     assert check_projectable(conn, P, pts).residual < 1e-10
     assert check_projectable(conn, V, pts).residual < 1e-10
-    assert curvature_condition(g, V, pts, conn=conn).residual < 1e-10
+    assert curvature_condition(conn, V, pts).residual < 1e-10

@@ -1,5 +1,7 @@
 """Christoffel symbols, curvature and the metric-compatibility residual."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from walkergeom import (
     christoffel,
     covariant_derivative_metric_residual,
     covariant_derivative_vector,
-    curvature,
     curvature_components,
     lower_curvature,
     parse_expression,
@@ -75,7 +76,7 @@ def test_metric_compatibility_for_random_metrics():
 
 def test_metric_compatibility_trivial_and_failing_cases():
     g = MetricField(two_block(2), {(1, 1): 1.0, (2, 2): 1.0})
-    zero = SymbolicConnection.zero(2)
+    zero = SymbolicConnection(2)
     assert covariant_derivative_metric_residual(g, zero, np.array([0.4, 0.1])) == 0.0
 
     g2 = MetricField(two_block(2), {(1, 1): "1 + x2^2", (2, 2): 1.0})
@@ -88,9 +89,9 @@ def test_metric_compatibility_trivial_and_failing_cases():
 
 
 def test_curvature_flat_connection_vanishes():
-    flat = SymbolicConnection.zero(3)
-    R = curvature(flat, np.array([0.1, 0.2, 0.3]))
-    assert np.max(np.abs(R.components)) == 0.0
+    flat = SymbolicConnection(3)
+    R = curvature_components(flat, np.array([0.1, 0.2, 0.3]))
+    assert np.max(np.abs(R)) == 0.0
 
 
 def test_curvature_antisymmetry_is_exact():
@@ -129,9 +130,9 @@ def test_curvature_round_sphere_against_finite_difference_oracle():
 
     # engine value from the metric itself
     g = MetricField(two_block(2), {(1, 1): 1.0, (2, 2): "sin(x1)^2"})
-    R = curvature(christoffel(g), x)
-    assert abs(R.components[0, 1, 0, 1] - 1.0) < 1e-12
-    assert np.max(np.abs(R.components - oracle)) < 1e-8
+    R = curvature_components(christoffel(g), x)
+    assert abs(R[0, 1, 0, 1] - 1.0) < 1e-12
+    assert np.max(np.abs(R - oracle)) < 1e-8
 
 
 def test_first_bianchi_identity():
@@ -151,17 +152,18 @@ def test_lower_curvature_levi_civita_symmetries():
     rng = np.random.default_rng(21)
     g = random_walker_metric(rng, 1, 2)
     pts = sample_points(g.n, 20, seed=4, metric=g)
-    conn = christoffel(g)
-    for x in pts[:5]:
-        low = lower_curvature(curvature(conn, x), g)
-        assert np.max(np.abs(low + np.einsum("jikl->ijkl", low))) < 1e-12
-        assert np.max(np.abs(low + np.einsum("ijlk->ijkl", low))) < 1e-10
-        assert np.max(np.abs(low - np.einsum("klij->ijkl", low))) < 1e-10
+    x = pts[:5]
+    low = lower_curvature(curvature_components(christoffel(g), x), g.value(x))
+    assert low.shape == (5,) + (g.n,) * 4
+    assert np.max(np.abs(low + np.einsum("...jikl->...ijkl", low))) < 1e-12
+    assert np.max(np.abs(low + np.einsum("...ijlk->...ijkl", low))) < 1e-10
+    assert np.max(np.abs(low - np.einsum("...klij->...ijkl", low))) < 1e-10
 
 
 def test_lower_curvature_flat_metric_vanishes():
     g = MetricField(two_block(2), {(1, 1): 1.0, (2, 2): 1.0})
-    low = lower_curvature(curvature(christoffel(g), np.array([0.1, 0.2])), g)
+    x = np.array([0.1, 0.2])
+    low = lower_curvature(curvature_components(christoffel(g), x), g.value(x))
     assert np.max(np.abs(low)) == 0.0
 
 
@@ -217,7 +219,7 @@ def test_leading_block_shortcut_under_weaker_hypotheses():
 
 
 def test_covariant_derivative_vector_flat_reduces_to_directional():
-    flat = SymbolicConnection.zero(2)
+    flat = SymbolicConnection(2)
     w = [parse_expression("x1*x2", 2), parse_expression("x2^2", 2)]
     v = [parse_expression("1", 2), parse_expression("0", 2)]
     pts = np.array([[0.5, 2.0]])
@@ -324,7 +326,12 @@ def test_jet_is_matched_by_value_not_identity():
     assert not conn.gamma(a).flags.writeable
 
 
-def test_default_extension_suite_shares_one_jet(tmp_path, monkeypatch):
+@pytest.mark.parametrize("checks", [
+    None,
+    # projected_connection evaluates Gamma at the padded base points in between
+    ["parallel", "projected_connection", "projectable", "curvature_condition"],
+], ids=["default", "custom"])
+def test_default_extension_suite_shares_one_jet(tmp_path, monkeypatch, checks):
     calls = {"inverse_value": 0, "second_partial_value": 0}
     for name in calls:
         original = getattr(MetricField, name)
@@ -334,9 +341,12 @@ def test_default_extension_suite_shares_one_jet(tmp_path, monkeypatch):
             return _original(self, *args, **kwargs)
 
         monkeypatch.setattr(MetricField, name, counted)
+    problem = {"kind": "extension", "r": 2, "m": 1, "D_1_1_2": "x1*x2",
+               "lambda_1_3": "x2*x3", "h_3_3": "2 + x1^2", "samples": 30}
+    if checks is not None:
+        problem["checks"] = checks
     path = tmp_path / "extension.json"
-    path.write_text('{"kind": "extension", "r": 2, "m": 1, "D_1_1_2": "x1*x2", '
-                    '"lambda_1_3": "x2*x3", "h_3_3": "2 + x1^2", "samples": 30}')
+    path.write_text(json.dumps(problem))
     report = cli.run_checks(cli.load_spec(str(path)))
     assert report.verdict
     # the sample points, then the base points of projected_connection

@@ -28,7 +28,7 @@ def line_curve(n, step=1e-3):
 
 
 def test_flat_transport_is_constant():
-    conn = SymbolicConnection.zero(3)
+    conn = SymbolicConnection(3)
     curve = random_curve(np.random.default_rng(0), 3)
     res = parallel_transport(conn, curve, np.array([1.0, -2.0, 0.5]))
     assert np.array_equal(res.vectors[0], res.vectors[-1])
@@ -71,7 +71,7 @@ def test_integrator_is_fourth_order(order_problems):
 
 def test_projection_commutes_for_flat_extension():
     spec = random_extension_spec(np.random.default_rng(4), 1, 0)
-    spec = dataclasses.replace(spec, base_connection=SymbolicConnection.zero(1), lam={})
+    spec = dataclasses.replace(spec, base_connection=SymbolicConnection(1), lam={})
     g = build_pullback_extension(spec)
     V = DistributionSpec.orthocomplement(g.chart)
     curve = random_curve(np.random.default_rng(5), 2)
@@ -123,7 +123,7 @@ def test_curve_rejects_nonpositive_step():
 
 
 def test_transport_validates_vector_shape():
-    conn = SymbolicConnection.zero(2)
+    conn = SymbolicConnection(2)
     curve = line_curve(2)
     with pytest.raises(ValueError):
         parallel_transport(conn, curve, np.array([1.0]))
