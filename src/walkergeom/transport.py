@@ -6,13 +6,17 @@ A vector ``w`` is transported along a curve ``t -> x(t)`` by integrating
 
 with a fixed-step classical 4th-order scheme.  Because the curve is known in
 closed form, the coefficient matrices ``A(t) = -Gamma(x(t)) . xdot(t)`` are
-evaluated in one vectorized pass over the step and half-step grid before the
-time loop runs.  A deliberately separate first-order (Euler) integrator
-serves as a slow but independent reference.
+evaluated in one vectorized pass over the step and half-step grid.  The
+equation is linear in ``w``, so each step is a matrix ``w -> P_k w``: all
+step propagators are built at once and the vectors at every grid time come
+from a log-depth prefix product of them, with no loop over steps.  A
+deliberately separate first-order (Euler) integrator, the product of the
+matrices ``I + h A_k`` reduced pairwise, serves as an independent reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -30,8 +34,13 @@ __all__ = [
     "projection_commutes_residual",
 ]
 
-# grid steps whose coefficient matrices euler_transport precomputes at once
+# grid steps whose Euler factors euler_transport builds and multiplies at once
 EULER_CHUNK = 100_000
+
+
+def _check_step(step) -> None:
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError(f"step must be positive and finite, got {step!r}")
 
 
 @dataclass(frozen=True)
@@ -50,8 +59,7 @@ class CurveSpec:
         object.__setattr__(
             self, "components", tuple(as_field(c, 1) for c in self.components)
         )
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        _check_step(self.step)
 
     @property
     def n(self) -> int:
@@ -65,6 +73,7 @@ class CurveSpec:
         """Evenly spaced parameter values covering t_span (step adjusted to fit)."""
         t0, t1 = self.t_span
         h = self.step if step is None else step
+        _check_step(h)
         count = max(1, round(abs(t1 - t0) / h))
         return np.linspace(t0, t1, count + 1)
 
@@ -94,38 +103,51 @@ def _coefficients(conn: ConnectionField, curve: CurveSpec, ts: np.ndarray) -> np
     xs = curve.positions(ts)
     vs = curve.velocities(ts)
     G = conn.gamma(xs)
-    return -np.einsum("...ljk,...j->...lk", G, vs)
+    return -(vs[..., None, None, :] @ G)[..., 0, :]
+
+
+def _initial_vector(conn: ConnectionField, curve: CurveSpec, w0) -> np.ndarray:
+    """``w0`` as a float vector, after checking it and the curve fit ``conn``."""
+    if curve.n != conn.n:
+        raise ValueError(f"curve has dimension {curve.n}, connection has dimension {conn.n}")
+    w0 = np.asarray(w0, dtype=float)
+    if w0.shape != (conn.n,):
+        raise ValueError(f"initial vector must have shape ({conn.n},), got {w0.shape}")
+    return w0
 
 
 def parallel_transport(conn: ConnectionField, curve: CurveSpec, w0) -> TransportResult:
     """Transport ``w0`` along the curve with the classical 4th-order scheme.
 
     Returns the transported vector at every grid time.  The transport
-    equation is linear in ``w``, so the four stage evaluations per step only
-    need the coefficient matrix at ``t``, ``t + h/2`` and ``t + h``, all of
-    which are precomputed vectorized.
+    equation is linear in ``w``, so one step is ``w -> P_k w`` with ``P_k`` a
+    polynomial in the coefficient matrices at ``t``, ``t + h/2`` and
+    ``t + h``.  All ``P_k`` are built at once; their inclusive prefix
+    products, taken by doubling in log2(steps) batched rounds, map ``w0`` to
+    every grid value.
     """
-    w0 = np.asarray(w0, dtype=float)
-    if w0.shape != (conn.n,):
-        raise ValueError(f"initial vector must have shape ({conn.n},)")
+    w0 = _initial_vector(conn, curve, w0)
     ts = curve.grid()
-    h = ts[1] - ts[0] if len(ts) > 1 else 0.0
-    half = np.concatenate([ts, (ts[:-1] + ts[1:]) / 2.0]) if len(ts) > 1 else ts
-    A_all = _coefficients(conn, curve, half)
-    A_grid = A_all[: len(ts)]
-    A_mid = A_all[len(ts):]
+    h = ts[1] - ts[0]
+    A_all = _coefficients(conn, curve, np.concatenate([ts, (ts[:-1] + ts[1:]) / 2.0]))
+    a0, a1, am = A_all[: len(ts) - 1], A_all[1: len(ts)], A_all[len(ts):]
+
+    eye = np.eye(conn.n)
+    k1 = a0
+    k2 = am @ (eye + 0.5 * h * k1)
+    k3 = am @ (eye + 0.5 * h * k2)
+    k4 = a1 @ (eye + h * k3)
+    P = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # after the round with shift s, P[k] is the product of steps max(0, k-2s+1)..k,
+    # later steps on the left
+    s = 1
+    while s < len(P):
+        P[s:] = P[s:] @ P[:-s]
+        s *= 2
 
     out = np.empty((len(ts), conn.n))
     out[0] = w0
-    w = w0
-    for k in range(len(ts) - 1):
-        a0, am, a1 = A_grid[k], A_mid[k], A_grid[k + 1]
-        k1 = a0 @ w
-        k2 = am @ (w + 0.5 * h * k1)
-        k3 = am @ (w + 0.5 * h * k2)
-        k4 = a1 @ (w + h * k3)
-        w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + 1] = w
+    out[1:] = P @ w0
     return TransportResult(times=ts, vectors=out)
 
 
@@ -134,17 +156,20 @@ def euler_transport(conn: ConnectionField, curve: CurveSpec, w0, step: float = 1
 
     Kept intentionally naive (forward Euler, fixed step) and fully separate
     from :func:`parallel_transport` so it can act as an independent
-    reference for accuracy checks.  Coefficients are still precomputed in
-    chunks to keep the Python loop bearable at small steps.
+    reference for accuracy checks.  Each chunk of ``EULER_CHUNK`` steps forms
+    its factors ``I + h A_k`` at once and multiplies neighbours pairwise
+    (later on the left) down to one matrix, which is applied to ``w``.
     """
-    w = np.asarray(w0, dtype=float).copy()
+    w = _initial_vector(conn, curve, w0)
     ts = curve.grid(step)
-    h = ts[1] - ts[0] if len(ts) > 1 else 0.0
+    h = ts[1] - ts[0]
     for start in range(0, len(ts) - 1, EULER_CHUNK):
         stop = min(start + EULER_CHUNK, len(ts) - 1)
-        A = _coefficients(conn, curve, ts[start:stop])
-        for k in range(stop - start):
-            w = w + h * (A[k] @ w)
+        M = np.eye(conn.n) + h * _coefficients(conn, curve, ts[start:stop])
+        while len(M) > 1:
+            pairs = M[1::2] @ M[:-1:2]
+            M = np.concatenate([pairs, M[-1:]]) if len(M) % 2 else pairs
+        w = M[0] @ w
     return w
 
 

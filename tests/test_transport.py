@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from walkergeom import transport
 from walkergeom import (
     ChartSplit,
     CurveSpec,
@@ -25,6 +26,70 @@ from walkergeom.corpus import random_curve, random_extension_spec
 def line_curve(n, step=1e-3):
     comps = ["x1"] + ["0.2*x1"] * (n - 1)
     return CurveSpec(tuple(parse_expression(c, 1) for c in comps), (0.0, 1.0), step)
+
+
+def loop_coefficients(conn, curve, ts):
+    return -np.einsum("...ljk,...j->...lk", conn.gamma(curve.positions(ts)), curve.velocities(ts))
+
+
+def loop_rk4(conn, curve, w0):
+    """Classical RK4, one step at a time: the reference for the batched scheme."""
+    ts = curve.grid()
+    h = ts[1] - ts[0]
+    A = loop_coefficients(conn, curve, ts)
+    A_mid = loop_coefficients(conn, curve, (ts[:-1] + ts[1:]) / 2.0)
+    out = [w0]
+    for k in range(len(ts) - 1):
+        w = out[-1]
+        k1 = A[k] @ w
+        k2 = A_mid[k] @ (w + 0.5 * h * k1)
+        k3 = A_mid[k] @ (w + 0.5 * h * k2)
+        k4 = A[k + 1] @ (w + h * k3)
+        out.append(w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return np.array(out)
+
+
+def loop_euler(conn, curve, w0, step):
+    """Forward Euler, one step at a time: the reference for the batched product."""
+    ts = curve.grid(step)
+    h = ts[1] - ts[0]
+    A = loop_coefficients(conn, curve, ts[:-1])
+    w = w0
+    for k in range(len(ts) - 1):
+        w = w + h * (A[k] @ w)
+    return w
+
+
+def extension_problem(seed, r, m):
+    rng = np.random.default_rng(seed)
+    g = build_pullback_extension(random_extension_spec(rng, r, m))
+    return christoffel(g), random_curve(rng, g.n), rng.uniform(-1, 1, g.n)
+
+
+# grids of 1 (step longer than t_span), 2, 3 and 37 steps
+GRID_STEPS = [1.5, 0.5, 1 / 3, 1 / 37]
+
+
+@pytest.mark.parametrize("step", GRID_STEPS)
+@pytest.mark.parametrize("r, m", [(1, 1), (2, 2), (3, 2)])
+def test_batched_rk4_matches_step_loop(r, m, step):
+    conn, curve, w0 = extension_problem(31 + 10 * r + m, r, m)
+    curve = dataclasses.replace(curve, step=step)
+    got = parallel_transport(conn, curve, w0).vectors
+    ref = loop_rk4(conn, curve, w0)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("step", GRID_STEPS)
+@pytest.mark.parametrize("r, m", [(1, 1), (2, 2), (3, 2)])
+def test_pairwise_euler_matches_step_loop(monkeypatch, r, m, step):
+    # chunks of 7 split the 37-step grid into five odd chunks and a tail of 2
+    monkeypatch.setattr(transport, "EULER_CHUNK", 7)
+    conn, curve, w0 = extension_problem(53 + 10 * r + m, r, m)
+    got = euler_transport(conn, curve, w0, step=step)
+    ref = loop_euler(conn, curve, w0, step)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_flat_transport_is_constant():
@@ -127,3 +192,25 @@ def test_transport_validates_vector_shape():
     curve = line_curve(2)
     with pytest.raises(ValueError):
         parallel_transport(conn, curve, np.array([1.0]))
+
+
+@pytest.mark.parametrize("step", [-1e-3, 0.0, float("nan"), float("inf")])
+def test_step_must_be_positive_and_finite(step):
+    conn = SymbolicConnection(2)
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        CurveSpec(line_curve(2).components, (0.0, 1.0), step)
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        euler_transport(conn, line_curve(2), np.ones(2), step=step)
+
+
+@pytest.mark.parametrize("integrate", [parallel_transport, euler_transport])
+@pytest.mark.parametrize("curve_n", [2, 4])
+def test_transport_refuses_curve_of_other_dimension(integrate, curve_n):
+    conn = SymbolicConnection(3, {(1, 1, 1): 1.0})
+    with pytest.raises(ValueError, match=f"curve has dimension {curve_n}, connection has dimension 3"):
+        integrate(conn, line_curve(curve_n), np.ones(3))
+
+
+def test_euler_validates_vector_shape():
+    with pytest.raises(ValueError, match=r"initial vector must have shape \(2,\)"):
+        euler_transport(SymbolicConnection(2), line_curve(2), np.array([1.0]))
