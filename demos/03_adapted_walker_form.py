@@ -36,7 +36,7 @@ bad = MetricField(chart, {
 })
 
 for name, g in [("good", good), ("bad", bad)]:
-    pts = sample_points(4, 50, seed=5, metric=g)
+    pts = sample_points(g, 50, seed=5)
     conn = christoffel(g)
     P = DistributionSpec.null_block(chart)
     V = DistributionSpec.orthocomplement(chart)

@@ -37,7 +37,7 @@ for mu in range(1, 5):
         if not comp.is_zero:
             print(f"  g_{mu}{nu} = {comp}")
 
-pts = sample_points(4, 60, seed=1, metric=g)
+pts = sample_points(g, 60, seed=1)
 conn = christoffel(g)
 V = DistributionSpec.orthocomplement(g.chart)
 P = DistributionSpec.null_block(g.chart)

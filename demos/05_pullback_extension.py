@@ -18,8 +18,6 @@ from walkergeom import (
     check_projectable,
     christoffel,
     curvature_condition,
-    recover_vertical_metric,
-    vertical_metric_fields,
 )
 from walkergeom.sampling import sample_points
 
@@ -38,7 +36,7 @@ spec = ExtensionSpec(
 g = build_pullback_extension(spec)
 print("chart blocks: leading {1} | middle {2,3} | trailing {4};  n =", g.n)
 
-pts = sample_points(g.n, 50, seed=2, metric=g)
+pts = sample_points(g, 50, seed=2)
 conn = christoffel(g)
 P = DistributionSpec.null_block(g.chart)
 V = DistributionSpec.orthocomplement(g.chart)
@@ -47,11 +45,11 @@ print("projectable along orthocomplement: ", check_projectable(conn, V, pts).res
 print("curvature condition:               ", curvature_condition(conn, V, pts).residual)
 
 # the vertical metric comes back as the same expressions that went in
-fields = vertical_metric_fields(g)
+mid = g.chart.middle
 print("vertical metric identical to input:",
-      all(fields[p][q].same_expression(spec.h_component(2 + p, 2 + q))
-          for p in range(2) for q in range(2)))
-print("vertical metric at a point:\n", recover_vertical_metric(g, pts[0]))
+      all(g.component(p, q).same_expression(spec.h_component(p, q))
+          for p in range(2, 4) for q in range(2, 4)))
+print("vertical metric at a point:\n", g.value(pts[0])[mid, mid])
 
 # trailing constant fields represent base covectors and are leaf-parallel
 v = canonical_vertical_field([1.0], spec.g_ia)

@@ -27,7 +27,7 @@ from walkergeom.sampling import sample_points
 rng = np.random.default_rng(4)
 spec = random_extension_spec(rng, 2, 1)
 g = build_pullback_extension(spec)
-pts = sample_points(g.n, 25, seed=3, metric=g)
+pts = sample_points(g, 25, seed=3)
 
 omega = random_one_form(rng, 2, 1)
 print("Killing image at one point:\n", killing_operator(spec.base_connection, omega, pts[0]))
@@ -38,8 +38,8 @@ print("transformation-rule residual:",
 flat = ExtensionSpec(r=2, m=0, base_connection=SymbolicConnection(2),
                      lam={(1, 1): "x2", (2, 2): "x1^2"})
 g_flat = build_pullback_extension(flat)
-rotation = OneFormSection.from_values(2, 0, ["x2", "-x1"])
-pts_flat = sample_points(4, 25, seed=4, metric=g_flat)
+rotation = OneFormSection(2, 0, ["x2", "-x1"])
+pts_flat = sample_points(g_flat, 25, seed=4)
 L = killing_operator(flat.base_connection, rotation, pts_flat)
 moved = fiber_translate_pullback(g_flat, rotation, flat.g_ia, pts_flat)
 print("rotation: max |L| =", np.max(np.abs(L)),

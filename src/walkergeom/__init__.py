@@ -35,9 +35,7 @@ from .extensions import (
     canonical_vertical_field,
     fiber_translate_pullback,
     killing_operator,
-    recover_vertical_metric,
     transformation_rule_residual,
-    vertical_metric_fields,
 )
 from .sampling import sample_points
 from .tensor import (

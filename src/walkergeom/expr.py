@@ -70,6 +70,14 @@ class _Node:
     def subst(self, table: Mapping[int, "_Node"]) -> "_Node":
         raise NotImplementedError
 
+    def __eq__(self, other):
+        """Structural equality: same node type and equal fields."""
+        return (
+            type(other) is type(self)
+            and other._hash == self._hash
+            and all(getattr(other, f) == getattr(self, f) for f in self.__slots__)
+        )
+
     def __hash__(self) -> int:
         return self._hash
 
@@ -85,16 +93,11 @@ class _Const(_Node):
         self.max_var = 0
         self._hash = hash(("const", self.value))
 
-    def __eq__(self, other):
-        return isinstance(other, _Const) and other.value == self.value
-
-    __hash__ = _Node.__hash__
-
     def deriv(self, i):
         return _ZERO
 
     def evalx(self, x, checked):
-        return self.value
+        return np.float64(self.value)
 
     def subst(self, table):
         return self
@@ -109,11 +112,6 @@ class _Var(_Node):
         self.index = index
         self.max_var = index
         self._hash = hash(("var", index))
-
-    def __eq__(self, other):
-        return isinstance(other, _Var) and other.index == self.index
-
-    __hash__ = _Node.__hash__
 
     def deriv(self, i):
         return _ONE if i == self.index else _ZERO
@@ -132,11 +130,6 @@ class _Add(_Node):
         self.terms = terms
         self.max_var = max(t.max_var for t in terms)
         self._hash = hash(("add", terms))
-
-    def __eq__(self, other):
-        return isinstance(other, _Add) and other.terms == self.terms
-
-    __hash__ = _Node.__hash__
 
     def deriv(self, i):
         return add(*(t.deriv(i) for t in self.terms))
@@ -161,11 +154,6 @@ class _Mul(_Node):
         self.factors = factors
         self.max_var = max(f.max_var for f in factors)
         self._hash = hash(("mul", factors))
-
-    def __eq__(self, other):
-        return isinstance(other, _Mul) and other.factors == self.factors
-
-    __hash__ = _Node.__hash__
 
     def deriv(self, i):
         terms = []
@@ -198,11 +186,6 @@ class _Div(_Node):
         self.max_var = max(num.max_var, den.max_var)
         self._hash = hash(("div", num, den))
 
-    def __eq__(self, other):
-        return isinstance(other, _Div) and other.num == self.num and other.den == self.den
-
-    __hash__ = _Node.__hash__
-
     def deriv(self, i):
         du, dv = self.num.deriv(i), self.den.deriv(i)
         numerator = add(mul(du, self.den), mul(_Const(-1.0), self.num, dv))
@@ -230,15 +213,6 @@ class _Pow(_Node):
         self.max_var = base.max_var
         self._hash = hash(("pow", base, self.exponent))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, _Pow)
-            and other.exponent == self.exponent
-            and other.base == self.base
-        )
-
-    __hash__ = _Node.__hash__
-
     def deriv(self, i):
         db = self.base.deriv(i)
         return mul(_Const(float(self.exponent)), intpow(self.base, self.exponent - 1), db)
@@ -259,18 +233,13 @@ class _Pow(_Node):
 class _Call(_Node):
     __slots__ = ("fn", "arg")
 
-    _FNS = {"sin": (np.sin, math.sin), "cos": (np.cos, math.cos), "exp": (np.exp, math.exp)}
+    _FNS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 
     def __init__(self, fn: str, arg: _Node):
         self.fn = fn
         self.arg = arg
         self.max_var = arg.max_var
         self._hash = hash((fn, arg))
-
-    def __eq__(self, other):
-        return isinstance(other, _Call) and other.fn == self.fn and other.arg == self.arg
-
-    __hash__ = _Node.__hash__
 
     def deriv(self, i):
         da = self.arg.deriv(i)
@@ -281,11 +250,7 @@ class _Call(_Node):
         return mul(self, da)  # exp
 
     def evalx(self, x, checked):
-        val = self.arg.evalx(x, checked)
-        npfn, mathfn = self._FNS[self.fn]
-        if isinstance(val, np.ndarray):
-            return npfn(val)
-        return mathfn(val)
+        return self._FNS[self.fn](self.arg.evalx(x, checked))
 
     def subst(self, table):
         arg = self.arg.subst(table)
@@ -374,8 +339,8 @@ def intpow(base: _Node, exponent: int) -> _Node:
 def call(fn: str, arg: _Node) -> _Node:
     if isinstance(arg, _Const):
         try:
-            return _Const(_Call._FNS[fn][1](arg.value))
-        except OverflowError:
+            return _Const(getattr(math, fn)(arg.value))
+        except (OverflowError, ValueError):  # kept unfolded, evaluates to inf / nan
             return _Call(fn, arg)
     return _Call(fn, arg)
 
@@ -482,12 +447,13 @@ class _Parser:
             node = _negate(node)
         while True:
             ch = self.peek()
+            op = self.pos
             if ch == "+":
                 self.pos += 1
-                node = add(node, self.term())
+                node = self.finite(add(node, self.term()), op)
             elif ch == "-":
                 self.pos += 1
-                node = add(node, _negate(self.term()))
+                node = self.finite(add(node, _negate(self.term())), op)
             else:
                 return node
 
@@ -496,13 +462,14 @@ class _Parser:
         depth = self.depth
         while True:
             ch = self.peek()
+            op = self.pos
             if ch == "*":
                 self.pos += 1
-                node = mul(node, self.factor())
+                node = self.finite(mul(node, self.factor()), op)
             elif ch == "/":
                 self.descend()  # each quotient nests its numerator one level deeper
                 self.pos += 1
-                node = div(node, self.factor())
+                node = self.finite(div(node, self.factor()), op)
             else:
                 self.depth = depth
                 return node
@@ -534,7 +501,7 @@ class _Parser:
         if ch == "(":
             return self.group()
         if ch.isdigit() or ch == ".":
-            return _Const(self.number())
+            return self.finite(_Const(self.number()), start)
         if ch.isalpha():
             word = self.word()
             if word == "x":
@@ -556,6 +523,16 @@ class _Parser:
                 return call(word, self.group())
             raise ExpressionSyntaxError(f"unknown name '{word}'", start)
         raise ExpressionSyntaxError(f"unexpected character '{ch}'", start)
+
+    def finite(self, node: _Node, position: int) -> _Node:
+        """``node``, unless it holds a constant that is not finite.  Literals
+        and folds are checked where they are made, and folding leaves a
+        constant only as the node itself or as a term or factor of it."""
+        top = node.terms if isinstance(node, _Add) else (
+            node.factors if isinstance(node, _Mul) else (node,))
+        if any(isinstance(t, _Const) and not math.isfinite(t.value) for t in top):
+            raise ExpressionSyntaxError("constant is not finite", position)
+        return node
 
     def descend(self):
         if self.depth == MAX_NESTING:
@@ -659,18 +636,15 @@ class ScalarField:
 
         Returns a float for a single point, an array for a batch.  With
         ``checked=True`` a vanishing quotient denominator raises
-        :class:`EvaluationError`; unchecked evaluation follows IEEE
-        semantics (inf/nan propagate).
+        :class:`EvaluationError`; otherwise evaluation follows IEEE
+        semantics (overflow gives inf, inf/nan propagate), for a single
+        point as for a batch.
         """
         arr = np.asarray(x, dtype=float)
         if arr.ndim == 0 or arr.shape[-1] != self.n:
             raise ValueError(f"point must have shape (..., {self.n}), got {arr.shape}")
-        out = self.node.evalx(arr, checked)
-        if arr.ndim == 1:
-            return float(out)
-        if not isinstance(out, np.ndarray) or out.shape != arr.shape[:-1]:
-            out = np.broadcast_to(np.asarray(out, dtype=float), arr.shape[:-1]).copy()
-        return out
+        out = evaluate_fields(self, arr, checked)
+        return float(out) if arr.ndim == 1 else out
 
     def substitute(self, assignments: Mapping[int, Union[float, "ScalarField"]]) -> "ScalarField":
         """Replace coordinates by constants or fields (keys are 1-based)."""
@@ -762,8 +736,9 @@ class ScalarField:
 def parse_expression(text: str, n: int) -> ScalarField:
     """Parse expression source over coordinates ``x1 .. xn``.
 
-    Raises :class:`ExpressionSyntaxError` (with position) on malformed input
-    and :class:`VariableRangeError` when a coordinate index exceeds ``n``.
+    Raises :class:`ExpressionSyntaxError` (with position) on malformed input,
+    including a literal or folded constant that is not finite, and
+    :class:`VariableRangeError` when a coordinate index exceeds ``n``.
     """
     node = _Parser(text, n).parse()
     return ScalarField(node, n)

@@ -18,7 +18,7 @@ trailing block with base covectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -43,8 +43,6 @@ __all__ = [
     "killing_operator",
     "fiber_translate_pullback",
     "transformation_rule_residual",
-    "recover_vertical_metric",
-    "vertical_metric_fields",
     "canonical_vertical_field",
     "canonical_field_parallelism",
 ]
@@ -53,7 +51,8 @@ __all__ = [
 @dataclass(frozen=True)
 class OneFormSection:
     """Base covector components ``omega_1..omega_r`` as functions on the
-    leading+middle chart (independence of the trailing block is structural)."""
+    leading+middle chart (independence of the trailing block is structural).
+    Each component may be given as a number, expression source or field."""
 
     r: int
     m: int
@@ -64,10 +63,6 @@ class OneFormSection:
             raise ValueError(f"need {self.r} components, got {len(self.components)}")
         lifted = tuple(as_field(c, self.r + self.m) for c in self.components)
         object.__setattr__(self, "components", lifted)
-
-    @classmethod
-    def from_values(cls, r: int, m: int, values: Sequence) -> "OneFormSection":
-        return cls(r, m, tuple(as_field(v, r + m) for v in values))
 
 
 @dataclass
@@ -265,30 +260,8 @@ def transformation_rule_residual(
 
 
 # ---------------------------------------------------------------------------
-# vertical metric and canonical trailing fields
+# canonical trailing fields
 # ---------------------------------------------------------------------------
-
-
-def recover_vertical_metric(g: MetricField, x) -> np.ndarray:
-    """Middle-middle block of ``g``: the vertical metric of the middle bundle.
-
-    Raises :class:`SingularMetricError` when the block is degenerate at ``x``.
-    """
-    chart = g.chart
-    if chart.mode != "three_block":
-        raise ValueError("vertical-metric recovery requires a three-block chart")
-    mid = chart.middle
-    block = g.value(x)[..., mid, mid]
-    if chart.middle_size > 0 and np.any(np.abs(np.linalg.det(block)) < DET_FLOOR):
-        raise SingularMetricError("the middle block is degenerate at a requested point")
-    return block
-
-
-def vertical_metric_fields(g: MetricField):
-    """The ScalarField components of the middle-middle block, as a nested list."""
-    chart = g.chart
-    mid = range(chart.middle.start + 1, chart.middle.stop + 1)
-    return [[g.component(p, q) for q in mid] for p in mid]
 
 
 def canonical_vertical_field(xi, g_ia) -> np.ndarray:

@@ -9,8 +9,8 @@ metric, Gamma and d Gamma at the last point set it was asked about, each
 computed on first use; calls on points equal to that set by value reuse it,
 so the checks of one suite on one sample share one Gamma / d Gamma
 evaluation.  A metric is singular at a point where ``|det g|`` is below
-:data:`DET_FLOOR`; the blocks :mod:`walkergeom.extensions` inverts (the
-constant ``[g_ia]`` and the vertical metric) are held to the same floor.
+:data:`DET_FLOOR`; the constant block ``[g_ia]`` that
+:mod:`walkergeom.extensions` inverts is held to the same floor.
 
 Curvature comes as batched arrays: :func:`curvature_components` gives
 ``R_{ijk}{}^l`` at the points of ``x`` and :func:`lower_curvature` lowers it

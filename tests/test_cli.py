@@ -1,12 +1,14 @@
 """Problem-file loading, check orchestration, report emission, exit codes."""
 
 import json
+import pathlib
 import time
 
 import numpy as np
 import pytest
 
-from walkergeom import check_walker_form, cli
+from walkergeom import ScalarField, check_walker_form, cli
+from walkergeom.corpus import random_extension_spec
 from walkergeom.cli import (
     SpecFormatError,
     build_components,
@@ -145,9 +147,14 @@ TRANSPORT = {"curve": ["x1", "0.1*x1", "0.2*x1"], "w0": [1.0, 0.0, 0.0]}
     dict(MINIMAL_METRIC, n=2.9),
     dict(MINIMAL_METRIC, samples=True),
     dict(MINIMAL_METRIC, seed=1.5),
+    dict(EXTENSION, transport=dict(TRANSPORT, step=1e-300)),
+    dict(EXTENSION, transport=dict(TRANSPORT, t_span=[0.0, 1e12])),
+    dict(MINIMAL_METRIC, g_1_1="1e400"),
+    dict(EXTENSION, D_1_1_1="1e308*10*x1"),
 ], ids=["samples_text", "n_null", "n_text", "tolerance_list", "step_zero", "w0_text",
         "w0_nan", "t_span_text", "transport_tolerance_negative", "g_ia_text", "g_ia_nan",
-        "n_fraction", "samples_bool", "seed_fraction"])
+        "n_fraction", "samples_bool", "seed_fraction", "step_tiny", "t_span_huge",
+        "constant_literal_inf", "constant_fold_inf"])
 def test_main_refuses_malformed_values(tmp_path, capsys, payload):
     for verb in ("check", "transport"):
         assert main([verb, write(tmp_path, payload)]) == 2
@@ -168,6 +175,15 @@ def test_load_accepts_integral_float_counts(tmp_path):
     spec = load_spec(write(tmp_path, dict(MINIMAL_METRIC, n=2.0, samples=2000.0, seed=7.0)))
     assert (spec.metric.n, spec.samples, spec.seed) == (2, 2000, 7)
     assert all(type(v) is int for v in (spec.metric.n, spec.samples, spec.seed))
+
+
+def test_load_caps_transport_steps(tmp_path):
+    spec = load_spec(write(tmp_path, dict(EXTENSION, transport=dict(TRANSPORT, step=1e-5))))
+    assert spec.transport.curve.step == 1e-5  # 10^5 steps on [0, 1]
+    for transport in (dict(TRANSPORT, step=0.99e-5), dict(TRANSPORT, t_span=[-1e308, 1e308])):
+        with pytest.raises(SpecFormatError,
+                           match=f"ask for more than {cli.MAX_TRANSPORT_STEPS} steps$"):
+            load_spec(write(tmp_path, dict(EXTENSION, transport=transport)))
 
 
 def test_load_validates_transport_section(tmp_path):
@@ -259,6 +275,35 @@ def test_walker_form_rows_share_the_measured_time(tmp_path, monkeypatch):
     assert all(c.wall_time >= 0.01 for c in report.checks)
 
 
+VERTICAL_METRIC_ROW = {"name": "vertical_metric", "residual": 0.0, "pass": True,
+                       "worst_point": None}
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_vertical_metric_row_of_built_extensions(r, m):
+    ext = random_extension_spec(np.random.default_rng(10 * r + m), r, m)
+    spec = cli.ProblemSpec(kind="extension", path="", checks=["vertical_metric"],
+                           samples=10, extension=ext)
+    assert [c.to_dict() for c in run_checks(spec).checks] == [VERTICAL_METRIC_ROW]
+
+
+def test_vertical_metric_row_of_demo_spec():
+    path = pathlib.Path(__file__).parent.parent / "demos" / "specs" / "extension_r1m1.json"
+    spec = load_spec(str(path))
+    assert "vertical_metric" in spec.checks
+    spec.checks = ["vertical_metric"]
+    assert [c.to_dict() for c in run_checks(spec).checks] == [VERTICAL_METRIC_ROW]
+
+
+def test_vertical_metric_row_fails_on_a_different_middle_block(tmp_path, monkeypatch):
+    monkeypatch.setattr(ScalarField, "same_expression", lambda self, other: False)
+    spec = load_spec(write(tmp_path, dict(EXTENSION, checks=["vertical_metric"])))
+    assert [c.to_dict() for c in run_checks(spec).checks] == [
+        {"name": "vertical_metric", "residual": None, "pass": False, "worst_point": None,
+         "error": "non-finite residual: inf"}]
+
+
 def test_run_transport_extension(tmp_path):
     payload = dict(
         EXTENSION,
@@ -329,6 +374,27 @@ def test_main_structured_output_is_json(tmp_path, capsys, problem, nonfinite):
         assert record["residual"] is None and record["pass"] is False
         assert record["error"] == f"non-finite residual: {value}"
         assert captured.err == ""
+
+
+@pytest.mark.parametrize("expression", [
+    "1/0", "1/(2-2)", "0^-1", "2^9999", "exp(1000)", "x2*exp(1000)",
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_main_constant_beyond_float_range_fails_sampling(tmp_path, capsys, expression):
+    path = write(tmp_path, dict(OVERFLOWING_METRIC, g_1_1=expression))
+    assert main(["check", path, "--format", "report-structured"]) == 1
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out, parse_constant=_reject_constant)
+    assert [(c["name"], c["pass"]) for c in payload["checks"]] == [("sampling", False)]
+    assert captured.err == ""
+
+
+def test_main_build_refuses_non_finite_constant(tmp_path, capsys):
+    # built, 1e308*10 would be written as "inf", which the loader refuses
+    assert main(["build", write(tmp_path, dict(EXTENSION, D_1_1_1="1e308*10*x1"))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad expression for 'D_1_1_1': constant is not finite")
 
 
 def test_main_writes_output_file_and_respects_overrides(tmp_path, capsys):

@@ -72,7 +72,7 @@ def test_field_with_trailing_dependence_fails():
 def test_extension_metric_is_null_exactly():
     spec = random_extension_spec(np.random.default_rng(1), 2, 1)
     g = build_pullback_extension(spec)
-    pts = sample_points(g.n, 30, seed=2, metric=g)
+    pts = sample_points(g, 30, seed=2)
     assert check_null(g, DistributionSpec.null_block(g.chart), pts).residual == 0.0
 
 
@@ -89,7 +89,7 @@ def test_product_metric_trailing_block_is_parallel():
 def test_extension_metric_trailing_block_is_parallel():
     spec = random_extension_spec(np.random.default_rng(2), 1, 2)
     g = build_pullback_extension(spec)
-    pts = sample_points(g.n, 30, seed=3, metric=g)
+    pts = sample_points(g, 30, seed=3)
     P = DistributionSpec.null_block(g.chart)
     assert check_parallel(christoffel(g), P, pts).residual < 1e-10
 
@@ -114,7 +114,7 @@ def test_flat_connection_is_projectable():
 def test_extension_connection_projects_along_both_spans():
     spec = random_extension_spec(np.random.default_rng(3), 2, 2)
     g = build_pullback_extension(spec)
-    pts = sample_points(g.n, 25, seed=4, metric=g)
+    pts = sample_points(g, 25, seed=4)
     conn = christoffel(g)
     for dist in (
         DistributionSpec.null_block(g.chart),
@@ -146,7 +146,7 @@ def test_flat_metric_satisfies_curvature_condition():
 def test_extension_metric_satisfies_curvature_condition():
     spec = random_extension_spec(np.random.default_rng(4), 1, 1)
     g = build_pullback_extension(spec)
-    pts = sample_points(g.n, 25, seed=5, metric=g)
+    pts = sample_points(g, 25, seed=5)
     V = DistributionSpec.orthocomplement(g.chart)
     assert curvature_condition(christoffel(g), V, pts).residual < 1e-10
 
@@ -157,7 +157,7 @@ def test_nonprojectable_adapted_metric_fails_curvature_condition():
         ChartSplit.three_block(4, 1),
         {(1, 1): "x2*x4", (1, 4): 1.0, (2, 2): 1.0, (3, 3): 1.0},
     )
-    pts = sample_points(4, 40, seed=6, metric=g)
+    pts = sample_points(g, 40, seed=6)
     conn = christoffel(g)
     V = DistributionSpec.orthocomplement(g.chart)
     res = curvature_condition(conn, V, pts)
@@ -195,7 +195,7 @@ def test_nonprojectable_adapted_metric_fails_curvature_condition():
 def test_built_extension_passes_walker_form():
     spec = random_extension_spec(np.random.default_rng(5), 2, 1)
     g = build_pullback_extension(spec)
-    pts = sample_points(g.n, 25, seed=7, metric=g)
+    pts = sample_points(g, 25, seed=7)
     results = check_walker_form(g, pts)
     assert all(r.passes(1e-8) for r in results), [r.name for r in results if not r.passes(1e-8)]
 
@@ -213,7 +213,7 @@ def test_trailing_dependent_middle_block_fails():
         ChartSplit.three_block(4, 1),
         {(1, 4): 1.0, (2, 2): "1 + x4", (3, 3): 1.0},
     )
-    pts = sample_points(4, 30, seed=8, metric=g)
+    pts = sample_points(g, 30, seed=8)
     results = check_walker_form(g, pts)
     assert "trailing_independence_middle_block" in [
         r.name for r in results if not r.passes(1e-8)
@@ -221,7 +221,7 @@ def test_trailing_dependent_middle_block_fails():
 
 
 def test_walker_projectability_examples():
-    pts = sample_points(4, 20, seed=9)
+    pts = np.random.default_rng(9).uniform(-1.0, 1.0, (20, 4))
     lin = walker_from_linear_data(
         1,
         2,
@@ -265,7 +265,7 @@ def test_projected_connection_requires_projectability():
 def test_projected_extension_connection_equals_base_data():
     spec = random_extension_spec(np.random.default_rng(6), 2, 1)
     g = build_pullback_extension(spec)
-    pts = sample_points(g.n, 25, seed=10, metric=g)
+    pts = sample_points(g, 25, seed=10)
     V = DistributionSpec.orthocomplement(g.chart)
     proj = projected_connection(christoffel(g), V, pts, tolerance=1e-8)
     base_pts = pts[:, : spec.r]
@@ -277,7 +277,7 @@ def test_projected_linear_fiber_metric_matches_shortcut():
     # g_jk = x^a B_ajk with [g_ia] = id projects onto Gamma^i_jk = -B_ijk/2
     B = parse_expression("2*x1", 4)
     g = walker_from_linear_data(1, 2, B={(1, 1, 1): B}, lam={})
-    pts = sample_points(4, 20, seed=11, metric=g)
+    pts = sample_points(g, 20, seed=11)
     V = DistributionSpec.orthocomplement(g.chart)
     proj = projected_connection(christoffel(g), V, pts)
     base = np.linspace(-0.9, 0.9, 7)[:, None]
@@ -310,7 +310,7 @@ def test_projection_is_independent_of_pinned_trailing_values():
     g = build_pullback_extension(spec)
     conn = christoffel(g)
     V = DistributionSpec.orthocomplement(g.chart)
-    pts = sample_points(g.n, 15, seed=12, metric=g)
+    pts = sample_points(g, 15, seed=12)
     assert check_projectable(conn, V, pts).residual < 1e-10
     keep = g.n - V.s
     base_pts = pts[:, :keep]
@@ -352,7 +352,7 @@ def test_orthocomplement_projectability_equivalence():
     # P-projectability iff orthocomplement-projectability, on the corpus
     tol = 1e-8
     for k, g in enumerate(_walker_corpus()):
-        pts = sample_points(g.n, 30, seed=100 + k, metric=g)
+        pts = sample_points(g, 30, seed=100 + k)
         conn = christoffel(g)
         res_p = check_projectable(conn, DistributionSpec.null_block(g.chart), pts)
         res_v = check_projectable(conn, DistributionSpec.orthocomplement(g.chart), pts)
@@ -365,7 +365,7 @@ def test_orthocomplement_projectability_equivalence():
 def test_curvature_condition_matches_derivative_family_when_parallel():
     tol = 1e-8
     for k, g in enumerate(_walker_corpus()):
-        pts = sample_points(g.n, 30, seed=200 + k, metric=g)
+        pts = sample_points(g, 30, seed=200 + k)
         conn = christoffel(g)
         V = DistributionSpec.orthocomplement(g.chart)
         assert check_parallel(conn, V, pts).residual <= tol
@@ -380,7 +380,7 @@ def test_curvature_condition_matches_derivative_family_when_parallel():
 def test_walker_projectability_agrees_with_connection_check():
     tol = 1e-8
     for k, g in enumerate(_walker_corpus()):
-        pts = sample_points(g.n, 30, seed=300 + k, metric=g)
+        pts = sample_points(g, 30, seed=300 + k)
         conn = christoffel(g)
         quick = walker_projectability(g, pts)
         full = check_projectable(conn, DistributionSpec.null_block(g.chart), pts)
@@ -399,7 +399,7 @@ def test_covariant_derivatives_along_sections_stay_vertical():
     n = g.n
     V = DistributionSpec.orthocomplement(g.chart)
     keep = n - V.s
-    pts = sample_points(n, 20, seed=400, metric=g)
+    pts = sample_points(g, 20, seed=400)
     conn = christoffel(g)
     assert check_projectable(conn, V, pts).residual < 1e-10
     for trial in range(3):

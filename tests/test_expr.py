@@ -67,6 +67,16 @@ def test_parse_survives_overflowing_constant_folds():
     assert parse_expression("exp(999999)", 1) is not None
 
 
+@pytest.mark.parametrize("text", [
+    "1e400", "sin(1e400)", "1e308*10*x1", "x1*1e308*10", "x1 + 1e308 + 1e308",
+    "(1e200*1e200)/(1e200*1e200)", "1e200/1e-200",
+])
+def test_parse_refuses_non_finite_constants(text):
+    # rendered, such a constant would read "inf" or "nan", which no file may hold
+    with pytest.raises(ExpressionSyntaxError, match="constant is not finite"):
+        parse_expression(text, 1)
+
+
 def test_parse_whitespace_and_nesting():
     f = parse_expression("  ( x1 + 2 ) * exp( cos(x2) )  ", 2)
     x = np.array([0.5, 0.25])
@@ -143,6 +153,21 @@ def test_evaluate_batch_matches_scalar():
     batch = f.evaluate(pts)
     singles = np.array([f.evaluate(p) for p in pts])
     assert np.array_equal(batch, singles)
+
+
+@pytest.mark.parametrize("text", ["exp(700*x1)", "x1*exp(1000)", "2^9999", "0^-1", "1/(2-2)"])
+def test_single_point_and_batch_agree_beyond_float_range(text):
+    f = parse_expression(text, 1)
+    with np.errstate(all="ignore"):
+        single = f.evaluate([2.0], checked=False)
+        batch = f.evaluate([[2.0]], checked=False)
+    assert single == batch[0] == np.inf
+
+
+def test_substituting_infinity_into_a_call_keeps_it_unfolded():
+    f = parse_expression("sin(x1)", 1).substitute({1: float("inf")})
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(f.evaluate([0.0]))
 
 
 def test_unchecked_evaluation_propagates_inf():
@@ -298,6 +323,8 @@ def test_structural_equality_and_hash():
     c = parse_expression("x2*x1 + 1", 2)
     assert a == b and hash(a) == hash(b)
     assert a != c  # no commutativity rewriting
+    for x, y in [("sin(x1)", "cos(x1)"), ("x1^2", "x1^3"), ("x1/x2", "x2/x1"), ("x1", "1.0")]:
+        assert parse_expression(x, 2) != parse_expression(y, 2)
 
 
 @settings(max_examples=200, deadline=None)

@@ -22,9 +22,7 @@ from walkergeom import (
     curvature_condition,
     fiber_translate_pullback,
     killing_operator,
-    recover_vertical_metric,
     transformation_rule_residual,
-    vertical_metric_fields,
 )
 from walkergeom.corpus import random_extension_spec, random_one_form
 from walkergeom.sampling import sample_points
@@ -139,13 +137,13 @@ def test_restriction_to_zero_section_is_exact():
 
 def test_killing_operator_of_zero_form_vanishes():
     D = SymbolicConnection(2)
-    omega = OneFormSection.from_values(2, 0, [0.0, 0.0])
+    omega = OneFormSection(2, 0, [0.0, 0.0])
     assert np.max(np.abs(killing_operator(D, omega, np.array([0.3, 0.4])))) == 0.0
 
 
 def test_killing_operator_flat_shear():
     D = SymbolicConnection(2)
-    omega = OneFormSection.from_values(2, 0, ["x2", 0.0])
+    omega = OneFormSection(2, 0, ["x2", 0.0])
     L = killing_operator(D, omega, np.array([0.7, -0.2]))
     assert np.allclose(L, [[0.0, 1.0], [1.0, 0.0]])
 
@@ -153,14 +151,14 @@ def test_killing_operator_flat_shear():
 def test_killing_operator_constant_form_with_constant_connection():
     c = 0.9
     D = SymbolicConnection(1, {(1, 1, 1): c})
-    omega = OneFormSection.from_values(1, 0, [1.0])
+    omega = OneFormSection(1, 0, [1.0])
     L = killing_operator(D, omega, np.array([0.25]))
     assert abs(L[0, 0] + 2 * c) < 1e-15
 
 
 def test_killing_operator_middle_block():
     D = SymbolicConnection(1)
-    omega = OneFormSection.from_values(1, 2, ["x2*x3"])
+    omega = OneFormSection(1, 2, ["x2*x3"])
     L = killing_operator(D, omega, np.array([0.5, 0.3, -0.4]))
     assert L.shape == (3, 3)
     assert abs(L[0, 1] + 0.4) < 1e-15  # d_2 omega_1 = x3
@@ -177,8 +175,8 @@ def test_killing_operator_middle_block():
 def test_translation_by_zero_form_is_identity():
     spec = random_extension_spec(np.random.default_rng(1), 1, 1)
     g = build_pullback_extension(spec)
-    pts = sample_points(g.n, 10, seed=1, metric=g)
-    omega = OneFormSection.from_values(1, 1, [0.0])
+    pts = sample_points(g, 10, seed=1)
+    omega = OneFormSection(1, 1, [0.0])
     assert np.array_equal(
         fiber_translate_pullback(g, omega, spec.g_ia, pts), g.value(pts)
     )
@@ -190,7 +188,7 @@ def test_constant_translation_of_flat_extension_is_isometry():
     )
     g = build_pullback_extension(spec)
     pts = np.random.default_rng(2).uniform(-1, 1, (12, 2))
-    omega = OneFormSection.from_values(1, 0, [0.8])
+    omega = OneFormSection(1, 0, [0.8])
     assert np.allclose(
         fiber_translate_pullback(g, omega, spec.g_ia, pts), g.value(pts), atol=1e-15
     )
@@ -213,7 +211,7 @@ def test_fiber_translation_matches_finite_difference_jacobian():
         out[q:] += ginv @ om
         return out
 
-    pts = sample_points(n, 5, seed=15, metric=g)
+    pts = sample_points(g, 5, seed=15)
     h = 1e-6
     for x in pts:
         jac = np.empty((n, n))
@@ -229,7 +227,7 @@ def test_fiber_translation_matches_finite_difference_jacobian():
 def test_fiber_translation_rejects_mismatched_section():
     spec = ExtensionSpec(r=1, m=1, base_connection=SymbolicConnection(1))
     g = build_pullback_extension(spec)
-    wrong = OneFormSection.from_values(1, 0, ["x1"])
+    wrong = OneFormSection(1, 0, ["x1"])
     with pytest.raises(ValueError):
         fiber_translate_pullback(g, wrong, spec.g_ia, np.zeros(3))
 
@@ -239,7 +237,7 @@ def test_transformation_rule_on_random_data():
     for (r, m) in [(1, 0), (1, 1), (2, 0), (2, 1)]:
         spec = random_extension_spec(rng, r, m)
         g = build_pullback_extension(spec)
-        pts = sample_points(g.n, 20, seed=10 + r + m, metric=g)
+        pts = sample_points(g, 20, seed=10 + r + m)
         omega = random_one_form(rng, r, m)
         assert transformation_rule_residual(g, spec, omega, pts).residual < 1e-9
 
@@ -251,8 +249,8 @@ def test_rotational_form_is_isometry_when_killing_vanishes():
     spec = ExtensionSpec(r=2, m=0, base_connection=SymbolicConnection(2),
                          lam=spec.lam, g_ia=spec.g_ia)
     g = build_pullback_extension(spec)
-    omega = OneFormSection.from_values(2, 0, ["x2", "-x1"])
-    pts = sample_points(4, 20, seed=11, metric=g)
+    omega = OneFormSection(2, 0, ["x2", "-x1"])
+    pts = sample_points(g, 20, seed=11)
     L = killing_operator(spec.base_connection, omega, pts)
     assert np.max(np.abs(L)) == 0.0
     diff = fiber_translate_pullback(g, omega, spec.g_ia, pts) - g.value(pts)
@@ -260,8 +258,13 @@ def test_rotational_form_is_isometry_when_killing_vanishes():
 
 
 # ---------------------------------------------------------------------------
-# vertical metric recovery and canonical fields
+# the vertical metric (the middle block of g) and canonical fields
 # ---------------------------------------------------------------------------
+
+
+def middle_block(g, x):
+    mid = g.chart.middle
+    return g.value(x)[..., mid, mid]
 
 
 def test_recover_vertical_metric_identity_fiber():
@@ -270,25 +273,13 @@ def test_recover_vertical_metric_identity_fiber():
         lam={(2, 2): 1.0, (3, 3): 1.0},
     )
     g = build_pullback_extension(spec)
-    out = recover_vertical_metric(g, np.zeros(4))
-    assert np.array_equal(out, np.eye(2))
-    fields = vertical_metric_fields(g)
-    assert fields[0][0].same_expression(spec.h_component(2, 2))
+    assert np.array_equal(middle_block(g, np.zeros(4)), np.eye(2))
+    assert g.component(2, 2).same_expression(spec.h_component(2, 2))
 
 
 def test_recover_vertical_metric_empty_for_midless_charts():
     g = build_riemann_extension(SymbolicConnection(1))
-    assert recover_vertical_metric(g, np.zeros(2)).shape == (0, 0)
-
-
-def test_recover_vertical_metric_rejects_degenerate_block():
-    spec = ExtensionSpec(
-        r=1, m=1, base_connection=SymbolicConnection(1),
-        lam={(2, 2): "x1"},
-    )
-    g = build_pullback_extension(spec)
-    with pytest.raises(SingularMetricError):
-        recover_vertical_metric(g, np.array([0.0, 0.3, 0.5]))
+    assert middle_block(g, np.zeros(2)).shape == (0, 0)
 
 
 def test_recover_vertical_metric_evaluates_section_data():
@@ -297,7 +288,7 @@ def test_recover_vertical_metric_evaluates_section_data():
         lam={(2, 2): "1 + x1^2"},
     )
     g = build_pullback_extension(spec)
-    out = recover_vertical_metric(g, np.array([2.0, 0.3, -0.5]))
+    out = middle_block(g, np.array([2.0, 0.3, -0.5]))
     assert abs(out[0, 0] - 5.0) < 1e-15
 
 
@@ -313,7 +304,7 @@ def test_canonical_field_represents_base_covector():
     rng = np.random.default_rng(6)
     spec = random_extension_spec(rng, 2, 1)
     g = build_pullback_extension(spec)
-    pts = sample_points(g.n, 15, seed=12, metric=g)
+    pts = sample_points(g, 15, seed=12)
     xi = np.array([0.7, -1.2])
     v = canonical_vertical_field(xi, spec.g_ia)
     w = np.concatenate([np.zeros(spec.r + spec.m), v])
@@ -328,7 +319,7 @@ def test_canonical_field_is_parallel_along_leaves():
     for (r, m) in [(1, 1), (2, 0), (2, 2)]:
         spec = random_extension_spec(rng, r, m)
         g = build_pullback_extension(spec)
-        pts = sample_points(g.n, 20, seed=13 + m, metric=g)
+        pts = sample_points(g, 20, seed=13 + m)
         v = canonical_vertical_field(rng.uniform(-1, 1, r), spec.g_ia)
         assert canonical_field_parallelism(g, v, pts).residual < 1e-10
 
@@ -342,7 +333,7 @@ def test_forward_round_trip_conclusions():
     rng = np.random.default_rng(8)
     spec = random_extension_spec(rng, 2, 1)
     g = build_pullback_extension(spec)
-    pts = sample_points(g.n, 30, seed=14, metric=g)
+    pts = sample_points(g, 30, seed=14)
     conn = christoffel(g)
     P = DistributionSpec.null_block(g.chart)
     V = DistributionSpec.orthocomplement(g.chart)

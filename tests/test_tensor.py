@@ -69,7 +69,7 @@ def test_metric_compatibility_for_random_metrics():
     for _ in range(6):
         n = int(rng.integers(2, 6))
         g = random_metric(rng, two_block(n))
-        pts = sample_points(n, 100, seed=int(rng.integers(1 << 30)), metric=g)
+        pts = sample_points(g, 100, seed=int(rng.integers(1 << 30)))
         res = covariant_derivative_metric_residual(g, christoffel(g), pts)
         assert np.max(res) < 1e-10
 
@@ -97,7 +97,7 @@ def test_curvature_flat_connection_vanishes():
 def test_curvature_antisymmetry_is_exact():
     rng = np.random.default_rng(6)
     g = random_metric(rng, two_block(3))
-    pts = sample_points(3, 25, seed=9, metric=g)
+    pts = sample_points(g, 25, seed=9)
     R = curvature_components(christoffel(g), pts)
     assert np.array_equal(R, -np.swapaxes(R, 1, 2))
     # in particular the i = j components vanish
@@ -138,7 +138,7 @@ def test_curvature_round_sphere_against_finite_difference_oracle():
 def test_first_bianchi_identity():
     rng = np.random.default_rng(13)
     g = random_metric(rng, two_block(4))
-    pts = sample_points(4, 40, seed=3, metric=g)
+    pts = sample_points(g, 40, seed=3)
     R = curvature_components(christoffel(g), pts)
     cyc = (
         R
@@ -151,7 +151,7 @@ def test_first_bianchi_identity():
 def test_lower_curvature_levi_civita_symmetries():
     rng = np.random.default_rng(21)
     g = random_walker_metric(rng, 1, 2)
-    pts = sample_points(g.n, 20, seed=4, metric=g)
+    pts = sample_points(g, 20, seed=4)
     x = pts[:5]
     low = lower_curvature(curvature_components(christoffel(g), x), g.value(x))
     assert low.shape == (5,) + (g.n,) * 4
@@ -191,7 +191,7 @@ def test_leading_block_shortcut_on_adapted_metrics():
     rng = np.random.default_rng(31)
     for (r, m) in [(1, 0), (1, 1), (2, 0), (2, 2)]:
         g = random_walker_metric(rng, r, m)
-        pts = sample_points(g.n, 50, seed=r * 10 + m, metric=g)
+        pts = sample_points(g, 50, seed=r * 10 + m)
         assert _shortcut_residual(g, pts) < 1e-10
 
 
@@ -209,7 +209,7 @@ def test_leading_block_shortcut_under_weaker_hypotheses():
             (3, 3): 1.0,
         },
     )
-    pts = sample_points(4, 50, seed=8, metric=g)
+    pts = sample_points(g, 50, seed=8)
     assert _shortcut_residual(g, pts) < 1e-10
 
 
@@ -243,7 +243,7 @@ def test_component_tables_match_per_slot_oracle():
     ]
     for g in metrics:
         n, comp = g.n, g.component
-        pts = sample_points(n, 4, seed=n, metric=g)
+        pts = sample_points(g, 4, seed=n)
         assert np.array_equal(g.value(pts), _slot_oracle(comp, n, 2, pts))
         assert np.array_equal(g.partial_value(pts), _slot_oracle(
             lambda i, mu, nu: comp(mu, nu).partial(i), n, 3, pts))
@@ -252,7 +252,7 @@ def test_component_tables_match_per_slot_oracle():
                           n, 4, pts)
         assert np.array_equal(g.second_partial_value(pts), d2)
     D, r = spec.base_connection, spec.r
-    base_pts = sample_points(metrics[0].n, 4, seed=1, metric=metrics[0])[:, :r]
+    base_pts = sample_points(metrics[0], 4, seed=1)[:, :r]
     assert np.array_equal(D.gamma(base_pts), _slot_oracle(D.component, r, 3, base_pts))
     assert np.array_equal(D.gamma_partial(base_pts), _slot_oracle(
         lambda mu, l, j, k: D.component(l, j, k).partial(mu), r, 4, base_pts))
@@ -297,7 +297,7 @@ def _relative_error(value, reference):
 
 @pytest.mark.parametrize("g", _jet_metrics(), ids=["ext11", "ext22", "ext32", "two_block"])
 def test_gamma_partial_matches_einsum_and_finite_difference_oracles(g):
-    pts = sample_points(g.n, 12, seed=g.n, metric=g)
+    pts = sample_points(g, 12, seed=g.n)
     for x in (pts, pts[5]):
         dG = christoffel(g).gamma_partial(x)
         assert dG.shape == x.shape[:-1] + (g.n,) * 4
@@ -307,8 +307,8 @@ def test_gamma_partial_matches_einsum_and_finite_difference_oracles(g):
 
 def test_jet_is_matched_by_value_not_identity():
     g = _jet_metrics()[1]
-    a = sample_points(g.n, 10, seed=1, metric=g)
-    b = sample_points(g.n, 10, seed=2, metric=g)
+    a = sample_points(g, 10, seed=1)
+    b = sample_points(g, 10, seed=2)
     conn = christoffel(g)
 
     def fresh(x):
