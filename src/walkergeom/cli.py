@@ -68,10 +68,17 @@ _EXTENSION_KEYS = _COMMON_KEYS | {"r", "m", "g_ia"}
 # most grid steps a transport section may ask for, |t1 - t0| / step; an RK4
 # transport at n = 8 over 10^5 steps peaks near 1.7 GB
 MAX_TRANSPORT_STEPS = 100_000
+# largest chart a problem may have, n for a metric and 2r + m for an
+# extension; the symbolic second-partial table grows as n^4
+MAX_DIMENSION = 16
+# most entries of d^2 g, d Gamma or R over the sample a check suite may ask
+# for, samples * n^4; 2000 samples at n = 8 are 2^23
+MAX_SAMPLE_ENTRIES = 2 ** 25
 
 
 class SpecFormatError(ValueError):
-    """A problem file failed to load or validate."""
+    """A problem file or argument failed to load or validate, or a report
+    could not be written."""
 
 
 @dataclass
@@ -204,7 +211,7 @@ def load_spec(path: str) -> ProblemSpec:
             raw = json.load(fh)
     except OSError as exc:
         raise SpecFormatError(f"cannot read '{path}': {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, or too long or deep
         raise SpecFormatError(f"parse error in '{path}': {exc}") from None
     _require(isinstance(raw, dict), "problem file must be a JSON object")
 
@@ -248,6 +255,7 @@ def _load_metric(raw: dict, path: str) -> ProblemSpec:
     _require("n" in raw, "metric problem needs 'n'")
     n = _numeric(raw["n"], "n", int)
     _require(n >= 2, "'n' must be at least 2")
+    _require(n <= MAX_DIMENSION, f"'n' must be at most {MAX_DIMENSION}")
     r = _numeric(raw.get("r", 1), "r", int)
     _require(0 < r < n, f"'r' must satisfy 0 < r < n={n}")
     if "middle" in raw:
@@ -275,6 +283,8 @@ def _load_extension(raw: dict, path: str) -> ProblemSpec:
     _require("r" in raw and "m" in raw, "extension problem needs 'r' and 'm'")
     r, m = _numeric(raw["r"], "r", int), _numeric(raw["m"], "m", int)
     _require(r >= 1 and m >= 0, "'r' must be >= 1 and 'm' >= 0")
+    _require(2 * r + m <= MAX_DIMENSION,
+             f"the extension's dimension 2r + m must be at most {MAX_DIMENSION}")
     q = r + m
 
     conn: Dict[Tuple[int, int, int], object] = {}
@@ -462,9 +472,13 @@ def _metric(spec: ProblemSpec) -> MetricField:
 
 
 def run_checks(spec: ProblemSpec) -> Report:
-    """Execute the requested checks; never aborts on a failing clause."""
+    """Execute the requested checks; never aborts on a failing clause.  A
+    sample larger than :data:`MAX_SAMPLE_ENTRIES` allows is a SpecFormatError."""
     report = Report(spec=spec.path, seed=spec.seed, tolerance=spec.tolerance)
     g = _metric(spec)
+    _require(spec.samples * g.n ** 4 <= MAX_SAMPLE_ENTRIES,
+             f"'samples' must be at most {MAX_SAMPLE_ENTRIES // g.n ** 4} at n={g.n} "
+             f"(samples * n^4 <= {MAX_SAMPLE_ENTRIES})")
     try:
         pts = sample_points(g, spec.samples, spec.seed)
     except RuntimeError as exc:
@@ -535,8 +549,11 @@ def build_components(spec: ProblemSpec) -> dict:
 
 def _emit(text: str, output: Optional[str]):
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SpecFormatError(f"cannot write '{output}': {exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -4,12 +4,12 @@ Components are :class:`~walkergeom.expr.ScalarField` expressions, so all
 coordinate partials entering Christoffel symbols and curvature are exact;
 floating point enters only through point evaluation and through the inverse
 metric, which is solved numerically at the evaluation points rather than
-symbolically.  A :class:`LeviCivitaConnection` keeps one jet, the inverse
-metric, Gamma and d Gamma at the last point set it was asked about, each
-computed on first use; calls on points equal to that set by value reuse it,
-so the checks of one suite on one sample share one Gamma / d Gamma
-evaluation.  A metric is singular at a point where ``|det g|`` is below
-:data:`DET_FLOOR`; the constant block ``[g_ia]`` that
+symbolically.  A :class:`LeviCivitaConnection` holds its own jet: a copy of
+the last point set it was asked about and the inverse metric, Gamma and
+d Gamma there, each computed on first use; calls on points equal to that set
+by value reuse it, so the checks of one suite on one sample share one
+Gamma / d Gamma evaluation.  A metric is singular at a point where
+``|det g|`` is below :data:`DET_FLOOR`; the constant block ``[g_ia]`` that
 :mod:`walkergeom.extensions` inverts is held to the same floor.
 
 Curvature comes as batched arrays: :func:`curvature_components` gives
@@ -28,10 +28,12 @@ arrays are indexed ``[l, j, k]`` for ``Gamma^l_{jk}`` and curvature arrays
 
 Component families symmetric in one index pair (g, Gamma, and the section
 data of :mod:`walkergeom.extensions`) are stored once per canonical key, with
-the pair in ascending order and missing entries zero.  Evaluation reads a
-table built from that store on first use: the list of *distinct* fields
-(expression trees that are equal are kept once) and an integer index array
-over the dense component shape.  The dense array at points ``x`` is
+the pair in ascending order and missing entries zero.  :class:`MetricField`
+(rank 2) and :class:`SymbolicConnection` (rank 3) are one component family:
+a store, component access, and per derivative order a table built from the
+store on first use.  A table is the list of *distinct* fields (expression
+trees that are equal are kept once) and an integer index array over the
+dense component shape; the dense array at points ``x`` is
 ``evaluate_fields(fields, x)[..., index]``, so each distinct field is
 evaluated once however many slots it fills.
 """
@@ -98,9 +100,9 @@ def _symmetric_store(entries, n: int, rank: int, name: str) -> Dict[Tuple[int, .
     return store
 
 
-def _gather(store: Mapping[Tuple[int, ...], ScalarField], n: int, rank: int,
-            pairs=((-2, -1),)):
-    """Lay a canonical store out over the dense ``(n,) * rank`` slot grid.
+def _gather(store: Mapping[Tuple[int, ...], ScalarField], n: int, pairs):
+    """Lay a canonical store out over the dense ``(n,) * rank`` slot grid,
+    ``rank`` being the length of its keys.
 
     The table is symmetric in each axis pair of ``pairs``, and ``store``
     holds (1-based) every slot with each pair in ascending order.  Returns
@@ -110,66 +112,75 @@ def _gather(store: Mapping[Tuple[int, ...], ScalarField], n: int, rank: int,
     """
     position = {}
     at = [position.setdefault(f.node, (len(position), f))[0] for f in store.values()]
-    index = np.empty((n,) * rank, dtype=np.intp)
-    index[tuple(np.array(list(store)).T - 1)] = at
+    keys = np.array(list(store)) - 1
+    index = np.empty((n,) * keys.shape[1], dtype=np.intp)
+    index[tuple(keys.T)] = at
     grid = np.indices(index.shape)
     for a, b in pairs:
         index = np.where(grid[a] <= grid[b], index, np.swapaxes(index, a, b))
     return [f for _, f in position.values()], index
 
 
-def _evaluate(table, x) -> np.ndarray:
-    fields, index = table
-    return evaluate_fields(fields, x)[..., index]
+class _SymmetricComponents:
+    """A component family symmetric in its last index pair: the canonical
+    store, component access, and one table per derivative order, each built
+    on first use.  Order 1 holds ``d_i`` of every entry, order 2 holds
+    ``d_j`` of the order-1 table for ``i <= j``, symmetric in ``(i, j)``.
 
-
-class MetricField:
-    """Symmetric 2-tensor with ScalarField components; only mu <= nu stored.
-
-    Components are immutable after construction.  The tables of g and its
-    symbolic first/second partials are derived data, built lazily on first
-    use; construct (or touch ``second_partial_value`` once) before fanning
-    evaluation out to concurrent workers.
+    Components are immutable after construction; build the tables (touch
+    the highest order once) before fanning evaluation out to concurrent
+    workers.
     """
 
-    def __init__(self, chart: ChartSplit, components: Mapping[Tuple[int, int], object]):
-        self.chart = chart
-        self.n = chart.n
-        self._comps = _symmetric_store(components, self.n, 2, "g")
-        self._tables = [None, None, None]
+    def __init__(self, n: int, components, rank: int, name: str):
+        self.n = n
+        self._comps = _symmetric_store(components, n, rank, name)
+        self._tables = {}
 
-    def component(self, mu: int, nu: int) -> ScalarField:
-        """g_{mu nu} (1-based, symmetric access)."""
-        return self._comps[_canonical((mu, nu))]
-
-    # -- evaluation ------------------------------------------------------------
+    def component(self, *key: int) -> ScalarField:
+        """The component at a 1-based key, either order of the symmetric pair."""
+        return self._comps[_canonical(key)]
 
     def _table(self, order: int):
-        """Table of g (order 0), its first (1) or second (2) partials."""
-        if self._tables[order] is None:
+        """Distinct fields and slot index of the family (order 0), or of all
+        its first (1) or second (2) partials; partial indices lead."""
+        if order not in self._tables:
             n, store, pairs = self.n, self._comps, ((-2, -1),)
             if order == 1:
-                store = {(i, *p): f.partial(i) for i in range(1, n + 1) for p, f in store.items()}
+                store = {(i, *key): f.partial(i)
+                         for i in range(1, n + 1) for key, f in store.items()}
             elif order == 2:
-                # d_j d_i g for i <= j, differentiating the first-partial table
+                # d_j d_i for i <= j, differentiating the first-partial table
                 d1, at = self._table(1)
-                store = {(i, j, mu, nu): d1[at[i - 1, mu - 1, nu - 1]].partial(j)
-                         for i in range(1, n + 1) for j in range(i, n + 1) for (mu, nu) in store}
-                pairs = ((0, 1), (2, 3))
-            self._tables[order] = _gather(store, n, 2 + order, pairs)
+                store = {(i, j, *key): d1[at[(i - 1, *(k - 1 for k in key))]].partial(j)
+                         for i in range(1, n + 1) for j in range(i, n + 1) for key in store}
+                pairs = ((0, 1), (-2, -1))
+            self._tables[order] = _gather(store, n, pairs)
         return self._tables[order]
+
+    def _values(self, order: int, x) -> np.ndarray:
+        fields, index = self._table(order)
+        return evaluate_fields(fields, x)[..., index]
+
+
+class MetricField(_SymmetricComponents):
+    """Symmetric 2-tensor with ScalarField components; only mu <= nu stored."""
+
+    def __init__(self, chart: ChartSplit, components: Mapping[Tuple[int, int], object]):
+        super().__init__(chart.n, components, 2, "g")
+        self.chart = chart
 
     def value(self, x) -> np.ndarray:
         """Component matrix, shape ``x.shape[:-1] + (n, n)``."""
-        return _evaluate(self._table(0), x)
+        return self._values(0, x)
 
     def partial_value(self, x) -> np.ndarray:
         """All first partials; ``[..., i, mu, nu] = d_i g_{mu nu}`` (0-based)."""
-        return _evaluate(self._table(1), x)
+        return self._values(1, x)
 
     def second_partial_value(self, x) -> np.ndarray:
         """All second partials; ``[..., i, j, mu, nu] = d_i d_j g_{mu nu}``."""
-        return _evaluate(self._table(2), x)
+        return self._values(2, x)
 
     def inverse_value(self, x) -> np.ndarray:
         g = self.value(x)
@@ -211,32 +222,17 @@ class ConnectionField:
         raise NotImplementedError
 
 
-class SymbolicConnection(ConnectionField):
+class SymbolicConnection(ConnectionField, _SymmetricComponents):
     """Connection with explicit ScalarField components, e.g. a base connection."""
 
     def __init__(self, n: int, components: Mapping[Tuple[int, int, int], object] = ()):
-        self.n = n
-        self._comps = _symmetric_store(components, n, 3, "Gamma")
-        self._tables = [None, None]
-
-    def component(self, l: int, j: int, k: int) -> ScalarField:
-        return self._comps[_canonical((l, j, k))]
-
-    def _table(self, order: int):
-        """Table of Gamma (order 0) or of its first partials (order 1)."""
-        if self._tables[order] is None:
-            store = self._comps
-            if order == 1:
-                store = {(mu, *key): f.partial(mu)
-                         for mu in range(1, self.n + 1) for key, f in store.items()}
-            self._tables[order] = _gather(store, self.n, 3 + order)
-        return self._tables[order]
+        super().__init__(n, components, 3, "Gamma")
 
     def gamma(self, x) -> np.ndarray:
-        return _evaluate(self._table(0), x)
+        return self._values(0, x)
 
     def gamma_partial(self, x) -> np.ndarray:
-        return _evaluate(self._table(1), x)
+        return self._values(1, x)
 
 
 def _lowered(dg: np.ndarray) -> np.ndarray:
@@ -253,48 +249,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class _Jet:
-    """g^{-1}, Gamma and d Gamma of one metric at one point set, each computed
-    on first use; Gamma and d Gamma are kept read-only.
-
-    The jet keeps a copy of the points, so it answers for them only while a
-    caller's points equal that copy; g's partials are evaluated again where
-    needed rather than kept, since d^2 g is the largest array of all.
-    """
-
-    def __init__(self, metric: MetricField, x: np.ndarray):
-        self.metric, self.x = metric, x.copy()
-        self._ginv = self._gamma = self._gamma_partial = None
-
-    def holds(self, x: np.ndarray) -> bool:
-        return np.array_equal(x, self.x)
-
-    def ginv(self) -> np.ndarray:
-        if self._ginv is None:
-            self._ginv = self.metric.inverse_value(self.x)
-        return self._ginv
-
-    def gamma(self) -> np.ndarray:
-        if self._gamma is None:
-            low = _lowered(self.metric.partial_value(self.x))
-            self._gamma = _frozen(np.einsum("...lm,...mjk->...ljk", self.ginv(), low))
-        return self._gamma
-
-    def gamma_partial(self) -> np.ndarray:
-        if self._gamma_partial is None:
-            ginv, n = self.ginv()[..., None, :, :], self.metric.n
-            dg = self.metric.partial_value(self.x)
-            low = _lowered(dg).reshape(dg.shape[:-3] + (1, n, n * n))
-            # d_u(low) straight from d^2 g, which is freed on return
-            dlow = _lowered(self.metric.second_partial_value(self.x))
-            out = np.matmul(ginv, dlow.reshape(dlow.shape[:-2] + (n * n,)))
-            del dlow
-            dginv = -np.matmul(np.matmul(ginv, dg), ginv)  # d_u(g^{-1})
-            out += np.matmul(dginv, low)
-            self._gamma_partial = _frozen(out.reshape(out.shape[:-1] + (n, n)))
-        return self._gamma_partial
-
-
 class LeviCivitaConnection(ConnectionField):
     """Levi-Civita connection of a metric.
 
@@ -309,31 +263,54 @@ class LeviCivitaConnection(ConnectionField):
 
         d_u Gamma = g^{-1} d_u(low) + d_u(g^{-1}) low,   low = Gamma_{m,jk}.
 
-    The connection keeps the jet of the last point set it was asked about:
-    g^{-1}, Gamma and d Gamma there, each computed on first use.  A later
-    call whose points equal that set by value (same shape, equal entries;
-    points changed in place since do not match) reuses it, so checks that
-    share their sample points share one evaluation.  Arrays returned from the
-    jet are read-only.
+    The connection holds the jet of the last point set it was asked about: a
+    copy of the points, and g^{-1}, Gamma and d Gamma there, each computed on
+    first use.  A later call whose points equal that copy by value (same
+    shape, equal entries; points changed in place since do not match) reuses
+    it, so checks that share their sample points share one evaluation.
+    Arrays returned from the jet are read-only.  The partials of g are
+    evaluated again where needed rather than kept, since d^2 g is the largest
+    array of all.
     """
 
     def __init__(self, metric: MetricField):
         self.metric = metric
         self.n = metric.n
-        self._jet = None
+        self._x = self._ginv = self._gamma = self._gamma_partial = None
 
-    def _jet_at(self, x) -> _Jet:
+    def _points(self, x) -> np.ndarray:
+        """The jet's points, after starting a new jet unless they equal ``x``."""
         x = np.asarray(x, dtype=float)
-        jet = self._jet
-        if jet is None or not jet.holds(x):
-            jet = self._jet = _Jet(self.metric, x)
-        return jet
+        if self._x is None or not np.array_equal(x, self._x):
+            self._x, self._ginv, self._gamma, self._gamma_partial = x.copy(), None, None, None
+        return self._x
+
+    def _inverse(self) -> np.ndarray:
+        if self._ginv is None:
+            self._ginv = self.metric.inverse_value(self._x)
+        return self._ginv
 
     def gamma(self, x) -> np.ndarray:
-        return self._jet_at(x).gamma()
+        x = self._points(x)
+        if self._gamma is None:
+            low = _lowered(self.metric.partial_value(x))
+            self._gamma = _frozen(np.einsum("...lm,...mjk->...ljk", self._inverse(), low))
+        return self._gamma
 
     def gamma_partial(self, x) -> np.ndarray:
-        return self._jet_at(x).gamma_partial()
+        x = self._points(x)
+        if self._gamma_partial is None:
+            ginv, n = self._inverse()[..., None, :, :], self.n
+            dg = self.metric.partial_value(x)
+            low = _lowered(dg).reshape(dg.shape[:-3] + (1, n, n * n))
+            # d_u(low) straight from d^2 g, which is freed on return
+            dlow = _lowered(self.metric.second_partial_value(x))
+            out = np.matmul(ginv, dlow.reshape(dlow.shape[:-2] + (n * n,)))
+            del dlow
+            dginv = -np.matmul(np.matmul(ginv, dg), ginv)  # d_u(g^{-1})
+            out += np.matmul(dginv, low)
+            self._gamma_partial = _frozen(out.reshape(out.shape[:-1] + (n, n)))
+        return self._gamma_partial
 
 
 class RestrictedConnection(ConnectionField):

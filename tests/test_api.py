@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import pathlib
 
 import pytest
@@ -27,3 +28,25 @@ def test_package_exports_match_module_all(module, names):
     assert sorted(set(names) - set(public)) == [], "imported but not in __all__"
     assert sorted(n for n in public if not hasattr(walkergeom, n)) == [], \
         "in __all__ but not importable from walkergeom"
+
+
+def _tracing():
+    """The benchmark's span tracer, loaded from ``bench/tracing.py``."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_entry_points_are_defined_in_their_owner():
+    # the tracer patches what it finds in vars(owner): a method a class only
+    # inherits is traced as absent, and its layer reads 0
+    absent = []
+    for _, module_name, attr in _tracing().ENTRY_POINTS:
+        module = importlib.import_module(module_name)
+        owner_name, _, name = attr.rpartition(".")
+        owner = getattr(module, owner_name) if owner_name else module
+        if name not in vars(owner):
+            absent.append(f"{module_name}:{attr}")
+    assert absent == []

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 import time
 
 import numpy as np
@@ -151,14 +152,59 @@ TRANSPORT = {"curve": ["x1", "0.1*x1", "0.2*x1"], "w0": [1.0, 0.0, 0.0]}
     dict(EXTENSION, transport=dict(TRANSPORT, t_span=[0.0, 1e12])),
     dict(MINIMAL_METRIC, g_1_1="1e400"),
     dict(EXTENSION, D_1_1_1="1e308*10*x1"),
+    dict(MINIMAL_METRIC, n=100000),
+    {"kind": "extension", "r": 3000, "m": 0},
 ], ids=["samples_text", "n_null", "n_text", "tolerance_list", "step_zero", "w0_text",
         "w0_nan", "t_span_text", "transport_tolerance_negative", "g_ia_text", "g_ia_nan",
         "n_fraction", "samples_bool", "seed_fraction", "step_tiny", "t_span_huge",
-        "constant_literal_inf", "constant_fold_inf"])
+        "constant_literal_inf", "constant_fold_inf", "n_huge", "extension_huge"])
 def test_main_refuses_malformed_values(tmp_path, capsys, payload):
     for verb in ("check", "transport"):
         assert main([verb, write(tmp_path, payload)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+def _raw(tmp_path, data: bytes) -> str:
+    path = tmp_path / "raw.json"
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (lambda t: [write(t, dict(MINIMAL_METRIC, samples=10**12))],
+     r"^error: 'samples' must be at most 2097152 at n=2 \(samples \* n\^4 <= 33554432\)$"),
+    (lambda t: [write(t, MINIMAL_METRIC), "--samples", str(10**12)],
+     r"^error: 'samples' must be at most 2097152 at n=2"),
+    (lambda t: [write(t, {"kind": "extension", "r": 3, "m": 2, "samples": 8193})],
+     r"^error: 'samples' must be at most 8192 at n=8"),
+    (lambda t: [_raw(t, b'{"kind": "metric", "n": 2, "g_1_1": "\xff"}')],
+     r"^error: parse error in .*'utf-8' codec can't decode byte 0xff"),
+    (lambda t: [_raw(t, b"[" * 10**5 + b"]" * 10**5)],
+     r"^error: parse error in .*maximum recursion depth exceeded"),
+    (lambda t: [_raw(t, b'{"kind": "metric", "n": 2, "samples": ' + b"9" * 5000 + b"}")],
+     r"^error: parse error in .*integer string conversion"),
+    (lambda t: [write(t, dict(MINIMAL_METRIC, n=17))], r"^error: 'n' must be at most 16$"),
+    (lambda t: [write(t, {"kind": "extension", "r": 7, "m": 3})],
+     r"^error: the extension's dimension 2r \+ m must be at most 16$"),
+    (lambda t: [write(t, MINIMAL_METRIC), "--output", str(t / "missing" / "report.txt")],
+     r"^error: cannot write '.*report\.txt': \[Errno 2\]"),
+], ids=["samples_huge", "samples_override_huge", "samples_over_limit_n8", "not_utf8",
+        "nested_1e5_deep", "integer_5000_digits", "n_over_limit", "extension_over_limit",
+        "output_dir_missing"])
+def test_main_refuses_unreadable_oversized_and_unwritable(tmp_path, capsys, argv, message):
+    assert main(["check", *argv(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert re.match(message, err) and "Traceback" not in err
+
+
+def test_sample_limit_admits_its_bound(tmp_path):
+    n = 4
+    samples = cli.MAX_SAMPLE_ENTRIES // n**4
+    payload = {"kind": "metric", "n": n, "r": 2, "g_1_3": "1", "g_2_4": "1", "checks": ["null"]}
+    report = run_checks(load_spec(write(tmp_path, dict(payload, samples=samples))))
+    assert report.verdict and report.checks[0].residual == 0.0
+    with pytest.raises(SpecFormatError, match=f"^'samples' must be at most {samples} at n=4"):
+        run_checks(load_spec(write(tmp_path, dict(payload, samples=samples + 1))))
 
 
 @pytest.mark.parametrize("key, value", [
