@@ -24,8 +24,8 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -65,8 +65,9 @@ _COMMON_KEYS = {"kind", "checks", "samples", "seed", "tolerance", "transport"}
 _METRIC_KEYS = _COMMON_KEYS | {"n", "r", "middle"}
 _EXTENSION_KEYS = _COMMON_KEYS | {"r", "m", "g_ia"}
 
-# most grid steps a transport section may ask for, |t1 - t0| / step; an RK4
-# transport at n = 8 over 10^5 steps peaks near 1.7 GB
+# most grid steps |t1 - t0| / step a transport section may ask for at n <= 8
+# (RK4 at n = 8 over 10^5 steps peaks near 1.7 GB); Gamma on the step grid
+# grows as steps * n^3, so above n = 8 it is scaled by (8 / n)^3
 MAX_TRANSPORT_STEPS = 100_000
 # largest chart a problem may have, n for a metric and 2r + m for an
 # extension; the symbolic second-partial table grows as n^4
@@ -200,12 +201,37 @@ def _numeric(value, what: str, kind=float):
     _require(finite, f"'{what}' must be numeric and finite")
     if kind is int:
         _require(not isinstance(value, bool) and out.is_integer(), f"'{what}' must be an integer")
-        return value if isinstance(value, int) else int(out)
+        try:
+            return int(value)  # exact for an int and for an integer string
+        except ValueError:  # "2000.0"
+            return int(out)
+    return out
+
+
+# the flag that overrides each run setting
+_FLAGS = {"samples": "--samples", "seed": "--seed", "tolerance": "--tol"}
+
+
+def _settings(given: dict, flags: bool = False) -> dict:
+    """The run settings in ``given`` (name -> value), validated: ``samples``
+    an integer >= 1, ``seed`` an integer >= 0 and ``tolerance`` finite and
+    > 0.  Messages quote the file key, or with ``flags`` the flag."""
+    out = {}
+    for name, value in given.items():
+        what = _FLAGS[name] if flags else name
+        value = out[name] = _numeric(value, what, float if name == "tolerance" else int)
+        if name == "seed":
+            _require(value >= 0, f"'{what}' must be non-negative")
+        else:
+            _require(value > 0, f"'{what}' must be positive")
     return out
 
 
 def load_spec(path: str) -> ProblemSpec:
-    """Load and validate a problem file, applying defaults."""
+    """Load and validate a problem file, applying defaults.  Every
+    ``ValueError`` raised while validating the file or building its chart,
+    metric, connection, extension or transport section is a SpecFormatError
+    with the same message."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -213,23 +239,21 @@ def load_spec(path: str) -> ProblemSpec:
         raise SpecFormatError(f"cannot read '{path}': {exc}") from None
     except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, or too long or deep
         raise SpecFormatError(f"parse error in '{path}': {exc}") from None
+    try:
+        return _load(raw, path)
+    except ValueError as exc:
+        raise SpecFormatError(str(exc)) from None
+
+
+def _load(raw, path: str) -> ProblemSpec:
     _require(isinstance(raw, dict), "problem file must be a JSON object")
 
     kind = raw.get("kind")
     _require(kind in ("metric", "extension"), "'kind' must be 'metric' or 'extension'")
+    settings = _settings({name: raw.get(name, getattr(ProblemSpec, name)) for name in _FLAGS})
 
-    samples = _numeric(raw.get("samples", ProblemSpec.samples), "samples", int)
-    seed = _numeric(raw.get("seed", ProblemSpec.seed), "seed", int)
-    tolerance = _numeric(raw.get("tolerance", ProblemSpec.tolerance), "tolerance")
-    _require(samples > 0, "'samples' must be positive")
-    _require(seed >= 0, "'seed' must be non-negative")
-    _require(tolerance > 0, "'tolerance' must be positive")
-
-    if kind == "metric":
-        spec = _load_metric(raw, path)
-    else:
-        spec = _load_extension(raw, path)
-    spec.samples, spec.seed, spec.tolerance = samples, seed, tolerance
+    # a MetricField or an ExtensionSpec, held by the ProblemSpec field named by kind
+    problem = _load_metric(raw) if kind == "metric" else _load_extension(raw)
 
     checks = raw.get("checks")
     if checks is None:
@@ -240,15 +264,12 @@ def load_spec(path: str) -> ProblemSpec:
         _require(c in _CHECKS, f"unknown check '{c}'")
         _require(kind in _CHECKS[c].kinds,
                  f"check '{c}' applies to {' and '.join(_CHECKS[c].kinds)} problems only")
-    spec.checks = checks
 
-    if "transport" in raw:
-        n = spec.metric.n if spec.metric is not None else spec.extension.n
-        spec.transport = _load_transport(raw["transport"], n)
-    return spec
+    transport = _load_transport(raw["transport"], problem.n) if "transport" in raw else None
+    return ProblemSpec(kind, path, checks, **settings, transport=transport, **{kind: problem})
 
 
-def _load_metric(raw: dict, path: str) -> ProblemSpec:
+def _load_metric(raw: dict) -> MetricField:
     comp_keys = [k for k in raw if _METRIC_KEY.match(k)]
     for key in raw:
         _require(key in _METRIC_KEYS or key in comp_keys, f"unknown key '{key}'")
@@ -269,14 +290,10 @@ def _load_metric(raw: dict, path: str) -> ProblemSpec:
         mu, nu = (int(v) for v in _METRIC_KEY.match(key).groups())
         _require(1 <= mu <= n and 1 <= nu <= n, f"index out of range in '{key}' (n={n})")
         comps[(mu, nu)] = _parse_field(key, raw[key], n)
-    try:
-        metric = MetricField(chart, comps)
-    except ValueError as exc:
-        raise SpecFormatError(str(exc)) from None
-    return ProblemSpec(kind="metric", path=path, checks=[], metric=metric)
+    return MetricField(chart, comps)
 
 
-def _load_extension(raw: dict, path: str) -> ProblemSpec:
+def _load_extension(raw: dict) -> ExtensionSpec:
     entry_keys = [k for k in raw if _CONN_KEY.match(k) or _LAMBDA_KEY.match(k) or _H_KEY.match(k)]
     for key in raw:
         _require(key in _EXTENSION_KEYS or key in entry_keys, f"unknown key '{key}'")
@@ -311,12 +328,8 @@ def _load_extension(raw: dict, path: str) -> ProblemSpec:
     if g_ia is not None:
         g_ia = _numeric(g_ia, "g_ia", np.ndarray)
         _require(g_ia.shape == (r, r), f"'g_ia' must be an {r}x{r} array")
-    try:
-        ext = ExtensionSpec(r=r, m=m, base_connection=SymbolicConnection(r, conn),
-                            lam=lam, g_ia=g_ia)
-    except ValueError as exc:
-        raise SpecFormatError(str(exc)) from None
-    return ProblemSpec(kind="extension", path=path, checks=[], extension=ext)
+    return ExtensionSpec(r=r, m=m, base_connection=SymbolicConnection(r, conn), lam=lam,
+                         g_ia=g_ia)
 
 
 def _load_transport(raw: dict, n: int) -> TransportSection:
@@ -334,8 +347,9 @@ def _load_transport(raw: dict, n: int) -> TransportSection:
     t0, t1 = t_span.tolist()
     step = _numeric(raw.get("step", CurveSpec.step), "step")
     _require(step > 0, "transport 'step' must be positive")
-    _require(abs(t1 - t0) / step <= MAX_TRANSPORT_STEPS,
-             f"transport 't_span' and 'step' ask for more than {MAX_TRANSPORT_STEPS} steps")
+    max_steps = MAX_TRANSPORT_STEPS * 8 ** 3 // max(n, 8) ** 3
+    _require(abs(t1 - t0) / step <= max_steps,
+             f"transport 't_span' and 'step' ask for more than {max_steps} steps")
     w0 = _numeric(raw["w0"], "w0", np.ndarray)
     _require(w0.shape == (n,), f"'w0' must list {n} components")
     tolerance = _numeric(raw.get("tolerance", TransportSection.tolerance), "tolerance")
@@ -349,7 +363,7 @@ def _load_transport(raw: dict, n: int) -> TransportSection:
 
 
 def _record(name: str, tolerance: float, fn) -> List[CheckRecord]:
-    """Run and time one row's function.  A list of results (one call judging
+    """Run and time one check's function.  A list of results (one call judging
     several clauses) gives a ``<name>:<clause>`` row each, splitting the time."""
     start = time.perf_counter()
     try:
@@ -396,24 +410,22 @@ class _Context:
 @dataclass(frozen=True)
 class _Check:
     """A named check: the problem kinds it applies to, whether it runs by
-    default, and ``rows(context, name)``, its rows as (row name, function)
-    pairs; each row is run and timed on its own."""
+    default, and ``run(context)``, run and timed as one call.  It returns a
+    CheckResult, one row named after the check, or a list of them, a
+    ``<check>:<result name>`` row each."""
 
     kinds: Tuple[str, ...]
     default: bool
-    rows: Callable[[_Context, str], List[Tuple[str, Callable]]]
+    run: Callable[[_Context], Union[CheckResult, List[CheckResult]]]
 
 
-def _row(fn) -> Callable:
-    """Rows of a check with one row, named after the check."""
-    return lambda c, name: [(name, lambda: fn(c))]
-
-
-def _projectable_rows(c: _Context, name: str):
+def _projectable(c: _Context):
+    """Along the null block; on a three-block chart also along its
+    orthocomplement, as the rows ``s=r`` and ``s=n-r``."""
     if c.ortho is None:
-        return [(name, lambda: check_projectable(c.conn, c.dist, c.pts))]
-    return [(f"{name}:s=r", lambda: check_projectable(c.conn, c.dist, c.pts)),
-            (f"{name}:s=n-r", lambda: check_projectable(c.conn, c.ortho, c.pts))]
+        return check_projectable(c.conn, c.dist, c.pts)
+    return [replace(check_projectable(c.conn, dist, c.pts), name=name)
+            for name, dist in (("s=r", c.dist), ("s=n-r", c.ortho))]
 
 
 def _projected_connection(c: _Context) -> CheckResult:
@@ -451,18 +463,16 @@ _ANY = ("metric", "extension")
 
 # every check, in default-suite order
 _CHECKS: Dict[str, _Check] = {
-    "null": _Check(_ANY, True, _row(lambda c: check_null(c.g, c.dist, c.pts))),
-    "parallel": _Check(_ANY, True, _row(
-        lambda c: check_parallel(c.conn, c.dist, c.pts))),
-    "projectable": _Check(_ANY, True, _projectable_rows),
-    "curvature_condition": _Check(_ANY, True, _row(
-        lambda c: curvature_condition(c.conn, c.ortho or c.dist, c.pts))),
-    "walker_form": _Check(_ANY, False, _row(lambda c: check_walker_form(c.g, c.pts))),
-    "walker_projectability": _Check(_ANY, False, _row(
-        lambda c: walker_projectability(c.g, c.pts))),
-    "projected_connection": _Check(("extension",), True, _row(_projected_connection)),
-    "vertical_metric": _Check(("extension",), True, _row(_vertical_metric)),
-    "transformation_rule": _Check(("extension",), True, _row(_transformation_rule)),
+    "null": _Check(_ANY, True, lambda c: check_null(c.g, c.dist, c.pts)),
+    "parallel": _Check(_ANY, True, lambda c: check_parallel(c.conn, c.dist, c.pts)),
+    "projectable": _Check(_ANY, True, _projectable),
+    "curvature_condition": _Check(_ANY, True, lambda c: curvature_condition(
+        c.conn, c.ortho or c.dist, c.pts)),
+    "walker_form": _Check(_ANY, False, lambda c: check_walker_form(c.g, c.pts)),
+    "walker_projectability": _Check(_ANY, False, lambda c: walker_projectability(c.g, c.pts)),
+    "projected_connection": _Check(("extension",), True, _projected_connection),
+    "vertical_metric": _Check(("extension",), True, _vertical_metric),
+    "transformation_rule": _Check(("extension",), True, _transformation_rule),
 }
 
 
@@ -489,8 +499,7 @@ def run_checks(spec: ProblemSpec) -> Report:
     context = _Context(spec, g, pts, christoffel(g), DistributionSpec.null_block(g.chart),
                        DistributionSpec.orthocomplement(g.chart) if three_block else None)
     for name in spec.checks:
-        for row, fn in _CHECKS[name].rows(context, name):
-            report.checks += _record(row, spec.tolerance, fn)
+        report.checks += _record(name, spec.tolerance, lambda: _CHECKS[name].run(context))
     return report
 
 
@@ -571,9 +580,9 @@ def main(argv=None) -> int:
     ]:
         p = sub.add_parser(verb, help=helptext)
         p.add_argument("spec", help="path to the problem file (JSON)")
-        p.add_argument("--samples", type=int, default=None, help="sample-point count override")
-        p.add_argument("--seed", type=int, default=None, help="sampling seed override")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        p.add_argument("--samples", help="sample-point count override")
+        p.add_argument("--seed", help="sampling seed override")
+        p.add_argument("--tol", dest="tolerance", help="tolerance override")
         p.add_argument("--output", default=None, help="write the report to this path")
         p.add_argument(
             "--format",
@@ -585,18 +594,11 @@ def main(argv=None) -> int:
 
     try:
         spec = load_spec(args.spec)
-        if args.samples is not None:
-            _require(args.samples > 0, "--samples must be positive")
-            spec.samples = args.samples
-        if args.seed is not None:
-            _require(args.seed >= 0, "--seed must be non-negative")
-            spec.seed = args.seed
-        if args.tol is not None:
-            tol = _numeric(args.tol, "--tol")
-            _require(tol > 0, "--tol must be positive")
-            spec.tolerance = tol
-            if spec.transport is not None:
-                spec.transport.tolerance = tol
+        given = {name: getattr(args, name) for name in _FLAGS if getattr(args, name) is not None}
+        for name, value in _settings(given, flags=True).items():
+            setattr(spec, name, value)
+        if "tolerance" in given and spec.transport is not None:
+            spec.transport.tolerance = spec.tolerance
 
         if args.verb == "build":
             payload = build_components(spec)

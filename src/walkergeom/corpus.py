@@ -66,40 +66,29 @@ def random_symmetric_constant(rng: np.random.Generator, k: int) -> np.ndarray:
     return q @ np.diag(eigs) @ q.T
 
 
-def random_nonsingular_constant(rng: np.random.Generator, k: int, floor: float = 0.3) -> np.ndarray:
+def random_nonsingular_constant(rng: np.random.Generator, k: int) -> np.ndarray:
+    """Uniform [-1, 1] matrix with |det| >= 0.3."""
     while True:
         mat = rng.uniform(-1.0, 1.0, size=(k, k))
-        if abs(np.linalg.det(mat)) >= floor:
+        if abs(np.linalg.det(mat)) >= 0.3:
             return mat
 
 
-def random_metric(
-    rng: np.random.Generator,
-    chart: ChartSplit,
-    *,
-    degree: int = 3,
-    eps: float = 0.02,
-) -> MetricField:
-    """Nondegenerate random polynomial metric on the chart's cube."""
+def random_metric(rng: np.random.Generator, chart: ChartSplit) -> MetricField:
+    """Nondegenerate random polynomial metric on the chart's cube: a constant
+    plus a cubic perturbation of scale 0.02."""
     n = chart.n
     base = random_symmetric_constant(rng, n)
     comps = {}
     for mu in range(1, n + 1):
         for nu in range(mu, n + 1):
             comps[(mu, nu)] = ScalarField.constant(base[mu - 1, nu - 1], n) + random_polynomial(
-                rng, n, degree=degree, scale=eps
+                rng, n, scale=0.02
             )
     return MetricField(chart, comps)
 
 
-def random_walker_metric(
-    rng: np.random.Generator,
-    r: int,
-    m: int,
-    *,
-    degree: int = 3,
-    jk_scale: float = 1.0,
-) -> MetricField:
+def random_walker_metric(rng: np.random.Generator, r: int, m: int) -> MetricField:
     """Random metric in the adapted three-block canonical form.
 
     The leading-leading block is an arbitrary polynomial in all coordinates,
@@ -120,50 +109,34 @@ def random_walker_metric(
     for p in range(1, m + 1):
         for s in range(p, m + 1):
             comps[(r + p, r + s)] = ScalarField.constant(h[p - 1, s - 1], n) + random_polynomial(
-                rng, n, degree=degree, scale=0.02, variables=mid_vars
+                rng, n, scale=0.02, variables=mid_vars
             )
         for i in range(1, r + 1):
-            comps[(i, r + p)] = random_polynomial(
-                rng, n, degree=degree, scale=0.3, variables=mid_vars
-            )
+            comps[(i, r + p)] = random_polynomial(rng, n, scale=0.3, variables=mid_vars)
     for j in range(1, r + 1):
         for k in range(j, r + 1):
-            comps[(j, k)] = random_polynomial(rng, n, degree=degree, scale=jk_scale)
+            comps[(j, k)] = random_polynomial(rng, n)
     return MetricField(chart, comps)
 
 
-def walker_from_linear_data(
-    r: int,
-    m: int,
-    B: dict,
-    lam: dict,
-    *,
-    g_ia: Optional[np.ndarray] = None,
-    g_pq: Optional[dict] = None,
-    g_pi: Optional[dict] = None,
-) -> MetricField:
-    """Adapted-form metric with g_jk = sum_a x^a B_ajk + lambda_jk.
+def walker_from_linear_data(r: int, m: int, B: dict, lam: dict) -> MetricField:
+    """Adapted-form metric with g_jk = sum_a x^a B_ajk + lambda_jk, identity
+    leading-trailing and middle-middle blocks and a zero middle-leading block.
 
     ``B`` maps (a, j, k) with ``a`` a 1-based trailing offset to fields;
-    ``lam``, ``g_pq`` and ``g_pi`` map 1-based index pairs to fields on
-    leading(+middle) coordinates.  Projectability of the result is
-    equivalent to ``B`` depending on the leading block only.
+    ``lam`` maps 1-based index pairs to fields on leading(+middle)
+    coordinates.  Projectability of the result is equivalent to ``B``
+    depending on the leading block only.
     """
     n = 2 * r + m
     q = r + m
     chart = ChartSplit.three_block(n, r)
     comps = {}
-    gia = np.eye(r) if g_ia is None else np.asarray(g_ia, dtype=float)
     for i in range(1, r + 1):
         for a in range(1, r + 1):
-            comps[(i, q + a)] = ScalarField.constant(gia[i - 1, a - 1], n)
-    for (p, s), val in (g_pq or {}).items():
-        comps[(p, s)] = val
-    if g_pq is None:
-        for p in range(r + 1, q + 1):
-            comps[(p, p)] = ScalarField.constant(1.0, n)
-    for (p, i), val in (g_pi or {}).items():
-        comps[(min(p, i), max(p, i))] = val
+            comps[(i, q + a)] = ScalarField.constant(float(i == a), n)
+    for p in range(r + 1, q + 1):
+        comps[(p, p)] = ScalarField.constant(1.0, n)
     for j in range(1, r + 1):
         for k in range(j, r + 1):
             f = lam.get((j, k), ScalarField.constant(0.0, n)).with_dimension(n)
@@ -176,47 +149,38 @@ def walker_from_linear_data(
     return MetricField(chart, comps)
 
 
-def random_extension_spec(
-    rng: np.random.Generator, r: int, m: int, *, degree: int = 3
-) -> ExtensionSpec:
+def random_extension_spec(rng: np.random.Generator, r: int, m: int) -> ExtensionSpec:
     """Random pullback-extension data (base connection, section tensor, h)."""
     conn = {}
     for i in range(1, r + 1):
         for j in range(1, r + 1):
             for k in range(j, r + 1):
-                conn[(i, j, k)] = random_polynomial(rng, r, degree=degree, scale=0.8)
+                conn[(i, j, k)] = random_polynomial(rng, r, scale=0.8)
     D = SymbolicConnection(r, conn)
     q = r + m
     lam = {}
     for mu in range(1, r + 1):
         for nu in range(mu, q + 1):
-            lam[(mu, nu)] = random_polynomial(rng, q, degree=degree, scale=0.5)
+            lam[(mu, nu)] = random_polynomial(rng, q, scale=0.5)
     h = random_symmetric_constant(rng, m)
     for p in range(1, m + 1):
         for s in range(p, m + 1):
             lam[(r + p, r + s)] = ScalarField.constant(h[p - 1, s - 1], q) + random_polynomial(
-                rng, q, degree=degree, scale=0.02
+                rng, q, scale=0.02
             )
     g_ia = np.eye(r) if rng.random() < 0.5 else random_nonsingular_constant(rng, r)
     return ExtensionSpec(r=r, m=m, base_connection=D, lam=lam, g_ia=g_ia)
 
 
-def random_one_form(
-    rng: np.random.Generator, r: int, m: int, *, degree: int = 3
-) -> OneFormSection:
+def random_one_form(rng: np.random.Generator, r: int, m: int) -> OneFormSection:
     """Random polynomial one-form section on the leading+middle chart."""
-    comps = [random_polynomial(rng, r + m, degree=degree, scale=0.7) for _ in range(r)]
+    comps = [random_polynomial(rng, r + m, scale=0.7) for _ in range(r)]
     return OneFormSection(r, m, tuple(comps))
 
 
-def random_curve(
-    rng: np.random.Generator,
-    n: int,
-    *,
-    t_span=(0.0, 1.0),
-    step: float = 1e-3,
-) -> CurveSpec:
-    """Polynomial curve staying inside the unit sampling cube on t in [0, 1]."""
+def random_curve(rng: np.random.Generator, n: int) -> CurveSpec:
+    """Polynomial curve staying inside the unit sampling cube on t in [0, 1],
+    with the default grid step of :class:`CurveSpec`."""
     comps = []
     for _ in range(n):
         c = rng.uniform(-1.0, 1.0, size=4) * np.array([0.45, 0.3, 0.15, 0.05])
@@ -227,4 +191,4 @@ def random_curve(
             + float(c[2]) * t ** 2
             + float(c[3]) * t ** 3
         )
-    return CurveSpec(tuple(comps), t_span=t_span, step=step)
+    return CurveSpec(tuple(comps))

@@ -491,7 +491,7 @@ class _Parser:
             self.pos += 1
         if self.pos == digits:
             raise ExpressionSyntaxError("expected integer exponent", start)
-        return int(self.text[start:self.pos])
+        return self.to_int(start, "integer exponent")
 
     def base(self) -> _Node:
         ch = self.peek()
@@ -510,7 +510,7 @@ class _Parser:
                     raise ExpressionSyntaxError("expected coordinate index after 'x'", idx_start)
                 while self.pos < len(self.text) and self.text[self.pos].isdigit():
                     self.pos += 1
-                index = int(self.text[idx_start:self.pos])
+                index = self.to_int(idx_start, "coordinate index")
                 if not 1 <= index <= self.n:
                     raise VariableRangeError(
                         f"coordinate x{index} out of range for dimension {self.n}"
@@ -523,6 +523,19 @@ class _Parser:
                 return call(word, self.group())
             raise ExpressionSyntaxError(f"unknown name '{word}'", start)
         raise ExpressionSyntaxError(f"unexpected character '{ch}'", start)
+
+    def to_int(self, start: int, what: str) -> int:
+        """The integer spelled from ``start`` to the current position.  One
+        that ``int`` cannot read (over 4300 digits, or a digit that is not
+        decimal, such as a superscript) or that lies beyond the float range
+        is an ExpressionSyntaxError."""
+        try:
+            value = int(self.text[start:self.pos])
+            float(value)  # an exponent is evaluated, and differentiated, as a float
+        except (ValueError, OverflowError):
+            raise ExpressionSyntaxError(
+                f"{what} is not a decimal integer in the float range", start) from None
+        return value
 
     def finite(self, node: _Node, position: int) -> _Node:
         """``node``, unless it holds a constant that is not finite.  Literals

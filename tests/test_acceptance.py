@@ -65,7 +65,7 @@ def test_ac1_levi_civita_correctness():
     worst_bianchi = 0.0
     for k in range(30):
         n = 2 + k % 4  # dimensions 2..5
-        g = random_metric(rng, ChartSplit.two_block(n, 1), degree=3)
+        g = random_metric(rng, ChartSplit.two_block(n, 1))
         pts = sample_points(g, 100, seed=1000 + k)
         conn = christoffel(g)
         worst_compat = max(
@@ -188,7 +188,7 @@ def test_ac4_extension_forward_round_trip():
     worst_proj = 0.0
     for k in range(20):
         r, m = SIZE_CYCLE[k % len(SIZE_CYCLE)]
-        spec = random_extension_spec(rng, r, m, degree=3)
+        spec = random_extension_spec(rng, r, m)
         g = build_pullback_extension(spec)
         pts = sample_points(g, 30, seed=4000 + k)
         conn = christoffel(g)
@@ -243,7 +243,7 @@ def test_ac5_transformation_rule():
     worst = 0.0
     for k in range(50):
         r, m = SIZE_CYCLE[k % len(SIZE_CYCLE)]
-        spec = random_extension_spec(rng, r, m, degree=3)
+        spec = random_extension_spec(rng, r, m)
         g = build_pullback_extension(spec)
         pts = sample_points(g, 20, seed=5000 + k)
         omega = random_one_form(rng, r, m)
@@ -315,7 +315,7 @@ def test_ac6_transport_condition():
         spec = random_extension_spec(rng, r, m)
         g = build_pullback_extension(spec)
         V = DistributionSpec.orthocomplement(g.chart)
-        curve = random_curve(rng, g.n, step=1e-3)
+        curve = random_curve(rng, g.n)
         w0 = rng.uniform(-1.0, 1.0, g.n)
         worst_built = max(
             worst_built,
@@ -335,7 +335,7 @@ def test_ac6_transport_condition():
         conn = christoffel(g)
         V = DistributionSpec.orthocomplement(g.chart)
         D = restrict_connection(conn, V)
-        curve = random_curve(rng, n, step=1e-3)
+        curve = random_curve(rng, n)
         w0 = rng.uniform(0.5, 1.5, n)
         worst_engineered = min(
             worst_engineered,

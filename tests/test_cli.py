@@ -7,6 +7,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from walkergeom import ScalarField, check_walker_form, cli
 from walkergeom.corpus import random_extension_spec
@@ -154,14 +156,79 @@ TRANSPORT = {"curve": ["x1", "0.1*x1", "0.2*x1"], "w0": [1.0, 0.0, 0.0]}
     dict(EXTENSION, D_1_1_1="1e308*10*x1"),
     dict(MINIMAL_METRIC, n=100000),
     {"kind": "extension", "r": 3000, "m": 0},
+    dict(MINIMAL_METRIC, n=3, r=2, middle=-1),
+    dict(MINIMAL_METRIC, **{f"g_{'1' * 5000}_1": "1"}),
+    dict(MINIMAL_METRIC, g_1_1="x1^" + "9" * 5000),
+    dict(MINIMAL_METRIC, g_1_1="1 + x" + "1" * 5000),
+    dict(MINIMAL_METRIC, g_1_1="1 + x1^" + "9" * 400),
 ], ids=["samples_text", "n_null", "n_text", "tolerance_list", "step_zero", "w0_text",
         "w0_nan", "t_span_text", "transport_tolerance_negative", "g_ia_text", "g_ia_nan",
         "n_fraction", "samples_bool", "seed_fraction", "step_tiny", "t_span_huge",
-        "constant_literal_inf", "constant_fold_inf", "n_huge", "extension_huge"])
+        "constant_literal_inf", "constant_fold_inf", "n_huge", "extension_huge",
+        "middle_negative", "key_index_5000_digits", "exponent_5000_digits",
+        "coordinate_index_5000_digits", "exponent_past_float_range"])
 def test_main_refuses_malformed_values(tmp_path, capsys, payload):
     for verb in ("check", "transport"):
         assert main([verb, write(tmp_path, payload)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+# numbers a problem file may hold in any numeric field: negative, fractional,
+# boolean, huge, non-finite, missing or not numbers at all
+HOSTILE_NUMBERS = st.one_of(
+    st.integers(-2, 5),
+    st.sampled_from([0.5, 2.0, -1.5, 1e300, 10**30, True, False, None, "3", "x", [1],
+                     float("nan"), float("inf")]),
+)
+# an index or exponent: small, or with more digits than a float or an int holds
+DIGITS = st.one_of(st.integers(0, 4).map(str), st.sampled_from(["1" * 400, "1" * 5000]))
+EXPRESSIONS = st.one_of(
+    st.sampled_from(["1", "x1", "x2*x3 - 0.5", "0.5*x1^2", "x²", "1e400"]),
+    DIGITS.map(lambda d: "x" + d),
+    DIGITS.map(lambda d: "x1^" + d),
+    DIGITS.map(lambda d: "1 + x1^-" + d),
+)
+
+
+@st.composite
+def hostile_problems(draw):
+    """A valid n = 3 problem with a few fields replaced or added."""
+    kind = draw(st.sampled_from(["metric", "extension"]))
+    if kind == "metric":
+        payload = {"kind": kind, "n": 3, "g_1_3": "1", "g_2_2": "1"}
+        sizes, prefixes = ("n", "r", "middle"), [["g"] * 2]
+    else:
+        payload = {"kind": kind, "r": 1, "m": 1}
+        sizes, prefixes = ("r", "m"), [["D"] * 3, ["lambda"] * 2, ["h"] * 2]
+    payload["samples"] = 4
+    names = st.sampled_from(sizes + ("samples", "seed", "tolerance"))
+    payload.update(draw(st.dictionaries(names, HOSTILE_NUMBERS, max_size=2)))
+    for _ in range(draw(st.integers(0, 2))):
+        prefix = draw(st.sampled_from(prefixes))
+        key = "_".join([prefix[0]] + [draw(DIGITS) for _ in prefix])
+        payload[key] = draw(EXPRESSIONS)
+    if draw(st.booleans()):
+        lengths = st.just(3) | st.integers(2, 4)
+        payload["transport"] = {"curve": ["0.1*x1"] * draw(lengths),
+                                "w0": [1.0] * draw(lengths), "step": 0.1}
+    return payload
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=hostile_problems())
+@example(payload=dict(MINIMAL_METRIC, n=3, r=2, middle=-1))
+@example(payload=dict(MINIMAL_METRIC, **{f"g_{'1' * 5000}_1": "1"}))
+@example(payload=dict(MINIMAL_METRIC, g_1_1="x1^" + "9" * 5000))
+@example(payload=dict(MINIMAL_METRIC, g_1_1="1 + x" + "1" * 5000))
+@example(payload=dict(MINIMAL_METRIC, g_1_1="1 + x1^" + "9" * 400))
+def test_main_never_raises_on_hostile_files(tmp_path, capsys, payload):
+    path = write(tmp_path, payload)
+    for verb in ("check", "transport"):
+        code = main([verb, path])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert code != 2 or err.startswith("error:")
 
 
 def _raw(tmp_path, data: bytes) -> str:
@@ -230,6 +297,21 @@ def test_load_caps_transport_steps(tmp_path):
         with pytest.raises(SpecFormatError,
                            match=f"ask for more than {cli.MAX_TRANSPORT_STEPS} steps$"):
             load_spec(write(tmp_path, dict(EXTENSION, transport=transport)))
+
+
+def test_transport_step_cap_shrinks_above_n_8(tmp_path):
+    # steps * n^3 <= MAX_TRANSPORT_STEPS * 8^3: 12500 steps at n = 16
+    bound = cli.MAX_TRANSPORT_STEPS * 8 ** 3 // 16 ** 3
+    assert bound == 12500
+    transport = {"curve": ["0.01*x1"] * 16, "w0": [1.0] * 16, "step": 1.0}
+    extension = {"kind": "extension", "r": 8, "m": 0}
+    path = write(tmp_path, dict(extension, transport=dict(transport, t_span=[0, bound])))
+    spec = load_spec(path)
+    assert spec.extension.n == 16 and spec.transport.curve.t_span == (0.0, 12500.0)
+    path = write(tmp_path, dict(extension, transport=dict(transport, t_span=[0, bound + 1])))
+    with pytest.raises(SpecFormatError,
+                       match="^transport 't_span' and 'step' ask for more than 12500 steps$"):
+        load_spec(path)
 
 
 def test_load_validates_transport_section(tmp_path):
@@ -481,11 +563,31 @@ def test_main_rejects_bad_overrides(tmp_path, capsys, verb):
     assert main([verb, path, "--seed", "-3"]) == 2
     assert main([verb, path, "--tol", "0"]) == 2
     capsys.readouterr()
-    for tol in ("inf", "1e400"):
-        assert main([verb, path, "--tol", tol]) == 2
+    for flag, value, message in [
+        ("--tol", "inf", "'--tol' must be numeric and finite"),
+        ("--tol", "1e400", "'--tol' must be numeric and finite"),
+        ("--seed", "1.5", "'--seed' must be an integer"),
+        ("--samples", "abc", "'--samples' must be numeric and finite"),
+        ("--samples", "0", "'--samples' must be positive"),
+        ("--seed", "-3", "'--seed' must be non-negative"),
+        ("--tol", "0", "'--tol' must be positive"),
+    ]:
+        assert main([verb, path, flag, value]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: '--tol' must be numeric and finite\n"
+        assert captured.err == f"error: {message}\n"
+
+
+def test_main_samples_flag_accepts_what_the_file_accepts(tmp_path, capsys):
+    # the report names its file, so every run reads the same path
+    problem = {k: v for k, v in EXTENSION.items() if k != "samples"}
+    problem["checks"] = ["null", "parallel"]
+    reports = []
+    for samples, flags in [(2000.0, []), (None, ["--samples", "2000.0"]), (None, [])]:
+        path = write(tmp_path, problem if samples is None else dict(problem, samples=samples))
+        assert main(["check", path, "--format", "report-structured", *flags]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] != reports[2]
 
 
 def test_main_transport_verb(tmp_path):

@@ -61,6 +61,28 @@ def test_parse_rejects_zero_coordinate_index():
         parse_expression("x0", 2)
 
 
+@pytest.mark.parametrize("text, position, what", [
+    ("x1^" + "9" * 5000, 3, "integer exponent"),
+    ("x1 * x2^-" + "9" * 5000, 8, "integer exponent"),
+    ("x1^" + "9" * 309, 3, "integer exponent"),  # past the float range
+    ("x1 + x" + "1" * 5000, 6, "coordinate index"),
+    ("x²", 1, "coordinate index"),  # a superscript is a digit but not decimal
+    ("x1^²", 3, "integer exponent"),
+], ids=["exponent_5000_digits", "negative_exponent_5000_digits", "exponent_past_float_range",
+        "index_5000_digits", "superscript_index", "superscript_exponent"])
+def test_parse_refuses_unreadable_integers_with_position(text, position, what):
+    with pytest.raises(ExpressionSyntaxError,
+                       match=f"^{what} is not a decimal integer in the float range") as err:
+        parse_expression(text, 2)
+    assert err.value.position == position
+
+
+def test_parse_reads_integers_up_to_the_float_range():
+    assert parse_expression("x1^" + "9" * 308, 1).evaluate([0.5]) == 0.0
+    with pytest.raises(VariableRangeError, match="out of range for dimension 2"):
+        parse_expression("x" + "1" * 308, 2)
+
+
 def test_parse_survives_overflowing_constant_folds():
     # folding falls back to the unfolded node instead of overflowing
     assert parse_expression("2^999999999", 1) is not None
