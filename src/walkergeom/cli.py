@@ -33,7 +33,6 @@ from .chart import ChartSplit
 from .distributions import (
     CheckResult,
     DistributionSpec,
-    _family_max,
     _reduced,
     check_null,
     check_parallel,
@@ -181,6 +180,12 @@ def _require(cond: bool, message: str):
         raise SpecFormatError(message)
 
 
+def _indices(match) -> Tuple[int, ...]:
+    """The indices of a component key; one with more digits than MAX_DIMENSION
+    reads as 0, which every range test refuses."""
+    return tuple(int(v) if len(v) <= len(str(MAX_DIMENSION)) else 0 for v in match.groups())
+
+
 def _parse_field(key: str, text, n: int):
     try:
         return parse_expression(str(text), n)
@@ -287,7 +292,7 @@ def _load_metric(raw: dict) -> MetricField:
         chart = ChartSplit.two_block(n, r)
     comps: Dict[Tuple[int, int], object] = {}
     for key in comp_keys:
-        mu, nu = (int(v) for v in _METRIC_KEY.match(key).groups())
+        mu, nu = _indices(_METRIC_KEY.match(key))
         _require(1 <= mu <= n and 1 <= nu <= n, f"index out of range in '{key}' (n={n})")
         comps[(mu, nu)] = _parse_field(key, raw[key], n)
     return MetricField(chart, comps)
@@ -308,18 +313,18 @@ def _load_extension(raw: dict) -> ExtensionSpec:
     lam: Dict[Tuple[int, int], object] = {}
     for key in entry_keys:
         if (match := _CONN_KEY.match(key)) is not None:
-            i, j, k = (int(v) for v in match.groups())
+            i, j, k = _indices(match)
             _require(all(1 <= v <= r for v in (i, j, k)),
                      f"index out of range in '{key}' (r={r})")
             conn[(i, j, k)] = _parse_field(key, raw[key], r)
         elif (match := _LAMBDA_KEY.match(key)) is not None:
-            mu, nu = (int(v) for v in match.groups())
+            mu, nu = _indices(match)
             _require(1 <= mu <= q and 1 <= nu <= q, f"index out of range in '{key}' (r+m={q})")
             _require(min(mu, nu) <= r,
                      f"'{key}' lies in the middle-middle block; use h_{mu}_{nu}")
             lam[(mu, nu)] = _parse_field(key, raw[key], q)
         else:
-            p, s = (int(v) for v in _H_KEY.match(key).groups())
+            p, s = _indices(_H_KEY.match(key))
             _require(r < p <= q and r < s <= q,
                      f"index out of range in '{key}' (middle block is {r + 1}..{q})")
             lam[(p, s)] = _parse_field(key, raw[key], q)
@@ -433,7 +438,7 @@ def _projected_connection(c: _Context) -> CheckResult:
     # its own connection, so the jet of c.conn stays on the sample points
     diff = (restrict_connection(christoffel(c.g), c.ortho).gamma(base_pts)
             - c.spec.extension.base_connection.gamma(base_pts))
-    return _reduced("projected_connection", _family_max(diff), c.pts)
+    return _reduced("projected_connection", c.pts, diff)
 
 
 def _vertical_metric(c: _Context) -> CheckResult:

@@ -2,11 +2,14 @@
 
 Every distribution here is the span of the last ``s`` coordinate vector
 fields of a chart, which is the only case the adapted-coordinate theory
-needs.  Each predicate is expressed as a residual: the max over sampled
-points of the component families that must vanish.  A check "passes" when
-its residual is at or below the caller's tolerance; genuine violations show
-up at O(1) while true zeros sit at rounding level, so thresholding is
-unambiguous in practice.
+needs.  Each predicate is expressed as a residual: the largest |entry| of
+the component families that must vanish, over the sampled points.  Every
+family has the point axes first (a single point ``(n,)`` is a batch of
+one), and the worst point is the first point whose own largest |entry|
+attains the residual; a NaN entry gives a NaN residual at the first point
+holding one.  A check "passes" when its residual is at or below the
+caller's tolerance; genuine violations show up at O(1) while true zeros sit
+at rounding level, so thresholding is unambiguous in practice.
 
 Component families checked (indices: i,j,k leading; p,q middle; a,b trailing):
 
@@ -22,7 +25,7 @@ Component families checked (indices: i,j,k leading; p,q middle; a,b trailing):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -108,34 +111,22 @@ class CheckResult:
     residual: float
     worst_point: Optional[np.ndarray] = None
 
-    def __float__(self) -> float:
-        return self.residual
-
     def passes(self, tolerance: float) -> bool:
         return self.residual <= tolerance
 
 
-def _reduced(name: str, per_point: np.ndarray, points: np.ndarray) -> CheckResult:
-    per_point = np.asarray(per_point, dtype=float)
-    if per_point.size == 0:
-        return CheckResult(name, 0.0, None)
-    worst = int(np.argmax(per_point))
-    return CheckResult(name, float(per_point[worst]), np.asarray(points)[worst].copy())
-
-
-def _family_max(values: np.ndarray) -> np.ndarray:
-    """Collapse all component axes, keeping the leading point axis."""
-    flat = values.reshape(values.shape[0], -1)
-    if flat.shape[1] == 0:
-        return np.zeros(flat.shape[0])
-    return np.max(np.abs(flat), axis=1)
-
-
-def _points2d(points) -> np.ndarray:
+def _reduced(name: str, points, *families) -> CheckResult:
+    """The row of the component ``families`` at ``points``, reduced by the rule
+    in the module docstring; each family has the point axes of ``points`` first."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    return pts
+    axes = pts.ndim - 1
+    per_point = np.max([
+        np.max(np.abs(f), axis=tuple(range(axes, np.ndim(f))), initial=0.0) for f in families
+    ], axis=0).reshape(-1)
+    if per_point.size == 0:
+        raise ValueError(f"'{name}' needs at least one point")
+    worst = int(np.argmax(per_point))
+    return CheckResult(name, float(per_point[worst]), pts.reshape(-1, pts.shape[-1])[worst].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -147,31 +138,23 @@ def check_field_projectable(
     w: Sequence[ScalarField], dist: DistributionSpec, points
 ) -> CheckResult:
     """Residual of vector-field projectability: max |d_a w^i|."""
-    pts = _points2d(points)
     n = dist.n
     if len(w) != n:
         raise ValueError(f"vector field must have {n} components")
     lead = range(dist.leading.start, dist.leading.stop)
     trail = range(dist.trailing.start, dist.trailing.stop)
     partials = [[w[i].partial(a + 1) for i in lead] for a in trail]
-    vals = evaluate_fields(partials, pts)
-    return _reduced("field_projectable", _family_max(vals), pts)
+    return _reduced("field_projectable", points, evaluate_fields(partials, points))
 
 
 def check_null(g: MetricField, dist: DistributionSpec, points) -> CheckResult:
     """Residual of nullity: max |g(d_a, d_b)| over trailing pairs."""
-    pts = _points2d(points)
-    gv = g.value(pts)
-    block = gv[:, dist.trailing, dist.trailing]
-    return _reduced("null", _family_max(block), pts)
+    return _reduced("null", points, g.value(points)[..., dist.trailing, dist.trailing])
 
 
 def check_parallel(conn: ConnectionField, dist: DistributionSpec, points) -> CheckResult:
     """Residual of parallelism of the trailing span: max |Gamma^i_{a mu}|."""
-    pts = _points2d(points)
-    G = conn.gamma(pts)
-    fam = G[:, dist.leading, dist.trailing, :]
-    return _reduced("parallel", _family_max(fam), pts)
+    return _reduced("parallel", points, conn.gamma(points)[..., dist.leading, dist.trailing, :])
 
 
 def projectability_parts(
@@ -182,15 +165,11 @@ def projectability_parts(
     Returns (parallel part ``Gamma^i_{a mu}``, derivative part
     ``d_a Gamma^i_{jk}``) as separate residuals.
     """
-    pts = _points2d(points)
-    G = conn.gamma(pts)
-    dG = conn.gamma_partial(pts)
     lead, trail = dist.leading, dist.trailing
-    fam1 = G[:, lead, trail, :]
-    fam2 = dG[:, trail, lead, lead, lead]
     return (
-        _reduced("projectable_parallel_part", _family_max(fam1), pts),
-        _reduced("projectable_derivative_part", _family_max(fam2), pts),
+        _reduced("projectable_parallel_part", points, conn.gamma(points)[..., lead, trail, :]),
+        _reduced("projectable_derivative_part", points,
+                 conn.gamma_partial(points)[..., trail, lead, lead, lead]),
     )
 
 
@@ -198,19 +177,17 @@ def check_projectable(conn: ConnectionField, dist: DistributionSpec, points) -> 
     """Residual of connection projectability along the trailing span.
 
     Combines the parallelism family with the requirement that the leading
-    components be constant in the trailing directions.
+    components be constant in the trailing directions; on a tie the worst
+    point is the parallel part's.
     """
     part1, part2 = projectability_parts(conn, dist, points)
-    winner = part1 if part1.residual >= part2.residual else part2
-    return CheckResult("projectable", winner.residual, winner.worst_point)
+    return replace(part1 if part1.residual >= part2.residual else part2, name="projectable")
 
 
 def curvature_condition(conn: ConnectionField, dist: DistributionSpec, points) -> CheckResult:
     """Residual of the curvature condition: max |R_{a mu nu}{}^i|."""
-    pts = _points2d(points)
-    R = curvature_components(conn, pts)
-    fam = R[:, dist.trailing, :, :, dist.leading]
-    return _reduced("curvature_condition", _family_max(fam), pts)
+    R = curvature_components(conn, points)
+    return _reduced("curvature_condition", points, R[..., dist.trailing, :, :, dist.leading])
 
 
 def check_walker_form(g: MetricField, points) -> List[CheckResult]:
@@ -224,33 +201,24 @@ def check_walker_form(g: MetricField, points) -> List[CheckResult]:
     chart = g.chart
     if chart.mode != "three_block":
         raise ValueError("check_walker_form requires a metric on a three-block chart")
-    pts = _points2d(points)
     lead, mid, trail = chart.leading, chart.middle, chart.trailing
 
-    gv = g.value(pts)
-    dg = g.partial_value(pts)
-    det_ia = np.abs(np.linalg.det(gv[:, lead, trail]))
+    gv = g.value(points)
+    dg = g.partial_value(points)
+    det_ia = np.abs(np.linalg.det(gv[..., lead, trail]))
     results = [
-        _reduced("null_trailing_block", _family_max(gv[:, trail, trail]), pts),
-        _reduced("null_middle_trailing_block", _family_max(gv[:, mid, trail]), pts),
-        _reduced("constant_leading_trailing_block", _family_max(dg[:, :, lead, trail]), pts),
-        _reduced("trailing_independence_middle_block", _family_max(dg[:, trail, mid, mid]), pts),
-        _reduced(
-            "trailing_independence_middle_leading_block",
-            _family_max(dg[:, trail, mid, lead]),
-            pts,
-        ),
-        _reduced(
-            "nonsingular_leading_trailing_block",
-            np.maximum(0.0, 1.0 - det_ia / WALKER_DET_FLOOR),
-            pts,
-        ),
+        _reduced("null_trailing_block", points, gv[..., trail, trail]),
+        _reduced("null_middle_trailing_block", points, gv[..., mid, trail]),
+        _reduced("constant_leading_trailing_block", points, dg[..., :, lead, trail]),
+        _reduced("trailing_independence_middle_block", points, dg[..., trail, mid, mid]),
+        _reduced("trailing_independence_middle_leading_block", points, dg[..., trail, mid, lead]),
+        _reduced("nonsingular_leading_trailing_block", points,
+                 np.maximum(0.0, 1.0 - det_ia / WALKER_DET_FLOOR)),
     ]
     if chart.middle_size > 0:
-        det_pq = np.abs(np.linalg.det(gv[:, mid, mid]))
-        results.append(_reduced(
-            "nonsingular_middle_block", np.maximum(0.0, 1.0 - det_pq / WALKER_DET_FLOOR), pts
-        ))
+        det_pq = np.abs(np.linalg.det(gv[..., mid, mid]))
+        results.append(_reduced("nonsingular_middle_block", points,
+                                np.maximum(0.0, 1.0 - det_pq / WALKER_DET_FLOOR)))
     return results
 
 
@@ -259,12 +227,10 @@ def walker_projectability(g: MetricField, points) -> CheckResult:
     chart = g.chart
     if chart.mode != "three_block":
         raise ValueError("walker_projectability requires a metric on a three-block chart")
-    pts = _points2d(points)
-    d2 = g.second_partial_value(pts)
+    d2 = g.second_partial_value(points)
     lead, mid, trail = chart.leading, chart.middle, chart.trailing
-    fam1 = _family_max(d2[:, trail, trail, lead, lead])
-    fam2 = _family_max(d2[:, trail, mid, lead, lead])
-    return _reduced("walker_projectability", np.maximum(fam1, fam2), pts)
+    return _reduced("walker_projectability", points,
+                    d2[..., trail, trail, lead, lead], d2[..., trail, mid, lead, lead])
 
 
 # ---------------------------------------------------------------------------

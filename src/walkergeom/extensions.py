@@ -23,7 +23,7 @@ from typing import Mapping, Optional, Tuple
 import numpy as np
 
 from .chart import ChartSplit
-from .distributions import CheckResult, _family_max, _points2d, _reduced
+from .distributions import CheckResult, _reduced
 from .expr import ScalarField, as_field, coordinate, evaluate_fields
 from .tensor import (
     DET_FLOOR,
@@ -63,6 +63,18 @@ class OneFormSection:
             raise ValueError(f"need {self.r} components, got {len(self.components)}")
         lifted = tuple(as_field(c, self.r + self.m) for c in self.components)
         object.__setattr__(self, "components", lifted)
+
+    def jet(self, x) -> Tuple[np.ndarray, np.ndarray]:
+        """``omega_i`` and ``d_mu omega_i`` (axes ``[..., i]`` and ``[..., mu, i]``)
+        at a point or batch ``x``; its first r + m coordinates are used, so
+        full-chart points are accepted too."""
+        q = self.r + self.m
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1] < q:
+            raise ValueError(f"points must carry at least the first {q} coordinates")
+        x = x[..., :q]
+        partials = [[w.partial(mu) for w in self.components] for mu in range(1, q + 1)]
+        return evaluate_fields(list(self.components), x), evaluate_fields(partials, x)
 
 
 @dataclass
@@ -177,27 +189,19 @@ def killing_operator(D: SymbolicConnection, omega: OneFormSection, x) -> np.ndar
     """
     r, m = omega.r, omega.m
     q = r + m
-    pts = _points2d(x)
-    if pts.shape[-1] < q:
-        raise ValueError(f"points must carry at least the first {q} coordinates")
-    pts = pts[:, :q]
-    single = np.asarray(x, dtype=float).ndim == 1
-    om = evaluate_fields(list(omega.components), pts)
-    dom = evaluate_fields(
-        [[omega.components[i].partial(mu) for i in range(r)] for mu in range(1, q + 1)], pts
-    )  # [..., mu, i] = d_mu omega_i
-    G = D.gamma(pts[:, :r])
-    out = np.zeros(pts.shape[:-1] + (q, q))
+    om, dom = omega.jet(x)
+    G = D.gamma(np.asarray(x, dtype=float)[..., :r])
+    out = np.zeros(om.shape[:-1] + (q, q))
     lead = slice(0, r)
-    out[:, lead, lead] = (
-        dom[:, :r, :]
-        + np.einsum("...ij->...ji", dom[:, :r, :])
+    out[..., lead, lead] = (
+        dom[..., :r, :]
+        + np.einsum("...ij->...ji", dom[..., :r, :])
         - 2.0 * np.einsum("...kij,...k->...ij", G, om)
     )
     if m > 0:
-        out[:, lead, r:q] = np.einsum("...pi->...ip", dom[:, r:q, :])
-        out[:, r:q, lead] = dom[:, r:q, :]
-    return out[0] if single else out
+        out[..., lead, r:q] = np.einsum("...pi->...ip", dom[..., r:q, :])
+        out[..., r:q, lead] = dom[..., r:q, :]
+    return out
 
 
 def fiber_translate_pullback(
@@ -217,27 +221,20 @@ def fiber_translate_pullback(
         raise ValueError("one-form section does not match the chart blocks")
     q = r + m
     ginv = np.linalg.inv(np.asarray(g_ia, dtype=float))  # [a, i]
-    pts = _points2d(x)
-    if pts.shape[-1] != n:
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] != n:
         raise ValueError(f"points must have dimension {n}")
-    single = np.asarray(x, dtype=float).ndim == 1
+    om, dom = omega.jet(x)
 
-    om = evaluate_fields(list(omega.components), pts[:, :q])
-    dom = evaluate_fields(
-        [[omega.components[i].partial(mu) for i in range(r)] for mu in range(1, q + 1)],
-        pts[:, :q],
-    )  # [..., mu, i]
+    shifted = x.copy()
+    shifted[..., q:] += np.einsum("ai,...i->...a", ginv, om)
 
-    shifted = pts.copy()
-    shifted[:, q:] += np.einsum("ai,...i->...a", ginv, om)
-
-    jac = np.zeros(pts.shape[:-1] + (n, n))
-    jac[:, np.arange(n), np.arange(n)] = 1.0
-    jac[:, q:, :q] = np.einsum("ai,...mi->...am", ginv, dom)
+    jac = np.zeros(x.shape[:-1] + (n, n))
+    jac[..., np.arange(n), np.arange(n)] = 1.0
+    jac[..., q:, :q] = np.einsum("ai,...mi->...am", ginv, dom)
 
     g_at = g.value(shifted)
-    out = np.einsum("...ab,...am,...bn->...mn", g_at, jac, jac)
-    return out[0] if single else out
+    return np.einsum("...ab,...am,...bn->...mn", g_at, jac, jac)
 
 
 def transformation_rule_residual(
@@ -248,15 +245,10 @@ def transformation_rule_residual(
     ``pi*(L omega)`` places the Killing matrix in the leading+middle block
     and is zero in any slot with a trailing index.
     """
-    pts = _points2d(points)
-    n, q = spec.n, spec.r + spec.m
-    pulled = fiber_translate_pullback(g, omega, spec.g_ia, pts)
-    base = g.value(pts)
-    L = killing_operator(spec.base_connection, omega, pts)
-    pi_L = np.zeros(pts.shape[:-1] + (n, n))
-    pi_L[:, :q, :q] = L
-    diff = pulled - base - pi_L
-    return _reduced("transformation_rule", _family_max(diff), pts)
+    q = spec.r + spec.m
+    diff = fiber_translate_pullback(g, omega, spec.g_ia, points) - g.value(points)
+    diff[..., :q, :q] -= killing_operator(spec.base_connection, omega, points)
+    return _reduced("transformation_rule", points, diff)
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +276,8 @@ def canonical_field_parallelism(g: MetricField, v_trailing, points) -> CheckResu
     chart = g.chart
     if chart.mode != "three_block":
         raise ValueError("canonical fields require a three-block chart")
-    pts = _points2d(points)
-    G = christoffel(g).gamma(pts)
+    G = christoffel(g).gamma(points)
     v = np.asarray(v_trailing, dtype=float)
     leaf_dirs = slice(chart.r, chart.n)  # middle + trailing
-    contracted = np.einsum("...lva,a->...lv", G[:, chart.leading, leaf_dirs, chart.trailing], v)
-    return _reduced("canonical_field_parallelism", _family_max(contracted), pts)
+    contracted = np.einsum("...lva,a->...lv", G[..., chart.leading, leaf_dirs, chart.trailing], v)
+    return _reduced("canonical_field_parallelism", points, contracted)

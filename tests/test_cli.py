@@ -173,6 +173,17 @@ def test_main_refuses_malformed_values(tmp_path, capsys, payload):
         assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("payload, message", [
+    (dict(MINIMAL_METRIC, **{f"g_{'1' * 5000}_1": "1"}),
+     f"index out of range in 'g_{'1' * 5000}_1' (n=2)"),
+    (dict(EXTENSION, **{f"D_1_{'2' * 5000}_1": "1"}),
+     f"index out of range in 'D_1_{'2' * 5000}_1' (r=1)"),
+], ids=["metric_key", "connection_key"])
+def test_key_index_past_the_int_digit_limit_is_out_of_range(tmp_path, capsys, payload, message):
+    assert main(["check", write(tmp_path, payload)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # numbers a problem file may hold in any numeric field: negative, fractional,
 # boolean, huge, non-finite, missing or not numbers at all
 HOSTILE_NUMBERS = st.one_of(

@@ -5,6 +5,7 @@ import pytest
 
 from walkergeom import (
     ChartSplit,
+    CheckResult,
     DistributionSpec,
     MetricField,
     NotProjectableError,
@@ -12,6 +13,8 @@ from walkergeom import (
     ScalarField,
     SymbolicConnection,
     build_pullback_extension,
+    canonical_field_parallelism,
+    canonical_vertical_field,
     check_field_projectable,
     check_null,
     check_parallel,
@@ -21,18 +24,25 @@ from walkergeom import (
     covariant_derivative_vector,
     curvature_components,
     curvature_condition,
+    fiber_translate_pullback,
+    killing_operator,
     parse_expression,
     projectability_parts,
     projected_connection,
     restrict_connection,
+    transformation_rule_residual,
     walker_projectability,
 )
+from walkergeom.cli import _record
 from walkergeom.corpus import (
     random_extension_spec,
+    random_metric,
+    random_one_form,
     random_polynomial,
     random_walker_metric,
     walker_from_linear_data,
 )
+from walkergeom.distributions import _reduced
 from walkergeom.sampling import sample_points
 
 RNG = np.random.default_rng(99)
@@ -412,3 +422,91 @@ def test_covariant_derivatives_along_sections_stay_vertical():
         ]
         out = covariant_derivative_vector(conn, w, v, pts)
         assert np.max(np.abs(out[:, :keep])) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the one reduction
+# ---------------------------------------------------------------------------
+
+
+def _point_functions():
+    """Every function that takes points, as ``f(x)`` on one generic
+    three-block metric (r=2, m=1) whose families do not vanish."""
+    rng = np.random.default_rng(31)
+    g = random_metric(rng, ChartSplit.three_block(5, 2))
+    conn = christoffel(g)
+    P, V = DistributionSpec.null_block(g.chart), DistributionSpec.orthocomplement(g.chart)
+    spec = random_extension_spec(rng, 2, 1)
+    omega = random_one_form(rng, 2, 1)
+    w = [random_polynomial(rng, 5) for _ in range(5)]
+    v = canonical_vertical_field([0.7, -1.2], spec.g_ia)
+    functions = {
+        "check_field_projectable": lambda x: check_field_projectable(w, V, x),
+        "check_null": lambda x: check_null(g, P, x),
+        "check_parallel": lambda x: check_parallel(conn, P, x),
+        "projectability_parts": lambda x: projectability_parts(conn, V, x),
+        "check_projectable": lambda x: check_projectable(conn, P, x),
+        "curvature_condition": lambda x: curvature_condition(conn, V, x),
+        "check_walker_form": lambda x: check_walker_form(g, x),
+        "walker_projectability": lambda x: walker_projectability(g, x),
+        "transformation_rule_residual": lambda x: transformation_rule_residual(g, spec, omega, x),
+        "canonical_field_parallelism": lambda x: canonical_field_parallelism(g, v, x),
+        "killing_operator": lambda x: killing_operator(spec.base_connection, omega, x),
+        "fiber_translate_pullback": lambda x: fiber_translate_pullback(g, omega, spec.g_ia, x),
+    }
+    return functions, sample_points(g, 3, seed=32)
+
+
+POINT_FUNCTIONS, BATCH = _point_functions()
+
+
+def _rows(result):
+    if isinstance(result, CheckResult):
+        return [(result.name, result.residual, result.worst_point.tolist())]
+    return [row for res in result for row in _rows(res)]
+
+
+@pytest.mark.parametrize("name", POINT_FUNCTIONS)
+def test_single_point_is_a_batch_of_one(name):
+    f = POINT_FUNCTIONS[name]
+    for x in BATCH:
+        single, batch = f(x), f(x[None, :])
+        if isinstance(single, np.ndarray):
+            assert single.shape == batch.shape[1:]
+            assert np.array_equal(single, batch[0])
+        else:
+            rows = _rows(single)
+            assert rows == _rows(batch)
+            assert all(worst == x.tolist() for _, _, worst in rows)
+            assert max(residual for _, residual, _ in rows) > 0.0
+
+
+def test_reduction_takes_the_first_point_of_the_per_point_maximum():
+    pts = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+    late = np.array([[0.0, 1.0], [5.0, 0.0], [2.0, 2.0]])  # alone: 5 at the second point
+    early = np.array([[5.0], [0.0], [0.0]])  # alone: 5 at the first point
+    assert _reduced("late", pts, late).worst_point.tolist() == [2.0, 3.0]
+    for families in [(late, early), (early, late)]:
+        res = _reduced("both", pts, *families)
+        assert (res.residual, res.worst_point.tolist()) == (5.0, [0.0, 1.0])
+    with pytest.raises(ValueError, match="needs at least one point"):
+        _reduced("none", pts[:0], late[:0], early[:0])
+
+
+def test_zero_width_family_is_zero_at_the_first_point():
+    g = build_pullback_extension(random_extension_spec(np.random.default_rng(33), 2, 0))
+    pts = sample_points(g, 10, seed=34)
+    row = {res.name: res for res in check_walker_form(g, pts)}["null_middle_trailing_block"]
+    assert row.residual == 0.0
+    assert np.array_equal(row.worst_point, pts[0])
+
+
+def test_nan_entry_is_a_nan_residual_at_the_first_nan_point():
+    pts = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+    fam = np.array([[9.0, 0.0], [1.0, np.nan], [np.nan, 99.0]])
+    res = _reduced("nan", pts, fam)
+    assert np.isnan(res.residual)
+    assert res.worst_point.tolist() == [2.0, 3.0]
+    [record] = _record("nan", 1e-8, lambda: res)
+    assert record.to_dict() == {"name": "nan", "residual": None, "pass": False,
+                                "worst_point": [2.0, 3.0], "error": "non-finite residual: nan"}
