@@ -46,10 +46,7 @@ from .tensor import (
     SingularMetricError,
     SymbolicConnection,
     christoffel,
-    covariant_derivative_metric_residual,
-    covariant_derivative_vector,
     curvature_components,
-    lower_curvature,
 )
 from .transport import (
     CurveSpec,

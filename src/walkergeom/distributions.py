@@ -32,7 +32,7 @@ import numpy as np
 
 from .chart import ChartSplit
 from .expr import ScalarField, evaluate_fields
-from .tensor import ConnectionField, MetricField, RestrictedConnection, curvature_components
+from .tensor import ConnectionField, MetricField, RestrictedConnection
 
 __all__ = [
     "DistributionSpec",
@@ -184,10 +184,34 @@ def check_projectable(conn: ConnectionField, dist: DistributionSpec, points) -> 
     return replace(part1 if part1.residual >= part2.residual else part2, name="projectable")
 
 
+def _curvature_block(conn: ConnectionField, dist: DistributionSpec, points) -> np.ndarray:
+    """R_{a mu nu}{}^i (a trailing, i leading), ``[..., a, mu, nu, i]``: only
+    the block of :func:`~walkergeom.tensor.curvature_components` the
+    curvature condition reads, by the four-term formula
+
+        d_mu Gamma^i_{a nu} - d_a Gamma^i_{mu nu}
+        + Gamma^i_{mu p} Gamma^p_{a nu} - Gamma^i_{a p} Gamma^p_{mu nu},
+
+    built in a fresh ``[..., a, i, mu, nu]`` array (the jet's arrays are
+    read-only)."""
+    G, dG = conn.gamma(points), conn.gamma_partial(points)
+    lead, trail, n, s = dist.leading, dist.trailing, dist.n, dist.s
+    base, r = G.shape[:-3], n - s
+    # Gamma^i_{mu p} Gamma^p_{a nu}: [i mu, p] @ [a][p, nu]
+    right = np.ascontiguousarray(np.einsum("...pav->...apv", G[..., trail, :]))
+    block = np.matmul(G[..., lead, :, :].reshape(base + (1, r * n, n)), right)
+    # Gamma^i_{a p} Gamma^p_{mu nu}: [a i, p] @ [p, mu nu]
+    left = np.einsum("...iap->...aip", G[..., lead, trail, :]).reshape(base + (s * r, n))
+    block -= np.matmul(left, G.reshape(base + (n, n * n))).reshape(block.shape)
+    block = block.reshape(base + (s, r, n, n))
+    block += np.einsum("...miav->...aimv", dG[..., lead, trail, :])
+    block -= dG[..., trail, lead, :, :]
+    return np.einsum("...aimv->...amvi", block)
+
+
 def curvature_condition(conn: ConnectionField, dist: DistributionSpec, points) -> CheckResult:
     """Residual of the curvature condition: max |R_{a mu nu}{}^i|."""
-    R = curvature_components(conn, points)
-    return _reduced("curvature_condition", points, R[..., dist.trailing, :, :, dist.leading])
+    return _reduced("curvature_condition", points, _curvature_block(conn, dist, points))
 
 
 def check_walker_form(g: MetricField, points) -> List[CheckResult]:

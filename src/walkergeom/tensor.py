@@ -12,9 +12,8 @@ Gamma / d Gamma evaluation.  A metric is singular at a point where
 ``|det g|`` is below :data:`DET_FLOOR`; the constant block ``[g_ia]`` that
 :mod:`walkergeom.extensions` inverts is held to the same floor.
 
-Curvature comes as batched arrays: :func:`curvature_components` gives
-``R_{ijk}{}^l`` at the points of ``x`` and :func:`lower_curvature` lowers it
-with the metric values at the same points.
+Curvature comes as a batched array: :func:`curvature_components` gives
+``R_{ijk}{}^l`` at the points of ``x``.
 
 Index conventions: component accessors take 1-based indices matching the
 coordinate names ``x1..xn``; evaluated numpy arrays are 0-based.  Connection
@@ -34,8 +33,12 @@ a store, component access, and per derivative order a table built from the
 store on first use.  A table is the list of *distinct* fields (expression
 trees that are equal are kept once) and an integer index array over the
 dense component shape; the dense array at points ``x`` is
-``evaluate_fields(fields, x)[..., index]``, so each distinct field is
-evaluated once however many slots it fills.
+``np.take(evaluate_fields(fields, x), index, axis=-1)``, so each distinct
+field is evaluated once however many slots it fills, and every array has the
+point axes first and is C-contiguous.  A metric also lowers its order-1 and
+order-2 tables by index: the Christoffel symbols of the first kind and their
+partials are formed once per distinct triple of table fields and gathered
+the same way.
 """
 
 from __future__ import annotations
@@ -57,9 +60,6 @@ __all__ = [
     "RestrictedConnection",
     "christoffel",
     "curvature_components",
-    "lower_curvature",
-    "covariant_derivative_vector",
-    "covariant_derivative_metric_residual",
 ]
 
 # |det| below this counts as singular
@@ -108,7 +108,7 @@ def _gather(store: Mapping[Tuple[int, ...], ScalarField], n: int, pairs):
     holds (1-based) every slot with each pair in ascending order.  Returns
     the distinct fields (equal trees kept once) and an ``intp`` array of slot
     positions in that list, so the dense table at points ``x`` is
-    ``evaluate_fields(fields, x)[..., index]``.
+    ``np.take(evaluate_fields(fields, x), index, axis=-1)``, point axes first.
     """
     position = {}
     at = [position.setdefault(f.node, (len(position), f))[0] for f in store.values()]
@@ -160,7 +160,7 @@ class _SymmetricComponents:
 
     def _values(self, order: int, x) -> np.ndarray:
         fields, index = self._table(order)
-        return evaluate_fields(fields, x)[..., index]
+        return np.take(evaluate_fields(fields, x), index, axis=-1)
 
 
 class MetricField(_SymmetricComponents):
@@ -169,6 +169,7 @@ class MetricField(_SymmetricComponents):
     def __init__(self, chart: ChartSplit, components: Mapping[Tuple[int, int], object]):
         super().__init__(chart.n, components, 2, "g")
         self.chart = chart
+        self._triples = {}
 
     def value(self, x) -> np.ndarray:
         """Component matrix, shape ``x.shape[:-1] + (n, n)``."""
@@ -181,6 +182,31 @@ class MetricField(_SymmetricComponents):
     def second_partial_value(self, x) -> np.ndarray:
         """All second partials; ``[..., i, j, mu, nu] = d_i d_j g_{mu nu}``."""
         return self._values(2, x)
+
+    def _first_kind(self, order: int, x):
+        """Gamma_{m,jk} = (1/2)(d_j g_{mk} + d_k g_{jm} - d_m g_{jk}) at ``x``,
+        ``[..., m, j, k]`` (order 1), or its partials ``[..., u, m, j, k]`` =
+        d_u Gamma_{m,jk} (order 2); also returns the values of the order's
+        distinct fields, ``evaluate_fields(fields, x)``, they were formed from.
+
+        The terms are added per distinct triple of table fields, (A + B) - C
+        then halved, and one take lays the triples out over the dense slots;
+        the triple table is built on first use, like the order's table.
+        """
+        fields, index = self._table(order)
+        if order not in self._triples:
+            # the fields of d_j g_{mk}, d_k g_{jm} and d_m g_{jk} at slot [m, j, k]
+            a = np.einsum("...jmk->...mjk", index)
+            b = np.einsum("...kjm->...mjk", index)
+            f = len(fields)
+            key, at = np.unique((a * f + b) * f + index, return_inverse=True)
+            self._triples[order] = (key // (f * f), key // f % f, key % f), at.reshape(index.shape)
+        (a, b, c), at = self._triples[order]
+        v = evaluate_fields(fields, x)
+        w = np.take(v, a, axis=-1) + np.take(v, b, axis=-1)
+        w -= np.take(v, c, axis=-1)
+        w *= 0.5
+        return np.take(w, at, axis=-1), v
 
     def inverse_value(self, x) -> np.ndarray:
         g = self.value(x)
@@ -235,15 +261,6 @@ class SymbolicConnection(ConnectionField, _SymmetricComponents):
         return self._values(1, x)
 
 
-def _lowered(dg: np.ndarray) -> np.ndarray:
-    """Gamma_{m,jk} = (1/2)(d_j g_{mk} + d_k g_{jm} - d_m g_{jk}) over the last
-    three axes of ``dg`` (``[..., j, m, k] = d_j g_{mk}``), in one buffer."""
-    low = np.einsum("...jmk->...mjk", dg) + np.einsum("...kjm->...mjk", dg)
-    low -= dg
-    low *= 0.5
-    return low
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -263,14 +280,19 @@ class LeviCivitaConnection(ConnectionField):
 
         d_u Gamma = g^{-1} d_u(low) + d_u(g^{-1}) low,   low = Gamma_{m,jk}.
 
+    ``low`` and d_u(low) are lowered by index (``MetricField._first_kind``):
+    formed once per distinct triple of the metric's order-1 and order-2
+    fields and gathered over the dense slots, so d^2 g itself is never laid
+    out; both products are plain ``matmul`` over ``(n, n^2)`` views.
+
     The connection holds the jet of the last point set it was asked about: a
     copy of the points, and g^{-1}, Gamma and d Gamma there, each computed on
     first use.  A later call whose points equal that copy by value (same
     shape, equal entries; points changed in place since do not match) reuses
     it, so checks that share their sample points share one evaluation.
-    Arrays returned from the jet are read-only.  The partials of g are
-    evaluated again where needed rather than kept, since d^2 g is the largest
-    array of all.
+    Arrays returned from the jet are read-only, C-contiguous and have the
+    point axes first.  The partials of g are evaluated again where needed
+    rather than kept.
     """
 
     def __init__(self, metric: MetricField):
@@ -293,22 +315,24 @@ class LeviCivitaConnection(ConnectionField):
     def gamma(self, x) -> np.ndarray:
         x = self._points(x)
         if self._gamma is None:
-            low = _lowered(self.metric.partial_value(x))
-            self._gamma = _frozen(np.einsum("...lm,...mjk->...ljk", self._inverse(), low))
+            low, _ = self.metric._first_kind(1, x)
+            shape, n = low.shape, self.n
+            self._gamma = _frozen(np.matmul(self._inverse(), low.reshape(shape[:-2] + (n * n,)))
+                                  .reshape(shape))
         return self._gamma
 
     def gamma_partial(self, x) -> np.ndarray:
         x = self._points(x)
         if self._gamma_partial is None:
             ginv, n = self._inverse()[..., None, :, :], self.n
-            dg = self.metric.partial_value(x)
-            low = _lowered(dg).reshape(dg.shape[:-3] + (1, n, n * n))
-            # d_u(low) straight from d^2 g, which is freed on return
-            dlow = _lowered(self.metric.second_partial_value(x))
+            low, v = self.metric._first_kind(1, x)
+            dg = np.take(v, self.metric._table(1)[1], axis=-1)
+            # d_u(low) straight from the second-partial fields, freed on return
+            dlow, _ = self.metric._first_kind(2, x)
             out = np.matmul(ginv, dlow.reshape(dlow.shape[:-2] + (n * n,)))
             del dlow
             dginv = -np.matmul(np.matmul(ginv, dg), ginv)  # d_u(g^{-1})
-            out += np.matmul(dginv, low)
+            out += np.matmul(dginv, low.reshape(low.shape[:-3] + (1, n, n * n)))
             self._gamma_partial = _frozen(out.reshape(out.shape[:-1] + (n, n)))
         return self._gamma_partial
 
@@ -357,47 +381,3 @@ def curvature_components(conn: ConnectionField, x) -> np.ndarray:
     # A[i,j,k,l] = d_j Gamma^l_{ik} + Gamma^l_{jp} Gamma^p_{ik}
     A = np.einsum("...jlik->...ijkl", dG) + np.einsum("...ljp,...pik->...ijkl", G, G)
     return A - np.einsum("...ijkl->...jikl", A)
-
-
-def lower_curvature(R: np.ndarray, g_values: np.ndarray) -> np.ndarray:
-    """(0,4) form ``R_{ijkl} = R_{ijk}{}^m g_{ml}``, batched: ``R`` from
-    :func:`curvature_components` and ``g_values`` from ``MetricField.value``
-    at the same points."""
-    return np.einsum("...ijkm,...ml->...ijkl", R, g_values)
-
-
-def covariant_derivative_vector(conn: ConnectionField, w, v, x) -> np.ndarray:
-    """Components of ``nabla_v w`` at batched points.
-
-    ``w`` and ``v`` are length-n sequences of ScalarFields (vector-field
-    components in chart coordinates); the result has shape
-    ``x.shape[:-1] + (n,)`` with entries ``v^mu (d_mu w^lam + Gamma^lam_{mu nu} w^nu)``.
-    """
-    x = np.asarray(x, dtype=float)
-    n = conn.n
-    wv = evaluate_fields(list(w), x)
-    vv = evaluate_fields(list(v), x)
-    dw = evaluate_fields([[comp.partial(mu) for comp in w] for mu in range(1, n + 1)], x)
-    G = conn.gamma(x)
-    return np.einsum("...m,...ml->...l", vv, dw) + np.einsum(
-        "...m,...lmn,...n->...l", vv, G, wv
-    )
-
-
-def covariant_derivative_metric_residual(g: MetricField, conn: ConnectionField, x):
-    """max |d_mu g_{nu rho} - Gamma^s_{mu nu} g_{s rho} - Gamma^s_{mu rho} g_{nu s}|.
-
-    Vanishes identically for the Levi-Civita connection of ``g``; accepts a
-    single point (returns float) or a batch (returns per-point array).
-    """
-    x = np.asarray(x, dtype=float)
-    dg = g.partial_value(x)
-    gv = g.value(x)
-    G = conn.gamma(x)
-    grad = (
-        dg
-        - np.einsum("...smn,...sr->...mnr", G, gv)
-        - np.einsum("...smr,...ns->...mnr", G, gv)
-    )
-    res = np.max(np.abs(grad), axis=(-1, -2, -3))
-    return float(res) if res.ndim == 0 else res

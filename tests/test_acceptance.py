@@ -20,11 +20,9 @@ from walkergeom import (
     check_parallel,
     check_projectable,
     christoffel,
-    covariant_derivative_metric_residual,
     curvature_components,
     fiber_translate_pullback,
     killing_operator,
-    lower_curvature,
     parallel_transport,
     parse_expression,
     projected_connection,
@@ -45,6 +43,8 @@ from walkergeom.corpus import (
 )
 from walkergeom.extensions import ExtensionSpec, OneFormSection
 from walkergeom.sampling import sample_points
+
+from tensor_oracles import covariant_derivative_metric_residual, lower_curvature
 
 SIZE_CYCLE = [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
 

@@ -21,7 +21,6 @@ from walkergeom import (
     check_projectable,
     check_walker_form,
     christoffel,
-    covariant_derivative_vector,
     curvature_components,
     curvature_condition,
     fiber_translate_pullback,
@@ -44,6 +43,8 @@ from walkergeom.corpus import (
 )
 from walkergeom.distributions import _reduced
 from walkergeom.sampling import sample_points
+
+from tensor_oracles import covariant_derivative_vector
 
 RNG = np.random.default_rng(99)
 PTS2 = RNG.uniform(-1, 1, (30, 2))

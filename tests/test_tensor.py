@@ -1,4 +1,4 @@
-"""Christoffel symbols, curvature and the metric-compatibility residual."""
+"""Christoffel symbols, the Levi-Civita jet, curvature and the metric-compatibility residual."""
 
 import json
 
@@ -7,21 +7,27 @@ import pytest
 
 from walkergeom import (
     ChartSplit,
+    DistributionSpec,
     cli,
     MetricField,
     build_pullback_extension,
     SingularMetricError,
     SymbolicConnection,
     christoffel,
-    covariant_derivative_metric_residual,
-    covariant_derivative_vector,
     curvature_components,
-    lower_curvature,
+    curvature_condition,
     parse_expression,
 )
 from walkergeom.corpus import random_extension_spec, random_metric, random_walker_metric
+from walkergeom.distributions import _curvature_block, _reduced
 from walkergeom.expr import evaluate_fields
 from walkergeom.sampling import sample_points
+
+from tensor_oracles import (
+    covariant_derivative_metric_residual,
+    covariant_derivative_vector,
+    lower_curvature,
+)
 
 
 def two_block(n):
@@ -326,18 +332,74 @@ def test_jet_is_matched_by_value_not_identity():
     assert not conn.gamma(a).flags.writeable
 
 
+@pytest.mark.parametrize("g", _jet_metrics(), ids=["ext11", "ext22", "ext32", "two_block"])
+def test_first_kind_lowering_matches_dense_terms(g):
+    pts = sample_points(g, 7, seed=g.n)
+    for x in (pts, pts[2], pts.reshape(7, 1, g.n)):
+        for order, dense in ((1, g.partial_value(x)), (2, g.second_partial_value(x))):
+            # Gamma_{m,jk} = (1/2)((d_j g_mk + d_k g_jm) - d_m g_jk), term order kept
+            want = 0.5 * ((np.einsum("...jmk->...mjk", dense) + np.einsum("...kjm->...mjk", dense))
+                          - dense)
+            low, _ = g._first_kind(order, x)
+            assert np.array_equal(low, want)
+        # point axes first and C-contiguous: no transposed view reaches a caller
+        conn = christoffel(g)
+        for got, rank in ((conn.gamma(x), 3), (conn.gamma_partial(x), 4)):
+            assert got.shape == x.shape[:-1] + (g.n,) * rank
+            assert got.flags.c_contiguous
+
+
+def _curvature_cases():
+    """The jet metrics and one Walker metric, each with its null block and,
+    on a three-block chart, its orthocomplement."""
+    metrics = _jet_metrics() + [random_walker_metric(np.random.default_rng(44), 2, 1)]
+    cases = []
+    for g in metrics:
+        cases.append((g, DistributionSpec.null_block(g.chart)))
+        if g.chart.mode == "three_block":
+            cases.append((g, DistributionSpec.orthocomplement(g.chart)))
+    return cases
+
+
+CURVATURE_CASES = _curvature_cases()
+
+
+@pytest.mark.parametrize("g, dist", CURVATURE_CASES,
+                         ids=[f"{g.chart.mode}_n{g.n}_s{d.s}" for g, d in CURVATURE_CASES])
+def test_curvature_block_matches_full_curvature(g, dist):
+    pts = sample_points(g, 12, seed=g.n)
+    conn = christoffel(g)
+    R = curvature_components(conn, pts)
+    scale = 1e-14 * np.max(np.abs(R))
+    want = R[..., dist.trailing, :, :, dist.leading]
+    gamma, gamma_partial = conn.gamma(pts).copy(), conn.gamma_partial(pts).copy()
+    expected = _reduced("curvature_condition", pts, want)
+    for _ in range(2):
+        block = _curvature_block(conn, dist, pts)
+        assert block.shape == want.shape
+        assert np.max(np.abs(block - want)) <= scale
+        row = curvature_condition(conn, dist, pts)
+        assert abs(row.residual - expected.residual) <= scale
+        assert np.array_equal(row.worst_point, expected.worst_point)
+    for got, before in ((conn.gamma(pts), gamma), (conn.gamma_partial(pts), gamma_partial)):
+        assert not got.flags.writeable
+        assert np.array_equal(got, before)
+
+
 @pytest.mark.parametrize("checks", [
     None,
     # projected_connection evaluates Gamma at the padded base points in between
     ["parallel", "projected_connection", "projectable", "curvature_condition"],
 ], ids=["default", "custom"])
 def test_default_extension_suite_shares_one_jet(tmp_path, monkeypatch, checks):
-    calls = {"inverse_value": 0, "second_partial_value": 0}
+    # d Gamma is lowered from the order-2 table without laying out d^2 g, so
+    # its builds are counted at the order-2 lowering
+    calls = {"inverse_value": 0, "second_partial_value": 0, "_first_kind": 0}
     for name in calls:
         original = getattr(MetricField, name)
 
         def counted(self, *args, _original=original, _name=name, **kwargs):
-            calls[_name] += 1
+            calls[_name] += _name != "_first_kind" or args[0] == 2
             return _original(self, *args, **kwargs)
 
         monkeypatch.setattr(MetricField, name, counted)
@@ -352,3 +414,4 @@ def test_default_extension_suite_shares_one_jet(tmp_path, monkeypatch, checks):
     # the sample points, then the base points of projected_connection
     assert calls["inverse_value"] <= 2
     assert calls["second_partial_value"] <= 2
+    assert calls["_first_kind"] == 1
