@@ -17,8 +17,9 @@ from walkergeom import (
     build_riemann_extension,
     check_null,
     check_parallel,
+    check_projectable,
     christoffel,
-    projected_connection,
+    restrict_connection,
 )
 from walkergeom.sampling import sample_points
 
@@ -44,7 +45,9 @@ P = DistributionSpec.null_block(g.chart)
 print("null residual:    ", check_null(g, P, pts).residual)
 print("parallel residual:", check_parallel(conn, P, pts).residual)
 
-projected = projected_connection(conn, V, pts)
+# project only once the check passes: the restriction itself checks nothing
+assert check_projectable(conn, V, pts).passes(1e-8)
+projected = restrict_connection(conn, V)
 base_pts = pts[:, :2]
 diff = np.max(np.abs(projected.gamma(base_pts) - D.gamma(base_pts)))
 print("projected connection equals the base data:", diff)

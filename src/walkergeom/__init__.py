@@ -5,15 +5,12 @@ from .chart import ChartSplit
 from .distributions import (
     CheckResult,
     DistributionSpec,
-    NotProjectableError,
-    check_field_projectable,
     check_null,
     check_parallel,
     check_projectable,
     check_walker_form,
     curvature_condition,
     projectability_parts,
-    projected_connection,
     restrict_connection,
     walker_projectability,
 )
@@ -31,8 +28,6 @@ from .extensions import (
     OneFormSection,
     build_pullback_extension,
     build_riemann_extension,
-    canonical_field_parallelism,
-    canonical_vertical_field,
     fiber_translate_pullback,
     killing_operator,
     transformation_rule_residual,
@@ -42,7 +37,6 @@ from .tensor import (
     ConnectionField,
     LeviCivitaConnection,
     MetricField,
-    RestrictedConnection,
     SingularMetricError,
     SymbolicConnection,
     christoffel,

@@ -13,7 +13,6 @@ at rounding level, so thresholding is unambiguous in practice.
 
 Component families checked (indices: i,j,k leading; p,q middle; a,b trailing):
 
-* vector-field projectability      d_a w^i = 0
 * nullity                          g_ab = 0
 * parallelism                      Gamma^i_{a mu} = 0
 * connection projectability        Gamma^i_{a mu} = d_a Gamma^i_{jk} = 0
@@ -26,19 +25,16 @@ Component families checked (indices: i,j,k leading; p,q middle; a,b trailing):
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from .chart import ChartSplit
-from .expr import ScalarField, evaluate_fields
 from .tensor import ConnectionField, MetricField, RestrictedConnection
 
 __all__ = [
     "DistributionSpec",
     "CheckResult",
-    "NotProjectableError",
-    "check_field_projectable",
     "check_null",
     "check_parallel",
     "check_projectable",
@@ -46,25 +42,12 @@ __all__ = [
     "curvature_condition",
     "check_walker_form",
     "walker_projectability",
-    "projected_connection",
     "restrict_connection",
 ]
 
 # a leading-trailing or middle block with |det| below this counts as singular
 # in check_walker_form
 WALKER_DET_FLOOR = 1e-6
-
-
-class NotProjectableError(ValueError):
-    """Projection was requested for a connection that fails the residual check."""
-
-    def __init__(self, residual: float, tolerance: float):
-        super().__init__(
-            f"connection is not projectable: residual {residual:.3e} exceeds "
-            f"tolerance {tolerance:.3e}"
-        )
-        self.residual = residual
-        self.tolerance = tolerance
 
 
 @dataclass(frozen=True)
@@ -132,19 +115,6 @@ def _reduced(name: str, points, *families) -> CheckResult:
 # ---------------------------------------------------------------------------
 # the residual checks
 # ---------------------------------------------------------------------------
-
-
-def check_field_projectable(
-    w: Sequence[ScalarField], dist: DistributionSpec, points
-) -> CheckResult:
-    """Residual of vector-field projectability: max |d_a w^i|."""
-    n = dist.n
-    if len(w) != n:
-        raise ValueError(f"vector field must have {n} components")
-    lead = range(dist.leading.start, dist.leading.stop)
-    trail = range(dist.trailing.start, dist.trailing.stop)
-    partials = [[w[i].partial(a + 1) for i in lead] for a in trail]
-    return _reduced("field_projectable", points, evaluate_fields(partials, points))
 
 
 def check_null(g: MetricField, dist: DistributionSpec, points) -> CheckResult:
@@ -263,30 +233,13 @@ def walker_projectability(g: MetricField, points) -> CheckResult:
 
 
 def restrict_connection(conn: ConnectionField, dist: DistributionSpec) -> ConnectionField:
-    """Leading components of ``conn`` with trailing coordinates pinned to zero.
+    """The induced connection on the local leaf space (dimension n - s): the
+    leading components of ``conn`` with the trailing coordinates pinned to zero.
 
-    No projectability check is performed; use :func:`projected_connection`
-    for the verified operation.  For a non-projectable connection the result
-    depends on the pinned values and carries no invariant meaning.
+    No projectability check is performed.  Once
+    ``check_projectable(conn, dist, points).passes(tol)`` holds, any fixed
+    trailing values give the same functions up to the tolerance; for a
+    non-projectable connection the result depends on the pinned values and
+    carries no invariant meaning.
     """
     return RestrictedConnection(conn, dist.n - dist.s)
-
-
-def projected_connection(
-    conn: ConnectionField,
-    dist: DistributionSpec,
-    points,
-    tolerance: float = 1e-8,
-) -> ConnectionField:
-    """The induced connection on the local leaf space (dimension n - s).
-
-    Verifies projectability at the sampled points first and raises
-    :class:`NotProjectableError` when the residual exceeds the tolerance;
-    the returned connection has the leading component functions with the
-    trailing coordinates substituted by zero (any fixed values would give
-    the same functions, up to the tolerance, once the check passed).
-    """
-    res = check_projectable(conn, dist, points)
-    if not res.passes(tolerance):
-        raise NotProjectableError(res.residual, tolerance)
-    return restrict_connection(conn, dist)

@@ -10,9 +10,8 @@ pullback-extension metric on the ``n = 2r + m`` chart has the components
 with ``[g_ia]`` a fixed nonsingular r x r matrix of constants (identity by
 default).  ``m = 0`` recovers the classical cotangent construction.  The
 companion operations implement the Killing operator of ``D`` (extended by
-the middle-block partials), fiber translations by a one-form section, the
-transformation rule they satisfy, and the canonical identifications of the
-trailing block with base covectors.
+the middle-block partials), fiber translations by a one-form section and
+the transformation rule they satisfy.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .tensor import (
     SymbolicConnection,
     _canonical,
     _symmetric_store,
-    christoffel,
 )
 
 __all__ = [
@@ -43,8 +41,6 @@ __all__ = [
     "killing_operator",
     "fiber_translate_pullback",
     "transformation_rule_residual",
-    "canonical_vertical_field",
-    "canonical_field_parallelism",
 ]
 
 
@@ -249,35 +245,3 @@ def transformation_rule_residual(
     diff = fiber_translate_pullback(g, omega, spec.g_ia, points) - g.value(points)
     diff[..., :q, :q] -= killing_operator(spec.base_connection, omega, points)
     return _reduced("transformation_rule", points, diff)
-
-
-# ---------------------------------------------------------------------------
-# canonical trailing fields
-# ---------------------------------------------------------------------------
-
-
-def canonical_vertical_field(xi, g_ia) -> np.ndarray:
-    """Trailing components ``v^a`` with ``v^a g_{a i} = xi_i``.
-
-    The constant-component field ``(0,..,0,v^a)`` then represents the base
-    covector ``xi`` via ``g(v, .) = pi* xi`` on any adapted-form metric with
-    leading-trailing block ``g_ia``.
-    """
-    C = np.asarray(g_ia, dtype=float)
-    if abs(np.linalg.det(C)) < DET_FLOOR:
-        raise SingularMetricError("the constant block [g_ia] is singular")
-    return np.linalg.solve(C, np.asarray(xi, dtype=float))
-
-
-def canonical_field_parallelism(g: MetricField, v_trailing, points) -> CheckResult:
-    """Residual of parallelism of a constant trailing field along the
-    middle+trailing leaves: max over leading mu of |Gamma^mu_{nu a} v^a| with
-    nu ranging over the middle and trailing directions."""
-    chart = g.chart
-    if chart.mode != "three_block":
-        raise ValueError("canonical fields require a three-block chart")
-    G = christoffel(g).gamma(points)
-    v = np.asarray(v_trailing, dtype=float)
-    leaf_dirs = slice(chart.r, chart.n)  # middle + trailing
-    contracted = np.einsum("...lva,a->...lv", G[..., chart.leading, leaf_dirs, chart.trailing], v)
-    return _reduced("canonical_field_parallelism", points, contracted)

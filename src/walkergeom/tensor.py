@@ -16,7 +16,8 @@ Curvature comes as a batched array: :func:`curvature_components` gives
 ``R_{ijk}{}^l`` at the points of ``x``.
 
 Index conventions: component accessors take 1-based indices matching the
-coordinate names ``x1..xn``; evaluated numpy arrays are 0-based.  Connection
+coordinate names ``x1..xn``; evaluated numpy arrays are 0-based.  Points
+have shape ``(..., n)``; a batch of another width is refused.  Connection
 arrays are indexed ``[l, j, k]`` for ``Gamma^l_{jk}`` and curvature arrays
 ``[i, j, k, l]`` for ``R_{ijk}{}^l`` with the sign fixed by
 
@@ -57,7 +58,6 @@ __all__ = [
     "ConnectionField",
     "SymbolicConnection",
     "LeviCivitaConnection",
-    "RestrictedConnection",
     "christoffel",
     "curvature_components",
 ]
@@ -68,6 +68,14 @@ DET_FLOOR = 1e-12
 
 class SingularMetricError(ValueError):
     """The metric determinant fell below the floor at an evaluation point."""
+
+
+def _as_points(x, n: int) -> np.ndarray:
+    """``x`` as a float array of points on an n-chart, shape ``(..., n)``."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != n:
+        raise ValueError(f"points must have shape (..., {n}), got {x.shape}")
+    return x
 
 
 def _canonical(key: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -160,7 +168,7 @@ class _SymmetricComponents:
 
     def _values(self, order: int, x) -> np.ndarray:
         fields, index = self._table(order)
-        return np.take(evaluate_fields(fields, x), index, axis=-1)
+        return np.take(evaluate_fields(fields, _as_points(x, self.n)), index, axis=-1)
 
 
 class MetricField(_SymmetricComponents):
@@ -302,7 +310,7 @@ class LeviCivitaConnection(ConnectionField):
 
     def _points(self, x) -> np.ndarray:
         """The jet's points, after starting a new jet unless they equal ``x``."""
-        x = np.asarray(x, dtype=float)
+        x = _as_points(x, self.n)
         if self._x is None or not np.array_equal(x, self._x):
             self._x, self._ginv, self._gamma, self._gamma_partial = x.copy(), None, None, None
         return self._x
@@ -338,11 +346,13 @@ class LeviCivitaConnection(ConnectionField):
 
 
 class RestrictedConnection(ConnectionField):
-    """A connection on the leaf space of a trailing-coordinate span.
+    """A connection on the leaf space of a trailing-coordinate span, as
+    :func:`~walkergeom.distributions.restrict_connection` builds it.
 
-    Evaluates the parent's leading components with the trailing coordinates
-    pinned to zero; only meaningful when the parent passes the projectability
-    check, which makes the pinned values immaterial.
+    Evaluates the parent's leading components at leaf points ``(..., keep)``
+    with the trailing coordinates pinned to zero; only meaningful when the
+    parent passes the projectability check, which makes the pinned values
+    immaterial.
     """
 
     def __init__(self, parent: ConnectionField, keep: int):
@@ -352,7 +362,7 @@ class RestrictedConnection(ConnectionField):
         self.n = keep
 
     def _embed(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
+        y = _as_points(y, self.n)
         return np.concatenate([y, np.zeros(y.shape[:-1] + (self.parent.n - self.n,))], axis=-1)
 
     def gamma(self, y) -> np.ndarray:

@@ -50,3 +50,32 @@ def test_traced_entry_points_are_defined_in_their_owner():
         if name not in vars(owner):
             absent.append(f"{module_name}:{attr}")
     assert absent == []
+
+
+# exported names that no code in src/ uses, each kept on purpose
+UNUSED_IN_SRC = {
+    "curvature_components",  # the full R, the reference for distributions._curvature_block
+    "euler_transport",  # the independent first-order reference for RK4, and a benchmark op
+    "build_riemann_extension",  # the paper's m = 0 construction, on the paper's inputs
+}
+
+
+def _used_in_src():
+    """Names read in the package's modules other than __init__.py: every
+    ``Name`` and ``Attribute``, except inside the top-level definition of
+    that same name (imports and ``__all__`` strings are not reads)."""
+    used = set()
+    for path in INIT.parent.glob("*.py"):
+        if path == INIT:
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute))}
+            used |= names - {getattr(stmt, "name", None)}
+    return used
+
+
+def test_every_export_has_a_use_in_src():
+    exported = {name for _, names in IMPORTS for name in names}
+    assert sorted(UNUSED_IN_SRC - exported) == [], "allowlisted but not exported"
+    assert sorted(exported - _used_in_src() - UNUSED_IN_SRC) == []

@@ -8,14 +8,9 @@ from walkergeom import (
     CheckResult,
     DistributionSpec,
     MetricField,
-    NotProjectableError,
-    RestrictedConnection,
     ScalarField,
     SymbolicConnection,
     build_pullback_extension,
-    canonical_field_parallelism,
-    canonical_vertical_field,
-    check_field_projectable,
     check_null,
     check_parallel,
     check_projectable,
@@ -27,7 +22,6 @@ from walkergeom import (
     killing_operator,
     parse_expression,
     projectability_parts,
-    projected_connection,
     restrict_connection,
     transformation_rule_residual,
     walker_projectability,
@@ -43,7 +37,9 @@ from walkergeom.corpus import (
 )
 from walkergeom.distributions import _reduced
 from walkergeom.sampling import sample_points
+from walkergeom.tensor import RestrictedConnection
 
+from leaf_oracles import canonical_field_parallelism, canonical_vertical_field, check_field_projectable
 from tensor_oracles import covariant_derivative_vector
 
 RNG = np.random.default_rng(99)
@@ -262,15 +258,10 @@ def test_walker_projectability_examples():
 def test_projected_flat_connection_is_flat():
     conn = SymbolicConnection(3)
     dist = DistributionSpec(ChartSplit.two_block(3, 1), 1)
-    proj = projected_connection(conn, dist, RNG.uniform(-1, 1, (10, 3)))
+    assert check_projectable(conn, dist, RNG.uniform(-1, 1, (10, 3))).passes(1e-8)
+    proj = restrict_connection(conn, dist)
     assert proj.n == 2
     assert np.max(np.abs(proj.gamma(np.array([0.2, 0.4])))) == 0.0
-
-
-def test_projected_connection_requires_projectability():
-    conn = SymbolicConnection(2, {(1, 1, 1): "x2"})
-    with pytest.raises(NotProjectableError):
-        projected_connection(conn, dist2(), PTS2)
 
 
 def test_projected_extension_connection_equals_base_data():
@@ -278,7 +269,9 @@ def test_projected_extension_connection_equals_base_data():
     g = build_pullback_extension(spec)
     pts = sample_points(g, 25, seed=10)
     V = DistributionSpec.orthocomplement(g.chart)
-    proj = projected_connection(christoffel(g), V, pts, tolerance=1e-8)
+    conn = christoffel(g)
+    assert check_projectable(conn, V, pts).passes(1e-8)
+    proj = restrict_connection(conn, V)
     base_pts = pts[:, : spec.r]
     diff = proj.gamma(base_pts) - spec.base_connection.gamma(base_pts)
     assert np.max(np.abs(diff)) < 1e-12
@@ -290,7 +283,9 @@ def test_projected_linear_fiber_metric_matches_shortcut():
     g = walker_from_linear_data(1, 2, B={(1, 1, 1): B}, lam={})
     pts = sample_points(g, 20, seed=11)
     V = DistributionSpec.orthocomplement(g.chart)
-    proj = projected_connection(christoffel(g), V, pts)
+    conn = christoffel(g)
+    assert check_projectable(conn, V, pts).passes(1e-8)
+    proj = restrict_connection(conn, V)
     base = np.linspace(-0.9, 0.9, 7)[:, None]
     expected = -0.5 * 2.0 * base[:, 0]
     assert np.allclose(proj.gamma(base)[:, 0, 0, 0], expected, atol=1e-12)

@@ -12,8 +12,6 @@ from walkergeom import (
     SymbolicConnection,
     build_pullback_extension,
     build_riemann_extension,
-    canonical_field_parallelism,
-    canonical_vertical_field,
     check_null,
     check_parallel,
     check_projectable,
@@ -26,6 +24,8 @@ from walkergeom import (
 )
 from walkergeom.corpus import random_extension_spec, random_one_form
 from walkergeom.sampling import sample_points
+
+from leaf_oracles import canonical_field_parallelism, canonical_vertical_field
 
 
 def text_of(g, mu, nu):

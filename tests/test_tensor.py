@@ -17,6 +17,7 @@ from walkergeom import (
     curvature_components,
     curvature_condition,
     parse_expression,
+    restrict_connection,
 )
 from walkergeom.corpus import random_extension_spec, random_metric, random_walker_metric
 from walkergeom.distributions import _curvature_block, _reduced
@@ -267,6 +268,24 @@ def test_component_tables_match_per_slot_oracle():
 def test_metric_rejects_conflicting_symmetric_entries():
     with pytest.raises(ValueError):
         MetricField(two_block(2), {(1, 2): "x1", (2, 1): "x2"})
+
+
+def test_points_of_the_wrong_width_are_refused():
+    # three-block, n = 4, r = 1; the leaf space of the orthocomplement is 1-dimensional,
+    # and its Gamma depends on the trailing coordinate x4 unless that is pinned
+    g = MetricField(ChartSplit.three_block(4, 1),
+                    {(1, 1): "3*x2*x4", (1, 4): 1.0, (2, 2): 1.0, (3, 3): 1.0})
+    D = SymbolicConnection(2, {(1, 1, 1): "x1*x2"})
+    conn = christoffel(g)
+    leaf = restrict_connection(christoffel(g), DistributionSpec.orthocomplement(g.chart))
+    pts = np.random.default_rng(44).uniform(-1, 1, (5, 5))
+    jet = conn.gamma(pts[:, :4])
+    for f, n in [(g.value, 4), (D.gamma, 2), (conn.gamma, 4), (leaf.gamma, 1)]:
+        assert f(pts[:, :n]).shape[0] == 5
+        for x in (pts[:, :n - 1], pts[:, :n + 1], pts[0, :n + 1]):
+            with pytest.raises(ValueError, match=rf"\(\.\.\., {n}\)"):
+                f(x)
+    assert conn.gamma(pts[:, :4]) is jet  # a refused call keeps the jet
 
 
 # ---------------------------------------------------------------------------
