@@ -30,7 +30,7 @@ from typing import List, Optional
 import numpy as np
 
 from .chart import ChartSplit
-from .tensor import ConnectionField, MetricField, RestrictedConnection
+from .tensor import ConnectionField, MetricField, RestrictedConnection, _point_blocks
 
 __all__ = [
     "DistributionSpec",
@@ -162,21 +162,27 @@ def _curvature_block(conn: ConnectionField, dist: DistributionSpec, points) -> n
         d_mu Gamma^i_{a nu} - d_a Gamma^i_{mu nu}
         + Gamma^i_{mu p} Gamma^p_{a nu} - Gamma^i_{a p} Gamma^p_{mu nu},
 
-    built in a fresh ``[..., a, i, mu, nu]`` array (the jet's arrays are
-    read-only)."""
+    formed one block of points at a time (``tensor.JET_BLOCK``), each in a
+    fresh ``[..., a, i, mu, nu]`` array (the jet's arrays are read-only) and
+    written into the one result."""
     G, dG = conn.gamma(points), conn.gamma_partial(points)
     lead, trail, n, s = dist.leading, dist.trailing, dist.n, dist.s
     base, r = G.shape[:-3], n - s
-    # Gamma^i_{mu p} Gamma^p_{a nu}: [i mu, p] @ [a][p, nu]
-    right = np.ascontiguousarray(np.einsum("...pav->...apv", G[..., trail, :]))
-    block = np.matmul(G[..., lead, :, :].reshape(base + (1, r * n, n)), right)
-    # Gamma^i_{a p} Gamma^p_{mu nu}: [a i, p] @ [p, mu nu]
-    left = np.einsum("...iap->...aip", G[..., lead, trail, :]).reshape(base + (s * r, n))
-    block -= np.matmul(left, G.reshape(base + (n, n * n))).reshape(block.shape)
-    block = block.reshape(base + (s, r, n, n))
-    block += np.einsum("...miav->...aimv", dG[..., lead, trail, :])
-    block -= dG[..., trail, lead, :, :]
-    return np.einsum("...aimv->...amvi", block)
+    G, dG = G.reshape((-1,) + G.shape[-3:]), dG.reshape((-1,) + dG.shape[-4:])
+    out = np.empty((len(G), s, n, n, r))
+    for at in _point_blocks(len(G), n ** 4):
+        g, dg = G[at], dG[at]
+        # Gamma^i_{mu p} Gamma^p_{a nu}: [i mu, p] @ [a][p, nu]
+        right = np.ascontiguousarray(np.einsum("...pav->...apv", g[..., trail, :]))
+        block = np.matmul(g[..., lead, :, :].reshape(-1, 1, r * n, n), right)
+        # Gamma^i_{a p} Gamma^p_{mu nu}: [a i, p] @ [p, mu nu]
+        left = np.einsum("...iap->...aip", g[..., lead, trail, :]).reshape(-1, s * r, n)
+        block -= np.matmul(left, g.reshape(-1, n, n * n)).reshape(block.shape)
+        block = block.reshape(-1, s, r, n, n)
+        block += np.einsum("...miav->...aimv", dg[..., lead, trail, :])
+        block -= dg[..., trail, lead, :, :]
+        out[at] = np.einsum("...aimv->...amvi", block)
+    return out.reshape(base + out.shape[1:])
 
 
 def curvature_condition(conn: ConnectionField, dist: DistributionSpec, points) -> CheckResult:
@@ -221,10 +227,10 @@ def walker_projectability(g: MetricField, points) -> CheckResult:
     chart = g.chart
     if chart.mode != "three_block":
         raise ValueError("walker_projectability requires a metric on a three-block chart")
-    d2 = g.second_partial_value(points)
     lead, mid, trail = chart.leading, chart.middle, chart.trailing
-    return _reduced("walker_projectability", points,
-                    d2[..., trail, trail, lead, lead], d2[..., trail, mid, lead, lead])
+    # only the two slot blocks of d^2 g the criterion reads
+    return _reduced("walker_projectability", points, *g._slot_blocks(
+        2, points, (trail, trail, lead, lead), (trail, mid, lead, lead)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,18 @@ coordinate partials entering Christoffel symbols and curvature are exact;
 floating point enters only through point evaluation and through the inverse
 metric, which is solved numerically at the evaluation points rather than
 symbolically.  A :class:`LeviCivitaConnection` holds its own jet: a copy of
-the last point set it was asked about and the inverse metric, Gamma and
-d Gamma there, each computed on first use; calls on points equal to that set
-by value reuse it, so the checks of one suite on one sample share one
-Gamma / d Gamma evaluation.  A metric is singular at a point where
-``|det g|`` is below :data:`DET_FLOOR`; the constant block ``[g_ia]`` that
+the last point set it was asked about and the inverse metric, the order-1
+first-kind sums, Gamma and d Gamma there, each computed on first use; calls
+on points equal to that set by value reuse it, so the checks of one suite on
+one sample share one Gamma / d Gamma evaluation and one lowering of each
+order.  Over all points the jet materializes g^{-1}, Gamma, d Gamma and
+the order-1 field values and first-kind sums, and, while d Gamma is formed,
+the order-2 sums (a few hundred numbers per point at n = 8).  The dense dg,
+Gamma_{m,jk} and d_u Gamma_{m,jk} that Gamma and d Gamma are formed from
+exist only for one block of points at a time, ``max(1, JET_BLOCK // n**4)``
+points for d Gamma and ``max(1, JET_BLOCK // n**3)`` for Gamma, and d^2 g is
+never laid out, so the jet's peak memory is one d Gamma.  A metric is
+singular at a point where ``|det g|`` is below :data:`DET_FLOOR`; the constant block ``[g_ia]`` that
 :mod:`walkergeom.extensions` inverts is held to the same floor.
 
 Curvature comes as a batched array: :func:`curvature_components` gives
@@ -65,6 +72,11 @@ __all__ = [
 # |det| below this counts as singular
 DET_FLOOR = 1e-12
 
+# entries per point block of the Levi-Civita jet and the curvature-condition
+# block (points x n^4 for d Gamma): 512 KB of doubles, so a block's operands
+# stay in cache
+JET_BLOCK = 2 ** 16
+
 
 class SingularMetricError(ValueError):
     """The metric determinant fell below the floor at an evaluation point."""
@@ -76,6 +88,13 @@ def _as_points(x, n: int) -> np.ndarray:
     if x.ndim == 0 or x.shape[-1] != n:
         raise ValueError(f"points must have shape (..., {n}), got {x.shape}")
     return x
+
+
+def _point_blocks(count: int, entries: int) -> list:
+    """Slices of ``range(count)`` of ``max(1, JET_BLOCK // entries)`` points
+    each (the last may be shorter), for arrays of ``entries`` per point."""
+    step = max(1, JET_BLOCK // entries)
+    return [slice(start, start + step) for start in range(0, count, step)]
 
 
 def _canonical(key: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -167,8 +186,15 @@ class _SymmetricComponents:
         return self._tables[order]
 
     def _values(self, order: int, x) -> np.ndarray:
+        return self._slot_blocks(order, x, ())[0]
+
+    def _slot_blocks(self, order: int, x, *blocks) -> list:
+        """The order's table at ``x`` over each slot block of ``blocks`` (a
+        tuple indexing the dense slot axes; ``()`` is the whole table), one
+        array per block, all gathered from one evaluation of the fields."""
         fields, index = self._table(order)
-        return np.take(evaluate_fields(fields, _as_points(x, self.n)), index, axis=-1)
+        v = evaluate_fields(fields, _as_points(x, self.n))
+        return [np.take(v, index[block], axis=-1) for block in blocks]
 
 
 class MetricField(_SymmetricComponents):
@@ -191,30 +217,38 @@ class MetricField(_SymmetricComponents):
         """All second partials; ``[..., i, j, mu, nu] = d_i d_j g_{mu nu}``."""
         return self._values(2, x)
 
-    def _first_kind(self, order: int, x):
-        """Gamma_{m,jk} = (1/2)(d_j g_{mk} + d_k g_{jm} - d_m g_{jk}) at ``x``,
-        ``[..., m, j, k]`` (order 1), or its partials ``[..., u, m, j, k]`` =
-        d_u Gamma_{m,jk} (order 2); also returns the values of the order's
-        distinct fields, ``evaluate_fields(fields, x)``, they were formed from.
-
-        The terms are added per distinct triple of table fields, (A + B) - C
-        then halved, and one take lays the triples out over the dense slots;
-        the triple table is built on first use, like the order's table.
-        """
-        fields, index = self._table(order)
+    def _triple_table(self, order: int):
+        """The distinct triples of the order's table fields behind the first
+        kind, ``(a, b, c)`` (field positions of d_j g_{mk}, d_k g_{jm} and
+        d_m g_{jk}), and the ``intp`` index of each dense slot ``[m, j, k]``
+        (order 1) or ``[u, m, j, k]`` (order 2) in that list; built on first
+        use, like the order's table."""
         if order not in self._triples:
-            # the fields of d_j g_{mk}, d_k g_{jm} and d_m g_{jk} at slot [m, j, k]
+            fields, index = self._table(order)
             a = np.einsum("...jmk->...mjk", index)
             b = np.einsum("...kjm->...mjk", index)
             f = len(fields)
             key, at = np.unique((a * f + b) * f + index, return_inverse=True)
             self._triples[order] = (key // (f * f), key // f % f, key % f), at.reshape(index.shape)
-        (a, b, c), at = self._triples[order]
+        return self._triples[order]
+
+    def _first_kind_sums(self, order: int, x):
+        """The values of the order's distinct fields at ``x``,
+        ``evaluate_fields(fields, x)``, and the first-kind sums formed from
+        them, one per distinct triple: (1/2)((A + B) - C), terms in that order.
+
+        Gamma_{m,jk} = (1/2)(d_j g_{mk} + d_k g_{jm} - d_m g_{jk}) at ``x``
+        (order 1), or its partials d_u Gamma_{m,jk} (order 2), is
+        ``np.take(sums, self._triple_table(order)[1], axis=-1)``, and the
+        order's dense table is ``np.take(values, self._table(order)[1], axis=-1)``.
+        """
+        fields, _ = self._table(order)
+        (a, b, c), _ = self._triple_table(order)
         v = evaluate_fields(fields, x)
         w = np.take(v, a, axis=-1) + np.take(v, b, axis=-1)
         w -= np.take(v, c, axis=-1)
         w *= 0.5
-        return np.take(w, at, axis=-1), v
+        return v, w
 
     def inverse_value(self, x) -> np.ndarray:
         g = self.value(x)
@@ -269,6 +303,11 @@ class SymbolicConnection(ConnectionField, _SymmetricComponents):
         return self._values(1, x)
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """``a`` with its point axes flattened: one row per point."""
+    return a.reshape(-1, a.shape[-1])
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -288,31 +327,41 @@ class LeviCivitaConnection(ConnectionField):
 
         d_u Gamma = g^{-1} d_u(low) + d_u(g^{-1}) low,   low = Gamma_{m,jk}.
 
-    ``low`` and d_u(low) are lowered by index (``MetricField._first_kind``):
-    formed once per distinct triple of the metric's order-1 and order-2
-    fields and gathered over the dense slots, so d^2 g itself is never laid
-    out; both products are plain ``matmul`` over ``(n, n^2)`` views.
+    ``low`` and d_u(low) are lowered by index
+    (``MetricField._first_kind_sums``): formed once per distinct triple of the
+    metric's order-1 and order-2 fields, over all points, and gathered over
+    the dense slots.  Both products are plain ``matmul`` over ``(n, n^2)``
+    views.
 
     The connection holds the jet of the last point set it was asked about: a
-    copy of the points, and g^{-1}, Gamma and d Gamma there, each computed on
+    copy of the points, g^{-1}, the order-1 field values and first-kind sums
+    (shared by Gamma and d Gamma), Gamma and d Gamma there, each computed on
     first use.  A later call whose points equal that copy by value (same
     shape, equal entries; points changed in place since do not match) reuses
     it, so checks that share their sample points share one evaluation.
     Arrays returned from the jet are read-only, C-contiguous and have the
-    point axes first.  The partials of g are evaluated again where needed
-    rather than kept.
+    point axes first.
+
+    Per point, d Gamma has n^4 entries.  It is formed one block of
+    ``max(1, JET_BLOCK // n**4)`` points at a time, straight into the one
+    d Gamma array: dense dg, ``low`` and d_u(low) exist only per block, and
+    d^2 g is never laid out, so the jet's peak memory is one d Gamma.  Gamma
+    (n^3 entries per point) is formed from ``low`` in blocks of
+    ``max(1, JET_BLOCK // n**3)`` points the same way.  Every point's
+    products are the same small GEMMs whatever its block.
     """
 
     def __init__(self, metric: MetricField):
         self.metric = metric
         self.n = metric.n
-        self._x = self._ginv = self._gamma = self._gamma_partial = None
+        self._x = self._ginv = self._sums = self._gamma = self._gamma_partial = None
 
     def _points(self, x) -> np.ndarray:
         """The jet's points, after starting a new jet unless they equal ``x``."""
         x = _as_points(x, self.n)
         if self._x is None or not np.array_equal(x, self._x):
-            self._x, self._ginv, self._gamma, self._gamma_partial = x.copy(), None, None, None
+            self._x = x.copy()
+            self._ginv = self._sums = self._gamma = self._gamma_partial = None
         return self._x
 
     def _inverse(self) -> np.ndarray:
@@ -320,28 +369,43 @@ class LeviCivitaConnection(ConnectionField):
             self._ginv = self.metric.inverse_value(self._x)
         return self._ginv
 
+    def _first_kind(self):
+        """The order-1 field values and first-kind sums at the jet's points,
+        one row per point."""
+        if self._sums is None:
+            self._sums = tuple(map(_rows, self.metric._first_kind_sums(1, self._x)))
+        return self._sums
+
     def gamma(self, x) -> np.ndarray:
         x = self._points(x)
         if self._gamma is None:
-            low, _ = self.metric._first_kind(1, x)
-            shape, n = low.shape, self.n
-            self._gamma = _frozen(np.matmul(self._inverse(), low.reshape(shape[:-2] + (n * n,)))
-                                  .reshape(shape))
+            n, w1 = self.n, self._first_kind()[1]
+            ginv = self._inverse().reshape(-1, n, n)
+            low_at = self.metric._triple_table(1)[1].reshape(n, n * n)
+            out = np.empty((len(ginv), n, n * n))
+            for block in _point_blocks(len(ginv), n ** 3):
+                np.matmul(ginv[block], np.take(w1[block], low_at, axis=-1), out=out[block])
+            self._gamma = _frozen(out.reshape(x.shape[:-1] + (n,) * 3))
         return self._gamma
 
     def gamma_partial(self, x) -> np.ndarray:
         x = self._points(x)
         if self._gamma_partial is None:
-            ginv, n = self._inverse()[..., None, :, :], self.n
-            low, v = self.metric._first_kind(1, x)
-            dg = np.take(v, self.metric._table(1)[1], axis=-1)
-            # d_u(low) straight from the second-partial fields, freed on return
-            dlow, _ = self.metric._first_kind(2, x)
-            out = np.matmul(ginv, dlow.reshape(dlow.shape[:-2] + (n * n,)))
-            del dlow
-            dginv = -np.matmul(np.matmul(ginv, dg), ginv)  # d_u(g^{-1})
-            out += np.matmul(dginv, low.reshape(low.shape[:-3] + (1, n, n * n)))
-            self._gamma_partial = _frozen(out.reshape(out.shape[:-1] + (n, n)))
+            metric, n = self.metric, self.n
+            ginv = self._inverse().reshape(-1, 1, n, n)
+            v1, w1 = self._first_kind()
+            w2 = _rows(metric._first_kind_sums(2, x)[1])
+            dg_at, low_at = metric._table(1)[1], metric._triple_table(1)[1]
+            dlow_at = metric._triple_table(2)[1].reshape(n, n, n * n)
+            out = np.empty((len(ginv), n, n, n * n))
+            for block in _point_blocks(len(ginv), n ** 4):
+                gi = ginv[block]
+                np.matmul(gi, np.take(w2[block], dlow_at, axis=-1), out=out[block])
+                # d_u(g^{-1}) = -g^{-1} (d_u g) g^{-1}
+                dginv = -np.matmul(np.matmul(gi, np.take(v1[block], dg_at, axis=-1)), gi)
+                low = np.take(w1[block], low_at, axis=-1).reshape(-1, 1, n, n * n)
+                out[block] += np.matmul(dginv, low)
+            self._gamma_partial = _frozen(out.reshape(x.shape[:-1] + (n,) * 4))
         return self._gamma_partial
 
 

@@ -79,3 +79,17 @@ def test_every_export_has_a_use_in_src():
     exported = {name for _, names in IMPORTS for name in names}
     assert sorted(UNUSED_IN_SRC - exported) == [], "allowlisted but not exported"
     assert sorted(exported - _used_in_src() - UNUSED_IN_SRC) == []
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_quickstart_runs(capsys):
+    # the README's library quickstart, as a reader would paste it: a renamed
+    # or removed export breaks it here
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Library quickstart"):]
+    start = section.index("```python\n") + len("```python\n")
+    code = section[start:section.index("```", start)]
+    exec(compile(code, str(README), "exec"), {"__name__": "readme_quickstart"})
+    assert float(capsys.readouterr().out) <= 1e-12

@@ -18,11 +18,13 @@ from walkergeom import (
     curvature_condition,
     parse_expression,
     restrict_connection,
+    walker_projectability,
 )
 from walkergeom.corpus import random_extension_spec, random_metric, random_walker_metric
 from walkergeom.distributions import _curvature_block, _reduced
 from walkergeom.expr import evaluate_fields
 from walkergeom.sampling import sample_points
+from walkergeom.tensor import JET_BLOCK
 
 from tensor_oracles import (
     covariant_derivative_metric_residual,
@@ -359,7 +361,9 @@ def test_first_kind_lowering_matches_dense_terms(g):
             # Gamma_{m,jk} = (1/2)((d_j g_mk + d_k g_jm) - d_m g_jk), term order kept
             want = 0.5 * ((np.einsum("...jmk->...mjk", dense) + np.einsum("...kjm->...mjk", dense))
                           - dense)
-            low, _ = g._first_kind(order, x)
+            v, w = g._first_kind_sums(order, x)
+            assert np.array_equal(np.take(v, g._table(order)[1], axis=-1), dense)
+            low = np.take(w, g._triple_table(order)[1], axis=-1)
             assert np.array_equal(low, want)
         # point axes first and C-contiguous: no transposed view reaches a caller
         conn = christoffel(g)
@@ -405,6 +409,75 @@ def test_curvature_block_matches_full_curvature(g, dist):
         assert np.array_equal(got, before)
 
 
+def _unblocked_jet(g, x):
+    """Gamma and d Gamma over all points at once, from the dense first and
+    second partials, with the jet's operands and term order."""
+    n = g.n
+    ginv, dg, d2g = g.inverse_value(x), g.partial_value(x), g.second_partial_value(x)
+    low = 0.5 * ((np.einsum("...jmk->...mjk", dg) + np.einsum("...kjm->...mjk", dg)) - dg)
+    dlow = 0.5 * ((np.einsum("...ujmk->...umjk", d2g) + np.einsum("...ukjm->...umjk", d2g)) - d2g)
+    gamma = np.matmul(ginv, low.reshape(low.shape[:-2] + (n * n,))).reshape(low.shape)
+    ginv = ginv[..., None, :, :]
+    out = np.matmul(ginv, dlow.reshape(dlow.shape[:-2] + (n * n,)))
+    dginv = -np.matmul(np.matmul(ginv, dg), ginv)
+    out += np.matmul(dginv, low.reshape(low.shape[:-3] + (1, n, n * n)))
+    return gamma, out.reshape(out.shape[:-1] + (n, n))
+
+
+def _unblocked_curvature_block(G, dG, dist):
+    """R_{a mu nu}{}^i over all points at once, by the four-term formula of
+    ``_curvature_block`` with its operands and term order."""
+    lead, trail, n, s = dist.leading, dist.trailing, dist.n, dist.s
+    base, r = G.shape[:-3], n - s
+    right = np.ascontiguousarray(np.einsum("...pav->...apv", G[..., trail, :]))
+    block = np.matmul(G[..., lead, :, :].reshape(base + (1, r * n, n)), right)
+    left = np.einsum("...iap->...aip", G[..., lead, trail, :]).reshape(base + (s * r, n))
+    block -= np.matmul(left, G.reshape(base + (n, n * n))).reshape(block.shape)
+    block = block.reshape(base + (s, r, n, n))
+    block += np.einsum("...miav->...aimv", dG[..., lead, trail, :])
+    block -= dG[..., trail, lead, :, :]
+    return np.einsum("...aimv->...amvi", block)
+
+
+BLOCK_METRICS = _jet_metrics()[1:] + [random_walker_metric(np.random.default_rng(45), 2, 1)]
+
+
+@pytest.mark.parametrize("g", BLOCK_METRICS, ids=["ext22", "ext32", "two_block", "walker"])
+def test_blocked_jet_matches_unblocked_formulas(g):
+    # N = 1, B - 1, B, B + 1 and 3B + 5 points for the block sizes B of d Gamma
+    # and of Gamma, a single point and (2, B + 1, n) batches: every block
+    # boundary gives the bits of the formulas over all points at once
+    n = g.n
+    sizes = [max(1, JET_BLOCK // n ** 4), max(1, JET_BLOCK // n ** 3)]
+    pts = sample_points(g, 3 * max(sizes) + 5, seed=n)
+    batches = [pts[0]]
+    for B in sizes:
+        batches += [pts[:N] for N in (1, B - 1, B, B + 1, 3 * B + 5) if N > 0]
+        batches.append(pts[:2 * B + 2].reshape(2, B + 1, n))
+    dists = [DistributionSpec.null_block(g.chart)]
+    if g.chart.mode == "three_block":
+        dists.append(DistributionSpec.orthocomplement(g.chart))
+    for x in batches:
+        conn = christoffel(g)
+        G, dG = conn.gamma(x), conn.gamma_partial(x)
+        want_G, want_dG = _unblocked_jet(g, x)
+        assert np.array_equal(G, want_G)
+        assert np.array_equal(dG, want_dG)
+        for dist in dists:
+            assert np.array_equal(_curvature_block(conn, dist, x),
+                                  _unblocked_curvature_block(G, dG, dist))
+        if g.chart.mode == "three_block":
+            lead, mid, trail = g.chart.leading, g.chart.middle, g.chart.trailing
+            d2 = g.second_partial_value(x)
+            blocks = [(trail, trail, lead, lead), (trail, mid, lead, lead)]
+            for got, block in zip(g._slot_blocks(2, x, *blocks), blocks):
+                assert np.array_equal(got, d2[(...,) + block])
+            want = _reduced("walker_projectability", x, *(d2[(...,) + b] for b in blocks))
+            got = walker_projectability(g, x)
+            assert got.residual == want.residual
+            assert np.array_equal(got.worst_point, want.worst_point)
+
+
 @pytest.mark.parametrize("checks", [
     None,
     # projected_connection evaluates Gamma at the padded base points in between
@@ -413,12 +486,16 @@ def test_curvature_block_matches_full_curvature(g, dist):
 def test_default_extension_suite_shares_one_jet(tmp_path, monkeypatch, checks):
     # d Gamma is lowered from the order-2 table without laying out d^2 g, so
     # its builds are counted at the order-2 lowering
-    calls = {"inverse_value": 0, "second_partial_value": 0, "_first_kind": 0}
-    for name in calls:
+    calls = {"inverse_value": 0, "second_partial_value": 0}
+    lowered = []  # (order, points) of every first-kind lowering
+    for name in (*calls, "_first_kind_sums"):
         original = getattr(MetricField, name)
 
         def counted(self, *args, _original=original, _name=name, **kwargs):
-            calls[_name] += _name != "_first_kind" or args[0] == 2
+            if _name == "_first_kind_sums":
+                lowered.append((args[0], np.asarray(args[1]).tobytes()))
+            else:
+                calls[_name] += 1
             return _original(self, *args, **kwargs)
 
         monkeypatch.setattr(MetricField, name, counted)
@@ -433,4 +510,9 @@ def test_default_extension_suite_shares_one_jet(tmp_path, monkeypatch, checks):
     # the sample points, then the base points of projected_connection
     assert calls["inverse_value"] <= 2
     assert calls["second_partial_value"] <= 2
-    assert calls["_first_kind"] == 1
+    # one order-1 and one order-2 lowering on the sample points, shared by
+    # Gamma and d Gamma; the padded base points of projected_connection get
+    # one order-1 lowering of their own
+    (sample,) = [x for order, x in lowered if order == 2]
+    assert sorted(order for order, x in lowered if x == sample) == [1, 2]
+    assert sorted(order for order, x in lowered if x != sample) == [1]
