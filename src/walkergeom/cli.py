@@ -20,6 +20,7 @@ identical bytes.  Exit status is 0 exactly when the suite verdict is pass.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -572,7 +573,9 @@ def _emit(text: str, output: Optional[str]):
         sys.stdout.write(text)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="walkergeom",
         description="Residual checks for adapted-form metrics and extension builders.",
@@ -595,7 +598,11 @@ def main(argv=None) -> int:
             default="report-text",
             dest="fmt",
         )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         spec = load_spec(args.spec)

@@ -139,7 +139,7 @@ def projectability_parts(
     return (
         _reduced("projectable_parallel_part", points, conn.gamma(points)[..., lead, trail, :]),
         _reduced("projectable_derivative_part", points,
-                 conn.gamma_partial(points)[..., trail, lead, lead, lead]),
+                 conn.gamma_partial(points, (trail, lead, lead, lead))),
     )
 
 
@@ -154,24 +154,28 @@ def check_projectable(conn: ConnectionField, dist: DistributionSpec, points) -> 
     return replace(part1 if part1.residual >= part2.residual else part2, name="projectable")
 
 
-def _curvature_block(conn: ConnectionField, dist: DistributionSpec, points) -> np.ndarray:
-    """R_{a mu nu}{}^i (a trailing, i leading), ``[..., a, mu, nu, i]``: only
-    the block of :func:`~walkergeom.tensor.curvature_components` the
-    curvature condition reads, by the four-term formula
+def curvature_condition(conn: ConnectionField, dist: DistributionSpec, points) -> CheckResult:
+    """Residual of the curvature condition: max |R_{a mu nu}{}^i| (a trailing,
+    i leading), the block of :func:`~walkergeom.tensor.curvature_components`
+    given by the four-term formula
 
         d_mu Gamma^i_{a nu} - d_a Gamma^i_{mu nu}
-        + Gamma^i_{mu p} Gamma^p_{a nu} - Gamma^i_{a p} Gamma^p_{mu nu},
+        + Gamma^i_{mu p} Gamma^p_{a nu} - Gamma^i_{a p} Gamma^p_{mu nu}.
 
+    Only the two slot blocks of d Gamma the formula reads are gathered.  R is
     formed one block of points at a time (``tensor.JET_BLOCK``), each in a
-    fresh ``[..., a, i, mu, nu]`` array (the jet's arrays are read-only) and
-    written into the one result."""
-    G, dG = conn.gamma(points), conn.gamma_partial(points)
+    fresh ``[..., a, i, mu, nu]`` array (the jet's arrays are read-only), and
+    only each point's largest |entry| is kept."""
     lead, trail, n, s = dist.leading, dist.trailing, dist.n, dist.s
+    G = conn.gamma(points)
     base, r = G.shape[:-3], n - s
-    G, dG = G.reshape((-1,) + G.shape[-3:]), dG.reshape((-1,) + dG.shape[-4:])
-    out = np.empty((len(G), s, n, n, r))
+    # d_mu Gamma^i_{a nu} as [mu, i, a, nu] and d_a Gamma^i_{mu nu} as [a, i, mu, nu]
+    dG_mu = conn.gamma_partial(points, (slice(None), lead, trail)).reshape(-1, n, r, s, n)
+    dG_a = conn.gamma_partial(points, (trail, lead)).reshape(-1, s, r, n, n)
+    G = G.reshape(-1, n, n, n)
+    per_point = np.empty(len(G))
     for at in _point_blocks(len(G), n ** 4):
-        g, dg = G[at], dG[at]
+        g = G[at]
         # Gamma^i_{mu p} Gamma^p_{a nu}: [i mu, p] @ [a][p, nu]
         right = np.ascontiguousarray(np.einsum("...pav->...apv", g[..., trail, :]))
         block = np.matmul(g[..., lead, :, :].reshape(-1, 1, r * n, n), right)
@@ -179,15 +183,10 @@ def _curvature_block(conn: ConnectionField, dist: DistributionSpec, points) -> n
         left = np.einsum("...iap->...aip", g[..., lead, trail, :]).reshape(-1, s * r, n)
         block -= np.matmul(left, g.reshape(-1, n, n * n)).reshape(block.shape)
         block = block.reshape(-1, s, r, n, n)
-        block += np.einsum("...miav->...aimv", dg[..., lead, trail, :])
-        block -= dg[..., trail, lead, :, :]
-        out[at] = np.einsum("...aimv->...amvi", block)
-    return out.reshape(base + out.shape[1:])
-
-
-def curvature_condition(conn: ConnectionField, dist: DistributionSpec, points) -> CheckResult:
-    """Residual of the curvature condition: max |R_{a mu nu}{}^i|."""
-    return _reduced("curvature_condition", points, _curvature_block(conn, dist, points))
+        block += np.einsum("...miav->...aimv", dG_mu[at])
+        block -= dG_a[at]
+        per_point[at] = np.max(np.abs(block), axis=(1, 2, 3, 4), initial=0.0)
+    return _reduced("curvature_condition", points, per_point.reshape(base))
 
 
 def check_walker_form(g: MetricField, points) -> List[CheckResult]:

@@ -9,13 +9,16 @@ the last point set it was asked about and the inverse metric, the order-1
 first-kind sums, Gamma and d Gamma there, each computed on first use; calls
 on points equal to that set by value reuse it, so the checks of one suite on
 one sample share one Gamma / d Gamma evaluation and one lowering of each
-order.  Over all points the jet materializes g^{-1}, Gamma, d Gamma and
-the order-1 field values and first-kind sums, and, while d Gamma is formed,
-the order-2 sums (a few hundred numbers per point at n = 8).  The dense dg,
+order.  Over all points the jet materializes g^{-1}, Gamma and d Gamma
+compressed to one column per stored lower pair (see
+:class:`LeviCivitaConnection`), the order-1 field values and first-kind sums
+until both Gamma and d Gamma exist, and, while d Gamma is formed, the order-2
+sums (a few hundred numbers per point at n = 8).  The dense dg,
 Gamma_{m,jk} and d_u Gamma_{m,jk} that Gamma and d Gamma are formed from
 exist only for one block of points at a time, ``max(1, JET_BLOCK // n**4)``
 points for d Gamma and ``max(1, JET_BLOCK // n**3)`` for Gamma, and d^2 g is
-never laid out, so the jet's peak memory is one d Gamma.  A metric is
+never laid out, so the jet's peak memory is one compressed d Gamma; a
+reader gathers only the slot block of d Gamma it asks for.  A metric is
 singular at a point where ``|det g|`` is below :data:`DET_FLOOR`; the constant block ``[g_ia]`` that
 :mod:`walkergeom.extensions` inverts is held to the same floor.
 
@@ -83,10 +86,13 @@ class SingularMetricError(ValueError):
 
 
 def _as_points(x, n: int) -> np.ndarray:
-    """``x`` as a float array of points on an n-chart, shape ``(..., n)``."""
+    """``x`` as a float array of points on an n-chart, shape ``(..., n)``,
+    holding at least one point."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != n:
         raise ValueError(f"points must have shape (..., {n}), got {x.shape}")
+    if x.size == 0:
+        raise ValueError(f"points must hold at least one point, got shape {x.shape}")
     return x
 
 
@@ -204,6 +210,7 @@ class MetricField(_SymmetricComponents):
         super().__init__(chart.n, components, 2, "g")
         self.chart = chart
         self._triples = {}
+        self._columns = None
 
     def value(self, x) -> np.ndarray:
         """Component matrix, shape ``x.shape[:-1] + (n, n)``."""
@@ -231,6 +238,37 @@ class MetricField(_SymmetricComponents):
             key, at = np.unique((a * f + b) * f + index, return_inverse=True)
             self._triples[order] = (key // (f * f), key // f % f, key % f), at.reshape(index.shape)
         return self._triples[order]
+
+    def _pair_columns(self):
+        """The lower-pair columns of the Levi-Civita d Gamma, built on first use.
+
+        A pair ``(j, k)``, ``j <= k``, gets a column unless the first-kind
+        sums of every order-1 slot ``[m, j, k]`` and order-2 slot
+        ``[u, m, j, k]`` come from structurally zero fields only; all such
+        pairs share one last column, where they all read the sum of three
+        zero fields, +0.  Returns the flat slot ``j * n + k`` that each
+        column is formed from and the ``(n, n)`` ``intp`` map of every
+        lower slot to its column.
+        """
+        if self._columns is None:
+            n = self.n
+            zero = np.ones((n, n), dtype=bool)
+            for order in (1, 2):
+                fields, _ = self._table(order)
+                (a, b, c), at = self._triple_table(order)
+                field_zero = np.array([f.is_zero for f in fields])
+                slot_zero = (field_zero[a] & field_zero[b] & field_zero[c])[at]
+                zero &= np.all(slot_zero.reshape(-1, n, n), axis=0)
+            j, k = np.triu_indices(n)
+            j, k = j[~zero[j, k]], k[~zero[j, k]]
+            slots = list(j * n + k)
+            columns = np.empty((n, n), dtype=np.intp)
+            columns[j, k] = columns[k, j] = np.arange(len(slots))
+            if zero.any():
+                columns[zero] = len(slots)
+                slots.append(np.flatnonzero(zero)[0])
+            self._columns = np.array(slots, dtype=np.intp), columns
+        return self._columns
 
     def _first_kind_sums(self, order: int, x):
         """The values of the order's distinct fields at ``x``,
@@ -285,8 +323,13 @@ class ConnectionField:
         """Values, shape ``x.shape[:-1] + (n, n, n)`` indexed ``[l, j, k]``."""
         raise NotImplementedError
 
-    def gamma_partial(self, x) -> np.ndarray:
-        """Partials, shape ``x.shape[:-1] + (n, n, n, n)``, ``[mu, l, j, k]``."""
+    def gamma_partial(self, x, block=()) -> np.ndarray:
+        """Partials, shape ``x.shape[:-1] + (n, n, n, n)``, ``[mu, l, j, k]``.
+
+        ``block``, a tuple of up to four slices or integers indexing the slot
+        axes ``[mu, l, j, k]`` from the front, asks for that slot block
+        only: ``gamma_partial(x)[(slice(None),) * (x.ndim - 1) + block]``.
+        """
         raise NotImplementedError
 
 
@@ -299,8 +342,8 @@ class SymbolicConnection(ConnectionField, _SymmetricComponents):
     def gamma(self, x) -> np.ndarray:
         return self._values(0, x)
 
-    def gamma_partial(self, x) -> np.ndarray:
-        return self._values(1, x)
+    def gamma_partial(self, x, block=()) -> np.ndarray:
+        return self._slot_blocks(1, x, block)[0]
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -330,38 +373,50 @@ class LeviCivitaConnection(ConnectionField):
     ``low`` and d_u(low) are lowered by index
     (``MetricField._first_kind_sums``): formed once per distinct triple of the
     metric's order-1 and order-2 fields, over all points, and gathered over
-    the dense slots.  Both products are plain ``matmul`` over ``(n, n^2)``
+    the slots.  Both products are plain ``matmul`` over ``(n, columns)``
     views.
 
     The connection holds the jet of the last point set it was asked about: a
     copy of the points, g^{-1}, the order-1 field values and first-kind sums
-    (shared by Gamma and d Gamma), Gamma and d Gamma there, each computed on
-    first use.  A later call whose points equal that copy by value (same
-    shape, equal entries; points changed in place since do not match) reuses
-    it, so checks that share their sample points share one evaluation.
-    Arrays returned from the jet are read-only, C-contiguous and have the
-    point axes first.
+    (shared by Gamma and d Gamma, and dropped once both exist), Gamma and
+    d Gamma there, each computed on first use.  A later call whose points
+    equal that copy by value (same shape, equal entries; points changed in
+    place since do not match) reuses it, so checks that share their sample
+    points share one evaluation.  Arrays returned from the jet are read-only,
+    C-contiguous and have the point axes first.
 
-    Per point, d Gamma has n^4 entries.  It is formed one block of
-    ``max(1, JET_BLOCK // n**4)`` points at a time, straight into the one
-    d Gamma array: dense dg, ``low`` and d_u(low) exist only per block, and
-    d^2 g is never laid out, so the jet's peak memory is one d Gamma.  Gamma
-    (n^3 entries per point) is formed from ``low`` in blocks of
-    ``max(1, JET_BLOCK // n**3)`` points the same way.  Every point's
-    products are the same small GEMMs whatever its block.
+    d Gamma^l_{jk} is symmetric in ``(j, k)``, and for adapted metrics many
+    lower pairs are structurally zero, so the jet stores it compressed,
+    ``[point, u, l, column]``: one column per lower pair ``j <= k`` that
+    ``MetricField._pair_columns`` keeps and one shared all-zero column,
+    formed as g^{-1} 0 like every other column, so it carries the NaNs and
+    the zero signs of the dense product.  The store is formed one block of
+    ``max(1, JET_BLOCK // n**4)`` points at a time: dense dg, ``low`` and
+    d_u(low) exist only per block, and d^2 g is never laid out, so the jet's
+    peak memory is one compressed d Gamma.  Gamma (n^3 entries per point) is
+    formed from ``low`` in blocks of ``max(1, JET_BLOCK // n**3)`` points the
+    same way.  Every point's products are the same small GEMMs whatever its
+    block, and ``gamma_partial(x, block)`` gathers the slot block asked for,
+    the dense table for ``()``, from the store.
+
+    A stored column is the column of the dense ``(n, n^2)`` product, taken
+    from a narrower GEMM.  Where the BLAS rounds each entry independently of
+    the GEMM's width its bits are the dense product's; OpenBLAS 0.3.31 on
+    AVX-512 does so for n <= 15, and at n = 16 may round some columns
+    differently in the last bit.
     """
 
     def __init__(self, metric: MetricField):
         self.metric = metric
         self.n = metric.n
-        self._x = self._ginv = self._sums = self._gamma = self._gamma_partial = None
+        self._x = self._ginv = self._sums = self._gamma = self._dgamma = None
 
     def _points(self, x) -> np.ndarray:
         """The jet's points, after starting a new jet unless they equal ``x``."""
         x = _as_points(x, self.n)
         if self._x is None or not np.array_equal(x, self._x):
             self._x = x.copy()
-            self._ginv = self._sums = self._gamma = self._gamma_partial = None
+            self._ginv = self._sums = self._gamma = self._dgamma = None
         return self._x
 
     def _inverse(self) -> np.ndarray:
@@ -376,6 +431,11 @@ class LeviCivitaConnection(ConnectionField):
             self._sums = tuple(map(_rows, self.metric._first_kind_sums(1, self._x)))
         return self._sums
 
+    def _release_first_kind(self) -> None:
+        # the sums' last readers are the Gamma and d Gamma builds
+        if self._gamma is not None and self._dgamma is not None:
+            self._sums = None
+
     def gamma(self, x) -> np.ndarray:
         x = self._points(x)
         if self._gamma is None:
@@ -386,27 +446,36 @@ class LeviCivitaConnection(ConnectionField):
             for block in _point_blocks(len(ginv), n ** 3):
                 np.matmul(ginv[block], np.take(w1[block], low_at, axis=-1), out=out[block])
             self._gamma = _frozen(out.reshape(x.shape[:-1] + (n,) * 3))
+            self._release_first_kind()
         return self._gamma
 
-    def gamma_partial(self, x) -> np.ndarray:
+    def gamma_partial(self, x, block=()) -> np.ndarray:
         x = self._points(x)
-        if self._gamma_partial is None:
-            metric, n = self.metric, self.n
+        metric, n = self.metric, self.n
+        slots, columns = metric._pair_columns()
+        if self._dgamma is None:
             ginv = self._inverse().reshape(-1, 1, n, n)
             v1, w1 = self._first_kind()
             w2 = _rows(metric._first_kind_sums(2, x)[1])
-            dg_at, low_at = metric._table(1)[1], metric._triple_table(1)[1]
-            dlow_at = metric._triple_table(2)[1].reshape(n, n, n * n)
-            out = np.empty((len(ginv), n, n, n * n))
-            for block in _point_blocks(len(ginv), n ** 4):
-                gi = ginv[block]
-                np.matmul(gi, np.take(w2[block], dlow_at, axis=-1), out=out[block])
+            dg_at = metric._table(1)[1]
+            low_at = metric._triple_table(1)[1].reshape(n, n * n)[:, slots]
+            dlow_at = metric._triple_table(2)[1].reshape(n, n, n * n)[..., slots]
+            out = np.empty((len(ginv), n, n, len(slots)))
+            for at in _point_blocks(len(ginv), n ** 4):
+                gi = ginv[at]
+                np.matmul(gi, np.take(w2[at], dlow_at, axis=-1), out=out[at])
                 # d_u(g^{-1}) = -g^{-1} (d_u g) g^{-1}
-                dginv = -np.matmul(np.matmul(gi, np.take(v1[block], dg_at, axis=-1)), gi)
-                low = np.take(w1[block], low_at, axis=-1).reshape(-1, 1, n, n * n)
-                out[block] += np.matmul(dginv, low)
-            self._gamma_partial = _frozen(out.reshape(x.shape[:-1] + (n,) * 4))
-        return self._gamma_partial
+                dginv = -np.matmul(np.matmul(gi, np.take(v1[at], dg_at, axis=-1)), gi)
+                low = np.take(w1[at], low_at, axis=-1).reshape(-1, 1, n, len(slots))
+                out[at] += np.matmul(dginv, low)
+            self._dgamma = _frozen(out)
+            self._release_first_kind()
+        u, l, j, k = tuple(block) + (slice(None),) * (4 - len(block))
+        store = self._dgamma
+        # each slot's position in a point's row of the store, [u, l, column]
+        where = np.add.outer(np.arange(n * n).reshape(n, n)[u, l] * store.shape[-1], columns[j, k])
+        out = np.take(store.reshape(len(store), -1), where, axis=-1)
+        return _frozen(out.reshape(x.shape[:-1] + where.shape))
 
 
 class RestrictedConnection(ConnectionField):
@@ -433,9 +502,10 @@ class RestrictedConnection(ConnectionField):
         m = self.n
         return self.parent.gamma(self._embed(y))[..., :m, :m, :m]
 
-    def gamma_partial(self, y) -> np.ndarray:
+    def gamma_partial(self, y, block=()) -> np.ndarray:
         m = self.n
-        return self.parent.gamma_partial(self._embed(y))[..., :m, :m, :m, :m]
+        leading = self.parent.gamma_partial(self._embed(y), (slice(None, m),) * 4)
+        return leading[(slice(None),) * (leading.ndim - 4) + tuple(block)]
 
 
 def christoffel(g: MetricField) -> LeviCivitaConnection:

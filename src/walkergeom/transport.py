@@ -17,7 +17,7 @@ matrices ``I + h A_k`` reduced pairwise, serves as an independent reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
@@ -54,12 +54,14 @@ class CurveSpec:
     components: Tuple[ScalarField, ...]
     t_span: Tuple[float, float] = (0.0, 1.0)
     step: float = 1e-3
+    # d/dt of each component, derived once per curve
+    _rates: Tuple[ScalarField, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "components", tuple(as_field(c, 1) for c in self.components)
-        )
+        components = tuple(as_field(c, 1) for c in self.components)
+        object.__setattr__(self, "components", components)
         _check_step(self.step)
+        object.__setattr__(self, "_rates", tuple(c.partial(1) for c in components))
 
     @property
     def n(self) -> int:
@@ -83,7 +85,7 @@ class CurveSpec:
 
     def velocities(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)[..., None]
-        return evaluate_fields([c.partial(1) for c in self.components], ts)
+        return evaluate_fields(list(self._rates), ts)
 
 
 @dataclass

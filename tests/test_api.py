@@ -54,7 +54,7 @@ def test_traced_entry_points_are_defined_in_their_owner():
 
 # exported names that no code in src/ uses, each kept on purpose
 UNUSED_IN_SRC = {
-    "curvature_components",  # the full R, the reference for distributions._curvature_block
+    "curvature_components",  # the full R, the reference for the curvature_condition block
     "euler_transport",  # the independent first-order reference for RK4, and a benchmark op
     "build_riemann_extension",  # the paper's m = 0 construction, on the paper's inputs
 }

@@ -1,6 +1,7 @@
 """Problem-file loading, check orchestration, report emission, exit codes."""
 
 import json
+import math
 import pathlib
 import re
 import time
@@ -559,6 +560,43 @@ def test_main_deeply_nested_expression_is_usage_error(tmp_path, capsys):
     path = write(tmp_path, dict(MINIMAL_METRIC, g_1_1="(" * 3000 + "1" + ")" * 3000))
     assert main(["check", path]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_main_usage_errors_repeat_in_one_process(capsys):
+    # the parser is built once and reused; a second parse says the same
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["frob"])
+        assert exit_info.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and "invalid choice: 'frob'" in errors[0]
+
+
+def _corpus_metric_problem(tmp_path) -> str:
+    """The built metric of a corpus extension, as a problem file with every
+    metric check."""
+    ext = random_extension_spec(np.random.default_rng(17), 2, 1)
+    payload = build_components(cli.ProblemSpec(kind="extension", path="", checks=[],
+                                               extension=ext))
+    payload.update(samples=60, checks=["null", "parallel", "projectable", "curvature_condition",
+                                       "walker_form", "walker_projectability"])
+    return write(tmp_path, payload, "corpus.json")
+
+
+def test_structured_reports_carry_no_negative_zero_residual(tmp_path, capsys):
+    specs = pathlib.Path(__file__).parent.parent / "demos" / "specs"
+    runs = [("check", str(path)) for path in sorted(specs.glob("*.json"))]
+    runs += [("transport", str(specs / "extension_r1m1.json")),
+             ("check", _corpus_metric_problem(tmp_path))]
+    zeros = 0
+    for verb, path in runs:
+        main([verb, path, "--format", "report-structured"])
+        for record in json.loads(capsys.readouterr().out)["checks"]:
+            if record["residual"] == 0.0:
+                zeros += 1
+                assert math.copysign(1.0, record["residual"]) > 0, (path, record)
+    assert zeros > 0
 
 
 def test_main_missing_file_is_usage_error(capsys):

@@ -1,6 +1,7 @@
 """Christoffel symbols, the Levi-Civita jet, curvature and the metric-compatibility residual."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from walkergeom import (
     walker_projectability,
 )
 from walkergeom.corpus import random_extension_spec, random_metric, random_walker_metric
-from walkergeom.distributions import _curvature_block, _reduced
+from walkergeom.distributions import _reduced, projectability_parts
 from walkergeom.expr import evaluate_fields
 from walkergeom.sampling import sample_points
 from walkergeom.tensor import JET_BLOCK
@@ -290,6 +291,17 @@ def test_points_of_the_wrong_width_are_refused():
     assert conn.gamma(pts[:, :4]) is jet  # a refused call keeps the jet
 
 
+def test_empty_point_batch_is_refused():
+    g = MetricField(two_block(5), {(1, 1): "2 + x1*x5", (2, 2): 1.0, (3, 3): 1.0,
+                                   (4, 4): 1.0, (5, 5): 1.0})
+    conn = christoffel(g)
+    for f in (g.value, conn.gamma, conn.gamma_partial):
+        for x in (np.empty((0, 5)), np.empty((3, 0, 5))):
+            message = f"at least one point, got shape {x.shape}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                f(x)
+
+
 # ---------------------------------------------------------------------------
 # the Levi-Civita jet
 # ---------------------------------------------------------------------------
@@ -353,6 +365,17 @@ def test_jet_is_matched_by_value_not_identity():
     assert not conn.gamma(a).flags.writeable
 
 
+def test_jet_drops_the_first_kind_sums_once_gamma_and_d_gamma_exist():
+    g = _jet_metrics()[1]
+    x = sample_points(g, 10, seed=1)
+    for first, second in (("gamma", "gamma_partial"), ("gamma_partial", "gamma")):
+        conn = christoffel(g)
+        getattr(conn, first)(x)
+        assert conn._sums is not None  # the other one still reads them
+        getattr(conn, second)(x)
+        assert conn._sums is None
+
+
 @pytest.mark.parametrize("g", _jet_metrics(), ids=["ext11", "ext22", "ext32", "two_block"])
 def test_first_kind_lowering_matches_dense_terms(g):
     pts = sample_points(g, 7, seed=g.n)
@@ -396,11 +419,11 @@ def test_curvature_block_matches_full_curvature(g, dist):
     scale = 1e-14 * np.max(np.abs(R))
     want = R[..., dist.trailing, :, :, dist.leading]
     gamma, gamma_partial = conn.gamma(pts).copy(), conn.gamma_partial(pts).copy()
+    block = _curvature_block(gamma, gamma_partial, dist)
+    assert block.shape == want.shape
+    assert np.max(np.abs(block - want)) <= scale
     expected = _reduced("curvature_condition", pts, want)
     for _ in range(2):
-        block = _curvature_block(conn, dist, pts)
-        assert block.shape == want.shape
-        assert np.max(np.abs(block - want)) <= scale
         row = curvature_condition(conn, dist, pts)
         assert abs(row.residual - expected.residual) <= scale
         assert np.array_equal(row.worst_point, expected.worst_point)
@@ -424,9 +447,10 @@ def _unblocked_jet(g, x):
     return gamma, out.reshape(out.shape[:-1] + (n, n))
 
 
-def _unblocked_curvature_block(G, dG, dist):
-    """R_{a mu nu}{}^i over all points at once, by the four-term formula of
-    ``_curvature_block`` with its operands and term order."""
+def _curvature_block(G, dG, dist):
+    """R_{a mu nu}{}^i (a trailing, i leading), ``[..., a, mu, nu, i]``, over
+    all points at once from the dense Gamma and d Gamma, by the four-term
+    formula of ``curvature_condition`` with its operands and term order."""
     lead, trail, n, s = dist.leading, dist.trailing, dist.n, dist.s
     base, r = G.shape[:-3], n - s
     right = np.ascontiguousarray(np.einsum("...pav->...apv", G[..., trail, :]))
@@ -439,17 +463,35 @@ def _unblocked_curvature_block(G, dG, dist):
     return np.einsum("...aimv->...amvi", block)
 
 
-BLOCK_METRICS = _jet_metrics()[1:] + [random_walker_metric(np.random.default_rng(45), 2, 1)]
+# g^{-1} overflows to an infinite entry, so d Gamma holds NaN where the
+# dense products meet it; sample_points (|det g| >= 1e-6) would refuse its points
+INFINITE_INVERSE = MetricField(ChartSplit.two_block(3, 1), {
+    (1, 1): "1e300*(2 + x2)", (2, 2): "1e-311*(2 + x1)", (3, 3): 1.0})
+# two_block (random_metric) stores every lower pair, with no all-zero column
+BLOCK_METRICS = (_jet_metrics()[1:] + [random_walker_metric(np.random.default_rng(45), 2, 1)]
+                 + [INFINITE_INVERSE])
 
 
-@pytest.mark.parametrize("g", BLOCK_METRICS, ids=["ext22", "ext32", "two_block", "walker"])
+def _same_row(got, want) -> bool:
+    """Equal rows, the residual to its bits (repr keeps the sign of zero)."""
+    return (got.name == want.name and repr(got.residual) == repr(want.residual)
+            and np.array_equal(got.worst_point, want.worst_point))
+
+
+@pytest.mark.parametrize("g", BLOCK_METRICS,
+                         ids=["ext22", "ext32", "two_block", "walker", "infinite_inverse"])
 def test_blocked_jet_matches_unblocked_formulas(g):
     # N = 1, B - 1, B, B + 1 and 3B + 5 points for the block sizes B of d Gamma
     # and of Gamma, a single point and (2, B + 1, n) batches: every block
     # boundary gives the bits of the formulas over all points at once
     n = g.n
     sizes = [max(1, JET_BLOCK // n ** 4), max(1, JET_BLOCK // n ** 3)]
-    pts = sample_points(g, 3 * max(sizes) + 5, seed=n)
+    count = 3 * max(sizes) + 5
+    if g is INFINITE_INVERSE:
+        pts = np.random.default_rng(n).uniform(-1.0, 1.0, (count, n))
+    else:
+        pts = sample_points(g, count, seed=n)
+    equal_nan = g is INFINITE_INVERSE
     batches = [pts[0]]
     for B in sizes:
         batches += [pts[:N] for N in (1, B - 1, B, B + 1, 3 * B + 5) if N > 0]
@@ -457,15 +499,33 @@ def test_blocked_jet_matches_unblocked_formulas(g):
     dists = [DistributionSpec.null_block(g.chart)]
     if g.chart.mode == "three_block":
         dists.append(DistributionSpec.orthocomplement(g.chart))
+    slots, _ = g._pair_columns()
     for x in batches:
         conn = christoffel(g)
-        G, dG = conn.gamma(x), conn.gamma_partial(x)
-        want_G, want_dG = _unblocked_jet(g, x)
-        assert np.array_equal(G, want_G)
-        assert np.array_equal(dG, want_dG)
+        with np.errstate(all="ignore"):
+            G, dG = conn.gamma(x), conn.gamma_partial(x)
+            want_G, want_dG = _unblocked_jet(g, x)
+        assert np.array_equal(G, want_G, equal_nan=equal_nan)
+        assert np.array_equal(dG, want_dG, equal_nan=equal_nan)
+        # the store: one column per stored lower pair, from its flat slot
+        assert np.array_equal(conn._dgamma, want_dG.reshape(-1, n, n, n * n)[..., slots],
+                              equal_nan=equal_nan)
+        points = (slice(None),) * (x.ndim - 1)
         for dist in dists:
-            assert np.array_equal(_curvature_block(conn, dist, x),
-                                  _unblocked_curvature_block(G, dG, dist))
+            lead, trail = dist.leading, dist.trailing
+            # the slot blocks projectability_parts and curvature_condition read
+            for block in [(trail, lead, lead, lead), (slice(None), lead, trail), (trail, lead)]:
+                assert np.array_equal(conn.gamma_partial(x, block), want_dG[points + block],
+                                      equal_nan=equal_nan)
+            with np.errstate(all="ignore"):
+                want = _reduced("curvature_condition", x,
+                                _curvature_block(want_G, want_dG, dist))
+                assert _same_row(curvature_condition(conn, dist, x), want)
+                parts = projectability_parts(conn, dist, x)
+            wants = [_reduced("projectable_parallel_part", x, want_G[..., lead, trail, :]),
+                     _reduced("projectable_derivative_part", x,
+                              want_dG[..., trail, lead, lead, lead])]
+            assert all(_same_row(got, want) for got, want in zip(parts, wants))
         if g.chart.mode == "three_block":
             lead, mid, trail = g.chart.leading, g.chart.middle, g.chart.trailing
             d2 = g.second_partial_value(x)

@@ -11,6 +11,7 @@ from walkergeom import (
     CurveSpec,
     DistributionSpec,
     MetricField,
+    ScalarField,
     SymbolicConnection,
     build_pullback_extension,
     christoffel,
@@ -180,6 +181,22 @@ def test_curve_grid_and_truncation():
     assert sub.n == 1
     assert np.allclose(sub.positions(ts)[:, 0], ts)
     assert np.allclose(curve.velocities(ts)[:, 1], 2 * ts)
+
+
+def test_curve_derives_its_velocities_once(monkeypatch):
+    parts = ("x1", "x1^2")
+    curve = CurveSpec(tuple(parse_expression(c, 1) for c in parts), (0.0, 1.0), 0.25)
+    # the derived partials take no part in equality or repr
+    twin = CurveSpec(tuple(parse_expression(c, 1) for c in parts), (0.0, 1.0), 0.25)
+    assert curve == twin and hash(curve) == hash(twin)
+    assert repr(curve) == repr(twin) and "_rates" not in repr(curve)
+
+    def refused(self, i):
+        raise AssertionError("velocities re-derived the curve")
+
+    monkeypatch.setattr(ScalarField, "partial", refused)
+    ts = curve.grid()
+    assert np.array_equal(curve.velocities(ts), np.stack([np.ones(5), 2 * ts], axis=-1))
 
 
 def test_curve_rejects_nonpositive_step():
