@@ -369,8 +369,9 @@ def _load_transport(raw: dict, n: int) -> TransportSection:
 
 
 def _record(name: str, tolerance: float, fn) -> List[CheckRecord]:
-    """Run and time one check's function.  A list of results (one call judging
-    several clauses) gives a ``<name>:<clause>`` row each, splitting the time."""
+    """Run and time one check's function.  A CheckResult gives the row
+    ``name``; a list of them (one call judging several clauses) gives a
+    ``<name>:<clause>`` row each, splitting the time."""
     start = time.perf_counter()
     try:
         with np.errstate(all="ignore"):  # a non-finite residual is reported below
@@ -384,10 +385,7 @@ def _record(name: str, tolerance: float, fn) -> List[CheckRecord]:
     wall_time = (time.perf_counter() - start) / len(rows)
     records = []
     for row, res in rows:
-        if isinstance(res, CheckResult):
-            residual, worst = res.residual, res.worst_point
-        else:
-            residual, worst = float(res), None
+        residual, worst = res.residual, res.worst_point
         # JSON has no NaN or Infinity, and neither is a verdict
         finite = bool(np.isfinite(residual))
         records.append(CheckRecord(
@@ -524,16 +522,17 @@ def run_transport(spec: ProblemSpec) -> Report:
         res = parallel_transport(conn, section.curve, section.w0)
         gs = g.value(section.curve.positions(res.times))
         norms = np.einsum("...ij,...i,...j->...", gs, res.vectors, res.vectors)
-        return float(np.max(np.abs(norms - norms[0])))
+        return CheckResult("transport_norm_preservation",
+                           float(np.max(np.abs(norms - norms[0]))))
 
     report.checks += _record("transport_norm_preservation", tol, _norm_residual)
 
     if spec.kind == "extension":
         def _commute_residual():
             ortho = DistributionSpec.orthocomplement(g.chart)
-            return projection_commutes_residual(
+            return CheckResult("transport_projection_commutes", projection_commutes_residual(
                 g, spec.extension.base_connection, ortho, section.curve, section.w0, conn=conn
-            )
+            ))
         report.checks += _record("transport_projection_commutes", tol, _commute_residual)
     return report
 

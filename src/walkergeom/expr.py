@@ -6,6 +6,15 @@ quotients, integer powers, ``sin``, ``cos`` and ``exp``.  The node set is
 closed under differentiation, so partial derivatives are exact (no floating
 point is involved until evaluation) and arbitrarily iterated.
 
+Every tree node is one ``_Node(op, args, data)``: the op names its kind
+(``const``, ``var``, ``add``, ``mul``, ``div``, ``pow`` or ``call``), ``args``
+holds the child nodes and ``data`` the kind's own value (the constant, the
+coordinate index, the exponent or the function name).  Nodes hash and compare
+by structure.  One function per job walks the tree and branches on ``op``:
+``_evaluate`` (numpy values, with the ``checked`` division tests), ``_deriv``
+(the exact partial) and ``_subst`` (coordinate replacement, rebuilding only
+the nodes whose children changed).
+
 Construction goes through smart constructors that fold constants and drop
 additive zeros / multiplicative ones; no other rewriting is performed, so a
 field evaluates exactly as written.
@@ -59,208 +68,130 @@ class EvaluationError(ExpressionError):
 
 
 class _Node:
-    __slots__ = ("_hash", "max_var")
+    """One expression node: an ``op`` with its child nodes ``args`` and its
+    own ``data``, the float of a ``"const"``, the index of a ``"var"``, the
+    integer exponent of a ``"pow"`` and the function name of a ``"call"``
+    (``"add"``, ``"mul"`` and ``"div"`` hold none).  Equality is structural."""
 
-    def deriv(self, i: int) -> "_Node":
-        raise NotImplementedError
+    __slots__ = ("op", "args", "data", "max_var", "_hash")
 
-    def evalx(self, x: np.ndarray, checked: bool):
-        raise NotImplementedError
-
-    def subst(self, table: Mapping[int, "_Node"]) -> "_Node":
-        raise NotImplementedError
+    def __init__(self, op: str, args: tuple = (), data=None):
+        if op == "const":
+            data = float(data)
+            self.max_var = 0
+        elif op == "var":
+            if data < 1:
+                raise VariableRangeError(f"coordinate index must be >= 1, got {data}")
+            self.max_var = data
+        else:
+            self.max_var = max([a.max_var for a in args])
+        self.op = op
+        self.args = args
+        self.data = data
+        self._hash = hash((op, args, data))
 
     def __eq__(self, other):
-        """Structural equality: same node type and equal fields."""
         return (
-            type(other) is type(self)
+            type(other) is _Node
             and other._hash == self._hash
-            and all(getattr(other, f) == getattr(self, f) for f in self.__slots__)
+            and other.op == self.op
+            and other.data == self.data  # so a NaN constant equals nothing
+            and other.args == self.args
         )
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"<{type(self).__name__} {render(self)}>"
+        return f"<_Node {self.op} {render(self)}>"
 
 
-class _Const(_Node):
-    __slots__ = ("value",)
+def _const(value: float) -> _Node:
+    return _Node("const", (), value)
 
-    def __init__(self, value: float):
-        self.value = float(value)
-        self.max_var = 0
-        self._hash = hash(("const", self.value))
 
-    def deriv(self, i):
+_ZERO = _const(0.0)
+_ONE = _const(1.0)
+
+
+def _evaluate(node: _Node, x: np.ndarray, checked: bool):
+    """The node's value at points ``x``: a denominator before its numerator,
+    terms and factors left to right.  With ``checked`` a vanishing
+    denominator or base of a negative power raises EvaluationError."""
+    op, args = node.op, node.args
+    if op == "const":
+        return np.float64(node.data)
+    if op == "var":
+        return x[..., node.data - 1]
+    if op == "div":
+        den = _evaluate(args[1], x, checked)
+        if checked and np.any(np.asarray(den) == 0.0):
+            raise EvaluationError("division by zero", render(node))
+        return _evaluate(args[0], x, checked) / den
+    acc = _evaluate(args[0], x, checked)
+    if op == "add":
+        for t in args[1:]:
+            acc = acc + _evaluate(t, x, checked)
+    elif op == "mul":
+        for f in args[1:]:
+            acc = acc * _evaluate(f, x, checked)
+    elif op == "pow":
+        if checked and node.data < 0 and np.any(np.asarray(acc) == 0.0):
+            raise EvaluationError("division by zero", render(node))
+        acc = acc ** node.data
+    else:
+        acc = getattr(np, node.data)(acc)
+    return acc
+
+
+def _deriv(node: _Node, i: int) -> _Node:
+    """The exact partial derivative of ``node`` with respect to ``x_i``."""
+    op, args = node.op, node.args
+    if op == "const":
         return _ZERO
-
-    def evalx(self, x, checked):
-        return np.float64(self.value)
-
-    def subst(self, table):
-        return self
-
-
-class _Var(_Node):
-    __slots__ = ("index",)
-
-    def __init__(self, index: int):
-        if index < 1:
-            raise VariableRangeError(f"coordinate index must be >= 1, got {index}")
-        self.index = index
-        self.max_var = index
-        self._hash = hash(("var", index))
-
-    def deriv(self, i):
-        return _ONE if i == self.index else _ZERO
-
-    def evalx(self, x, checked):
-        return x[..., self.index - 1]
-
-    def subst(self, table):
-        return table.get(self.index, self)
-
-
-class _Add(_Node):
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: tuple):
-        self.terms = terms
-        self.max_var = max(t.max_var for t in terms)
-        self._hash = hash(("add", terms))
-
-    def deriv(self, i):
-        return add(*(t.deriv(i) for t in self.terms))
-
-    def evalx(self, x, checked):
-        acc = self.terms[0].evalx(x, checked)
-        for t in self.terms[1:]:
-            acc = acc + t.evalx(x, checked)
-        return acc
-
-    def subst(self, table):
-        new = tuple(t.subst(table) for t in self.terms)
-        if all(a is b for a, b in zip(new, self.terms)):
-            return self
-        return add(*new)
-
-
-class _Mul(_Node):
-    __slots__ = ("factors",)
-
-    def __init__(self, factors: tuple):
-        self.factors = factors
-        self.max_var = max(f.max_var for f in factors)
-        self._hash = hash(("mul", factors))
-
-    def deriv(self, i):
+    if op == "var":
+        return _ONE if node.data == i else _ZERO
+    if op == "add":
+        return add(*(_deriv(t, i) for t in args))
+    if op == "mul":
         terms = []
-        for j, f in enumerate(self.factors):
-            df = f.deriv(i)
+        for j, f in enumerate(args):
+            df = _deriv(f, i)
             if df is _ZERO or df == _ZERO:
                 continue
-            terms.append(mul(*self.factors[:j], df, *self.factors[j + 1:]))
+            terms.append(mul(*args[:j], df, *args[j + 1:]))
         return add(*terms)
-
-    def evalx(self, x, checked):
-        acc = self.factors[0].evalx(x, checked)
-        for f in self.factors[1:]:
-            acc = acc * f.evalx(x, checked)
-        return acc
-
-    def subst(self, table):
-        new = tuple(f.subst(table) for f in self.factors)
-        if all(a is b for a, b in zip(new, self.factors)):
-            return self
-        return mul(*new)
-
-
-class _Div(_Node):
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: _Node, den: _Node):
-        self.num = num
-        self.den = den
-        self.max_var = max(num.max_var, den.max_var)
-        self._hash = hash(("div", num, den))
-
-    def deriv(self, i):
-        du, dv = self.num.deriv(i), self.den.deriv(i)
-        numerator = add(mul(du, self.den), mul(_Const(-1.0), self.num, dv))
-        return div(numerator, intpow(self.den, 2))
-
-    def evalx(self, x, checked):
-        den = self.den.evalx(x, checked)
-        if checked and np.any(np.asarray(den) == 0.0):
-            raise EvaluationError("division by zero", render(self))
-        return self.num.evalx(x, checked) / den
-
-    def subst(self, table):
-        num, den = self.num.subst(table), self.den.subst(table)
-        if num is self.num and den is self.den:
-            return self
-        return div(num, den)
+    if op == "div":
+        num, den = args
+        du, dv = _deriv(num, i), _deriv(den, i)
+        return div(add(mul(du, den), mul(_const(-1.0), num, dv)), intpow(den, 2))
+    da = _deriv(args[0], i)
+    if op == "pow":
+        return mul(_const(node.data), intpow(args[0], node.data - 1), da)
+    if node.data == "sin":
+        return mul(_Node("call", args, "cos"), da)
+    if node.data == "cos":
+        return mul(_const(-1.0), _Node("call", args, "sin"), da)
+    return mul(node, da)  # exp
 
 
-class _Pow(_Node):
-    __slots__ = ("base", "exponent")
-
-    def __init__(self, base: _Node, exponent: int):
-        self.base = base
-        self.exponent = int(exponent)
-        self.max_var = base.max_var
-        self._hash = hash(("pow", base, self.exponent))
-
-    def deriv(self, i):
-        db = self.base.deriv(i)
-        return mul(_Const(float(self.exponent)), intpow(self.base, self.exponent - 1), db)
-
-    def evalx(self, x, checked):
-        base = self.base.evalx(x, checked)
-        if checked and self.exponent < 0 and np.any(np.asarray(base) == 0.0):
-            raise EvaluationError("division by zero", render(self))
-        return base ** self.exponent
-
-    def subst(self, table):
-        base = self.base.subst(table)
-        if base is self.base:
-            return self
-        return intpow(base, self.exponent)
-
-
-class _Call(_Node):
-    __slots__ = ("fn", "arg")
-
-    _FNS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
-
-    def __init__(self, fn: str, arg: _Node):
-        self.fn = fn
-        self.arg = arg
-        self.max_var = arg.max_var
-        self._hash = hash((fn, arg))
-
-    def deriv(self, i):
-        da = self.arg.deriv(i)
-        if self.fn == "sin":
-            return mul(_Call("cos", self.arg), da)
-        if self.fn == "cos":
-            return mul(_Const(-1.0), _Call("sin", self.arg), da)
-        return mul(self, da)  # exp
-
-    def evalx(self, x, checked):
-        return self._FNS[self.fn](self.arg.evalx(x, checked))
-
-    def subst(self, table):
-        arg = self.arg.subst(table)
-        if arg is self.arg:
-            return self
-        return call(self.fn, arg)
-
-
-_ZERO = _Const(0.0)
-_ONE = _Const(1.0)
+def _subst(node: _Node, table: Mapping[int, _Node]) -> _Node:
+    """``node`` with each coordinate ``x_i`` of ``table`` replaced by
+    ``table[i]``; a subtree that reads none of them is returned itself."""
+    if node.op == "var":
+        return table.get(node.data, node)
+    args = tuple(_subst(a, table) for a in node.args)
+    if all(a is b for a, b in zip(args, node.args)):
+        return node
+    if node.op == "add":
+        return add(*args)
+    if node.op == "mul":
+        return mul(*args)
+    if node.op == "div":
+        return div(*args)
+    if node.op == "pow":
+        return intpow(args[0], node.data)
+    return call(node.data, args[0])
 
 
 # ---------------------------------------------------------------------------
@@ -272,54 +203,46 @@ def add(*terms: _Node) -> _Node:
     flat = []
     const_sum = 0.0
     for t in terms:
-        if isinstance(t, _Add):
-            sub = t.terms
-        else:
-            sub = (t,)
-        for s in sub:
-            if isinstance(s, _Const):
-                const_sum += s.value
+        for s in t.args if t.op == "add" else (t,):
+            if s.op == "const":
+                const_sum += s.data
             else:
                 flat.append(s)
     if const_sum != 0.0 or not flat:
-        flat.append(_Const(const_sum))
+        flat.append(_const(const_sum))
     if len(flat) == 1:
         return flat[0]
-    return _Add(tuple(flat))
+    return _Node("add", tuple(flat))
 
 
 def mul(*factors: _Node) -> _Node:
     flat = []
     const_prod = 1.0
     for f in factors:
-        if isinstance(f, _Mul):
-            sub = f.factors
-        else:
-            sub = (f,)
-        for s in sub:
-            if isinstance(s, _Const):
-                if s.value == 0.0:
+        for s in f.args if f.op == "mul" else (f,):
+            if s.op == "const":
+                if s.data == 0.0:
                     return _ZERO
-                const_prod *= s.value
+                const_prod *= s.data
             else:
                 flat.append(s)
     if not flat:
-        return _Const(const_prod)
+        return _const(const_prod)
     if const_prod != 1.0:
-        flat.insert(0, _Const(const_prod))
+        flat.insert(0, _const(const_prod))
     if len(flat) == 1:
         return flat[0]
-    return _Mul(tuple(flat))
+    return _Node("mul", tuple(flat))
 
 
 def div(num: _Node, den: _Node) -> _Node:
-    if isinstance(num, _Const) and num.value == 0.0:
+    if num.op == "const" and num.data == 0.0:
         return _ZERO
-    if isinstance(den, _Const) and den.value == 1.0:
+    if den.op == "const" and den.data == 1.0:
         return num
-    if isinstance(num, _Const) and isinstance(den, _Const) and den.value != 0.0:
-        return _Const(num.value / den.value)
-    return _Div(num, den)
+    if num.op == "const" and den.op == "const" and den.data != 0.0:
+        return _const(num.data / den.data)
+    return _Node("div", (num, den))
 
 
 def intpow(base: _Node, exponent: int) -> _Node:
@@ -328,25 +251,25 @@ def intpow(base: _Node, exponent: int) -> _Node:
         return _ONE
     if exponent == 1:
         return base
-    if isinstance(base, _Const) and not (base.value == 0.0 and exponent < 0):
+    if base.op == "const" and not (base.data == 0.0 and exponent < 0):
         try:
-            return _Const(base.value ** exponent)
+            return _const(base.data ** exponent)
         except OverflowError:
-            return _Pow(base, exponent)
-    return _Pow(base, exponent)
+            pass
+    return _Node("pow", (base,), exponent)
 
 
 def call(fn: str, arg: _Node) -> _Node:
-    if isinstance(arg, _Const):
+    if arg.op == "const":
         try:
-            return _Const(getattr(math, fn)(arg.value))
+            return _const(getattr(math, fn)(arg.data))
         except (OverflowError, ValueError):  # kept unfolded, evaluates to inf / nan
-            return _Call(fn, arg)
-    return _Call(fn, arg)
+            pass
+    return _Node("call", (arg,), fn)
 
 
 def _negate(node: _Node) -> _Node:
-    return mul(_Const(-1.0), node)
+    return mul(_const(-1.0), node)
 
 
 # ---------------------------------------------------------------------------
@@ -356,43 +279,42 @@ def _negate(node: _Node) -> _Node:
 
 def render(node: _Node) -> str:
     """Render a node as expression source accepted by :func:`parse_expression`."""
-    if isinstance(node, _Const):
-        return repr(node.value)
-    if isinstance(node, _Var):
-        return f"x{node.index}"
-    if isinstance(node, _Add):
-        out = render(node.terms[0])
-        for t in node.terms[1:]:
+    op, args = node.op, node.args
+    if op == "const":
+        return repr(node.data)
+    if op == "var":
+        return f"x{node.data}"
+    if op == "add":
+        out = render(args[0])
+        for t in args[1:]:
             text = render(t)
             if text.startswith("-"):
                 out += " - " + text[1:]
             else:
                 out += " + " + text
         return out
-    if isinstance(node, _Mul):
+    if op == "mul":
         parts = []
-        for pos, f in enumerate(node.factors):
+        for pos, f in enumerate(args):
             text = render(f)
-            if isinstance(f, (_Add, _Div)) or (pos > 0 and text.startswith("-")):
+            if f.op in ("add", "div") or (pos > 0 and text.startswith("-")):
                 text = f"({text})"
             parts.append(text)
         return "*".join(parts)
-    if isinstance(node, _Div):
-        num = render(node.num)
-        if isinstance(node.num, _Add):
+    if op == "div":
+        num = render(args[0])
+        if args[0].op == "add":
             num = f"({num})"
-        den = render(node.den)
-        if isinstance(node.den, (_Add, _Mul, _Div)) or den.startswith("-"):
+        den = render(args[1])
+        if args[1].op in ("add", "mul", "div") or den.startswith("-"):
             den = f"({den})"
         return f"{num}/{den}"
-    if isinstance(node, _Pow):
-        base = render(node.base)
-        if not isinstance(node.base, (_Var, _Call)):
+    if op == "pow":
+        base = render(args[0])
+        if args[0].op not in ("var", "call"):
             base = f"({base})"
-        return f"{base}^{node.exponent}"
-    if isinstance(node, _Call):
-        return f"{node.fn}({render(node.arg)})"
-    raise TypeError(f"unknown node {node!r}")
+        return f"{base}^{node.data}"
+    return f"{node.data}({render(args[0])})"
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +423,7 @@ class _Parser:
         if ch == "(":
             return self.group()
         if ch.isdigit() or ch == ".":
-            return self.finite(_Const(self.number()), start)
+            return self.finite(_const(self.number()), start)
         if ch.isalpha():
             word = self.word()
             if word == "x":
@@ -516,7 +438,7 @@ class _Parser:
                         f"coordinate x{index} out of range for dimension {self.n}"
                         f" (at position {start})"
                     )
-                return _Var(index)
+                return _Node("var", (), index)
             if word in ("sin", "cos", "exp"):
                 if self.peek() != "(":
                     raise ExpressionSyntaxError(f"expected '(' after '{word}'", self.pos)
@@ -541,9 +463,8 @@ class _Parser:
         """``node``, unless it holds a constant that is not finite.  Literals
         and folds are checked where they are made, and folding leaves a
         constant only as the node itself or as a term or factor of it."""
-        top = node.terms if isinstance(node, _Add) else (
-            node.factors if isinstance(node, _Mul) else (node,))
-        if any(isinstance(t, _Const) and not math.isfinite(t.value) for t in top):
+        top = node.args if node.op in ("add", "mul") else (node,)
+        if any(t.op == "const" and not math.isfinite(t.data) for t in top):
             raise ExpressionSyntaxError("constant is not finite", position)
         return node
 
@@ -605,6 +526,17 @@ class _Parser:
 PointLike = Union[Sequence[float], np.ndarray]
 
 
+def _as_points(x, n: int) -> np.ndarray:
+    """``x`` as a float array of points on an n-chart, shape ``(..., n)``,
+    holding at least one point."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != n:
+        raise ValueError(f"points must have shape (..., {n}), got {x.shape}")
+    if x.size == 0:
+        raise ValueError(f"points must hold at least one point, got shape {x.shape}")
+    return x
+
+
 class ScalarField:
     """An exact expression in the coordinates ``x1 .. xn`` of an n-chart.
 
@@ -630,7 +562,7 @@ class ScalarField:
 
     @staticmethod
     def constant(value: float, n: int) -> "ScalarField":
-        return ScalarField(_Const(value), n)
+        return ScalarField(_const(value), n)
 
     def with_dimension(self, n: int) -> "ScalarField":
         """Reinterpret this field on an ``n``-dimensional chart."""
@@ -642,7 +574,7 @@ class ScalarField:
         """Exact partial derivative with respect to ``x_i`` (1-based)."""
         if not 1 <= i <= self.n:
             raise VariableRangeError(f"partial index {i} out of range 1..{self.n}")
-        return ScalarField(self.node.deriv(i), self.n)
+        return ScalarField(_deriv(self.node, i), self.n)
 
     def evaluate(self, x: PointLike, *, checked: bool = True):
         """Evaluate at one point (shape ``(n,)``) or a batch (``(..., n)``).
@@ -653,9 +585,7 @@ class ScalarField:
         semantics (overflow gives inf, inf/nan propagate), for a single
         point as for a batch.
         """
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 0 or arr.shape[-1] != self.n:
-            raise ValueError(f"point must have shape (..., {self.n}), got {arr.shape}")
+        arr = _as_points(x, self.n)
         out = evaluate_fields(self, arr, checked)
         return float(out) if arr.ndim == 1 else out
 
@@ -665,14 +595,14 @@ class ScalarField:
         for i, val in assignments.items():
             if not 1 <= i <= self.n:
                 raise VariableRangeError(f"substitution index {i} out of range 1..{self.n}")
-            table[i] = val.node if isinstance(val, ScalarField) else _Const(val)
-        return ScalarField(self.node.subst(table), self.n)
+            table[i] = val.node if isinstance(val, ScalarField) else _const(val)
+        return ScalarField(_subst(self.node, table), self.n)
 
     # -- predicates ----------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return isinstance(self.node, _Const) and self.node.value == 0.0
+        return self.node.op == "const" and self.node.data == 0.0
 
     @property
     def max_var(self) -> int:
@@ -685,7 +615,7 @@ class ScalarField:
             if other.max_var > self.n and self.max_var > other.n:
                 raise VariableRangeError("operand dimensions are incompatible")
             return other.node
-        return _Const(float(other))
+        return _const(other)
 
     def _wrap(self, node: _Node, other=None) -> "ScalarField":
         n = self.n
@@ -761,7 +691,7 @@ def coordinate(i: int, n: int) -> ScalarField:
     """The coordinate ``x_i`` as a field on an ``n``-chart."""
     if not 1 <= i <= n:
         raise VariableRangeError(f"coordinate x{i} out of range for dimension {n}")
-    return ScalarField(_Var(i), n)
+    return ScalarField(_Node("var", (), i), n)
 
 
 def as_field(value, n: int) -> ScalarField:
@@ -777,16 +707,18 @@ def evaluate_fields(fields, x: np.ndarray, checked: bool = False) -> np.ndarray:
     """Evaluate a (nested sequence of) field(s) at batched points.
 
     ``fields`` is a ScalarField or any rectangular nested list/tuple of them
-    with shape ``S``; the result has shape ``x.shape[:-1] + S``.
+    with shape ``S``; the result has shape ``x.shape[:-1] + S``.  ``x`` must
+    hold at least one point.
     """
     arr = np.asarray(fields, dtype=object)
     single = arr.ndim == 0
     if single:
         arr = arr.reshape(1)
     x = np.asarray(x, dtype=float)
+    x = _as_points(x, x.shape[-1] if x.ndim else 0)  # of any width
     base = x.shape[:-1]
     out = np.empty(base + arr.shape, dtype=float)
     flat_out = out.reshape(base + (-1,))
     for k, f in enumerate(arr.reshape(-1)):
-        flat_out[..., k] = f.node.evalx(x, checked)
+        flat_out[..., k] = _evaluate(f.node, x, checked)
     return out[..., 0] if single else out

@@ -60,7 +60,7 @@ from typing import Dict, Mapping, Tuple
 import numpy as np
 
 from .chart import ChartSplit
-from .expr import ScalarField, as_field, evaluate_fields
+from .expr import ScalarField, _as_points, as_field, evaluate_fields
 
 __all__ = [
     "SingularMetricError",
@@ -83,17 +83,6 @@ JET_BLOCK = 2 ** 16
 
 class SingularMetricError(ValueError):
     """The metric determinant fell below the floor at an evaluation point."""
-
-
-def _as_points(x, n: int) -> np.ndarray:
-    """``x`` as a float array of points on an n-chart, shape ``(..., n)``,
-    holding at least one point."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0 or x.shape[-1] != n:
-        raise ValueError(f"points must have shape (..., {n}), got {x.shape}")
-    if x.size == 0:
-        raise ValueError(f"points must hold at least one point, got shape {x.shape}")
-    return x
 
 
 def _point_blocks(count: int, entries: int) -> list:

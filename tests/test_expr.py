@@ -1,5 +1,7 @@
 """Parser, exact differentiation and evaluation of scalar fields."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,10 @@ from walkergeom.expr import (
     ScalarField,
     VariableRangeError,
     coordinate,
+    evaluate_fields,
     parse_expression,
 )
+from walkergeom.tensor import _gather
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +166,31 @@ def test_evaluate_division_by_zero_reports_subexpression():
     with pytest.raises(EvaluationError) as err:
         f.evaluate([0.0])
     assert "x1" in err.value.subexpression
+
+
+@pytest.mark.parametrize("text, point, subexpression", [
+    ("(1/x1)/x1", [0.0, 0.0], "1.0/x1/x1"),  # a denominator before its numerator
+    ("(1/x1)/(x2 - 1)", [0.0, 1.0], "1.0/x1/(x2 - 1.0)"),
+    ("x1^-2/x2", [0.0, 0.0], "x1^-2/x2"),
+    ("1/x2 + 1/x1", [0.0, 0.0], "1.0/x2"),  # terms left to right
+    ("(1/x1)^-1", [0.0, 0.0], "1.0/x1"),  # a base before its negative power
+])
+def test_checked_evaluation_names_the_first_vanishing_denominator(text, point, subexpression):
+    f = parse_expression(text, 2)
+    for x in (point, [point, [1.0, 2.0]]):
+        with pytest.raises(EvaluationError) as err:
+            f.evaluate(x)
+        assert err.value.subexpression == subexpression
+        assert str(err.value) == f"division by zero: {subexpression}"
+
+
+def test_empty_point_batch_is_refused():
+    f = parse_expression("x1*x2", 2)
+    message = "points must hold at least one point, got shape (0, 2)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        f.evaluate(np.empty((0, 2)))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evaluate_fields([f, f.partial(1)], np.empty((0, 2)))
 
 
 def test_evaluate_checks_point_length():
@@ -347,6 +376,31 @@ def test_structural_equality_and_hash():
     assert a != c  # no commutativity rewriting
     for x, y in [("sin(x1)", "cos(x1)"), ("x1^2", "x1^3"), ("x1/x2", "x2/x1"), ("x1", "1.0")]:
         assert parse_expression(x, 2) != parse_expression(y, 2)
+
+
+def test_signed_zero_constants_are_equal_and_nan_constants_equal_nothing():
+    zero, negative_zero = ScalarField.constant(0.0, 2), ScalarField.constant(-0.0, 2)
+    assert zero == negative_zero and hash(zero) == hash(negative_zero)
+    nan = ScalarField.constant(float("nan"), 2)
+    assert nan != nan and nan != ScalarField.constant(float("nan"), 2) and nan != zero
+    # the gather of a table keeps one field per equal tree, so both zeros are one
+    # field and each NaN constant is its own
+    fields, index = _gather({(1, 1): zero, (1, 2): negative_zero, (2, 2): zero}, 2, [(0, 1)])
+    assert fields == [zero] and index.tolist() == [[0, 0], [0, 0]]
+    other_nan = ScalarField.constant(float("nan"), 2)
+    fields, index = _gather({(1, 1): nan, (1, 2): zero, (2, 2): other_nan}, 2, [(0, 1)])
+    assert len(fields) == 3 and index.tolist() == [[0, 1], [1, 2]]
+
+
+def test_substitution_keeps_untouched_subtrees_as_they_are():
+    # every node kind, none of them reading x2, under a quotient, which no sum
+    # or product flattens into itself
+    rest = parse_expression("(sin(x1)/(x1 + 2)*exp(x3)^-2 - cos(x1*x3))/x3", 3)
+    assert rest.substitute({2: 7.0}).node is rest.node
+    x2 = coordinate(2, 3)
+    assert (rest + x2 ** 2).substitute({2: 0.0}).node is rest.node
+    assert (rest * x2).substitute({2: 1.0}).node is rest.node
+    assert (rest / (x2 + 1)).substitute({2: 0.0}).node is rest.node
 
 
 @settings(max_examples=200, deadline=None)
