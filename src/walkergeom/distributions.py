@@ -7,9 +7,12 @@ the component families that must vanish, over the sampled points.  Every
 family has the point axes first (a single point ``(n,)`` is a batch of
 one), and the worst point is the first point whose own largest |entry|
 attains the residual; a NaN entry gives a NaN residual at the first point
-holding one.  A check "passes" when its residual is at or below the
-caller's tolerance; genuine violations show up at O(1) while true zeros sit
-at rounding level, so thresholding is unambiguous in practice.
+holding one.  The d Gamma families are read one block of points at a time
+(``ConnectionField.gamma_partial(x, block, rows)``) and reduced to each
+point's largest |entry| there, so no check holds more than a point block of
+them on top of the connection's jet.  A check "passes" when its residual is
+at or below the caller's tolerance; genuine violations show up at O(1) while
+true zeros sit at rounding level, so thresholding is unambiguous in practice.
 
 Component families checked (indices: i,j,k leading; p,q middle; a,b trailing):
 
@@ -24,6 +27,7 @@ Component families checked (indices: i,j,k leading; p,q middle; a,b trailing):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import List, Optional
 
@@ -133,13 +137,20 @@ def projectability_parts(
     """The two component families behind connection projectability.
 
     Returns (parallel part ``Gamma^i_{a mu}``, derivative part
-    ``d_a Gamma^i_{jk}``) as separate residuals.
+    ``d_a Gamma^i_{jk}``) as separate residuals.  The derivative part is read
+    one block of points at a time (``tensor.JET_BLOCK`` entries), and only
+    each point's largest |entry| is kept.
     """
-    lead, trail = dist.leading, dist.trailing
+    lead, trail, s = dist.leading, dist.trailing, dist.s
+    G = conn.gamma(points)
+    base, r = G.shape[:-3], dist.n - s
+    per_point = np.empty(math.prod(base))
+    for at in _point_blocks(len(per_point), s * r ** 3):
+        dG_a = conn.gamma_partial(points, (trail, lead, lead, lead), at)
+        per_point[at] = np.max(np.abs(dG_a), axis=(1, 2, 3, 4), initial=0.0)
     return (
-        _reduced("projectable_parallel_part", points, conn.gamma(points)[..., lead, trail, :]),
-        _reduced("projectable_derivative_part", points,
-                 conn.gamma_partial(points, (trail, lead, lead, lead))),
+        _reduced("projectable_parallel_part", points, G[..., lead, trail, :]),
+        _reduced("projectable_derivative_part", points, per_point.reshape(base)),
     )
 
 
@@ -162,16 +173,13 @@ def curvature_condition(conn: ConnectionField, dist: DistributionSpec, points) -
         d_mu Gamma^i_{a nu} - d_a Gamma^i_{mu nu}
         + Gamma^i_{mu p} Gamma^p_{a nu} - Gamma^i_{a p} Gamma^p_{mu nu}.
 
-    Only the two slot blocks of d Gamma the formula reads are gathered.  R is
-    formed one block of points at a time (``tensor.JET_BLOCK``), each in a
-    fresh ``[..., a, i, mu, nu]`` array (the jet's arrays are read-only), and
-    only each point's largest |entry| is kept."""
+    R is formed one block of points at a time (``tensor.JET_BLOCK``), each in
+    a fresh ``[..., a, i, mu, nu]`` array (the jet's arrays are read-only),
+    from that block's rows of the only two slot blocks of d Gamma the formula
+    reads, and only each point's largest |entry| is kept."""
     lead, trail, n, s = dist.leading, dist.trailing, dist.n, dist.s
     G = conn.gamma(points)
     base, r = G.shape[:-3], n - s
-    # d_mu Gamma^i_{a nu} as [mu, i, a, nu] and d_a Gamma^i_{mu nu} as [a, i, mu, nu]
-    dG_mu = conn.gamma_partial(points, (slice(None), lead, trail)).reshape(-1, n, r, s, n)
-    dG_a = conn.gamma_partial(points, (trail, lead)).reshape(-1, s, r, n, n)
     G = G.reshape(-1, n, n, n)
     per_point = np.empty(len(G))
     for at in _point_blocks(len(G), n ** 4):
@@ -183,8 +191,10 @@ def curvature_condition(conn: ConnectionField, dist: DistributionSpec, points) -
         left = np.einsum("...iap->...aip", g[..., lead, trail, :]).reshape(-1, s * r, n)
         block -= np.matmul(left, g.reshape(-1, n, n * n)).reshape(block.shape)
         block = block.reshape(-1, s, r, n, n)
-        block += np.einsum("...miav->...aimv", dG_mu[at])
-        block -= dG_a[at]
+        # d_mu Gamma^i_{a nu} as [mu, i, a, nu] and d_a Gamma^i_{mu nu} as [a, i, mu, nu]
+        dG_mu = conn.gamma_partial(points, (slice(None), lead, trail), at)
+        block += np.einsum("...miav->...aimv", dG_mu)
+        block -= conn.gamma_partial(points, (trail, lead), at)
         per_point[at] = np.max(np.abs(block), axis=(1, 2, 3, 4), initial=0.0)
     return _reduced("curvature_condition", points, per_point.reshape(base))
 
@@ -203,14 +213,16 @@ def check_walker_form(g: MetricField, points) -> List[CheckResult]:
     lead, mid, trail = chart.leading, chart.middle, chart.trailing
 
     gv = g.value(points)
-    dg = g.partial_value(points)
+    # only the three slot blocks of dg the clauses read
+    dg_ia, dg_pq, dg_pi = g._slot_blocks(
+        1, points, (slice(None), lead, trail), (trail, mid, mid), (trail, mid, lead))
     det_ia = np.abs(np.linalg.det(gv[..., lead, trail]))
     results = [
         _reduced("null_trailing_block", points, gv[..., trail, trail]),
         _reduced("null_middle_trailing_block", points, gv[..., mid, trail]),
-        _reduced("constant_leading_trailing_block", points, dg[..., :, lead, trail]),
-        _reduced("trailing_independence_middle_block", points, dg[..., trail, mid, mid]),
-        _reduced("trailing_independence_middle_leading_block", points, dg[..., trail, mid, lead]),
+        _reduced("constant_leading_trailing_block", points, dg_ia),
+        _reduced("trailing_independence_middle_block", points, dg_pq),
+        _reduced("trailing_independence_middle_leading_block", points, dg_pi),
         _reduced("nonsingular_leading_trailing_block", points,
                  np.maximum(0.0, 1.0 - det_ia / WALKER_DET_FLOOR)),
     ]

@@ -707,15 +707,18 @@ def evaluate_fields(fields, x: np.ndarray, checked: bool = False) -> np.ndarray:
     """Evaluate a (nested sequence of) field(s) at batched points.
 
     ``fields`` is a ScalarField or any rectangular nested list/tuple of them
-    with shape ``S``; the result has shape ``x.shape[:-1] + S``.  ``x`` must
-    hold at least one point.
+    with shape ``S``, all on one n-chart; the result has shape
+    ``x.shape[:-1] + S``.  ``x`` must hold at least one point of width n.
     """
     arr = np.asarray(fields, dtype=object)
     single = arr.ndim == 0
     if single:
         arr = arr.reshape(1)
+    widths = sorted({f.n for f in arr.reshape(-1)})
+    if len(widths) > 1:
+        raise ValueError(f"fields of one chart expected, got chart dimensions {widths}")
     x = np.asarray(x, dtype=float)
-    x = _as_points(x, x.shape[-1] if x.ndim else 0)  # of any width
+    x = _as_points(x, widths[0] if widths else (x.shape[-1] if x.ndim else 0))
     base = x.shape[:-1]
     out = np.empty(base + arr.shape, dtype=float)
     flat_out = out.reshape(base + (-1,))

@@ -12,15 +12,19 @@ one sample share one Gamma / d Gamma evaluation and one lowering of each
 order.  Over all points the jet materializes g^{-1}, Gamma and d Gamma
 compressed to one column per stored lower pair (see
 :class:`LeviCivitaConnection`), the order-1 field values and first-kind sums
-until both Gamma and d Gamma exist, and, while d Gamma is formed, the order-2
-sums (a few hundred numbers per point at n = 8).  The dense dg,
-Gamma_{m,jk} and d_u Gamma_{m,jk} that Gamma and d Gamma are formed from
-exist only for one block of points at a time, ``max(1, JET_BLOCK // n**4)``
-points for d Gamma and ``max(1, JET_BLOCK // n**3)`` for Gamma, and d^2 g is
-never laid out, so the jet's peak memory is one compressed d Gamma; a
-reader gathers only the slot block of d Gamma it asks for.  A metric is
-singular at a point where ``|det g|`` is below :data:`DET_FLOOR`; the constant block ``[g_ia]`` that
-:mod:`walkergeom.extensions` inverts is held to the same floor.
+until both Gamma and d Gamma exist, and, while d Gamma is formed, the values
+of the order-2 fields (under a hundred numbers per point at n = 8).  The
+order-2 first-kind sums and the dense dg, Gamma_{m,jk} and d_u Gamma_{m,jk}
+that Gamma and d Gamma are formed from exist only for one block of points at
+a time, ``max(1, JET_BLOCK // n**4)`` points for d Gamma and
+``max(1, JET_BLOCK // n**3)`` for Gamma, and d^2 g is never laid out.  A
+reader gathers only the slot block of d Gamma it asks for and, given
+``rows``, only those points of it; the checks of
+:mod:`walkergeom.distributions` read d Gamma one point block at a time, so a
+check suite's peak memory is the jet it holds.  A metric is singular at a
+point where ``|det g|`` is below :data:`DET_FLOOR`; the constant block
+``[g_ia]`` that :mod:`walkergeom.extensions` inverts is held to the same
+floor.
 
 Curvature comes as a batched array: :func:`curvature_components` gives
 ``R_{ijk}{}^l`` at the points of ``x``.
@@ -183,12 +187,15 @@ class _SymmetricComponents:
     def _values(self, order: int, x) -> np.ndarray:
         return self._slot_blocks(order, x, ())[0]
 
+    def _field_values(self, order: int, x) -> np.ndarray:
+        """The order's distinct fields evaluated at ``x``, ``[..., field]``."""
+        return evaluate_fields(self._table(order)[0], _as_points(x, self.n))
+
     def _slot_blocks(self, order: int, x, *blocks) -> list:
         """The order's table at ``x`` over each slot block of ``blocks`` (a
         tuple indexing the dense slot axes; ``()`` is the whole table), one
         array per block, all gathered from one evaluation of the fields."""
-        fields, index = self._table(order)
-        v = evaluate_fields(fields, _as_points(x, self.n))
+        v, index = self._field_values(order, x), self._table(order)[1]
         return [np.take(v, index[block], axis=-1) for block in blocks]
 
 
@@ -259,23 +266,20 @@ class MetricField(_SymmetricComponents):
             self._columns = np.array(slots, dtype=np.intp), columns
         return self._columns
 
-    def _first_kind_sums(self, order: int, x):
-        """The values of the order's distinct fields at ``x``,
-        ``evaluate_fields(fields, x)``, and the first-kind sums formed from
-        them, one per distinct triple: (1/2)((A + B) - C), terms in that order.
+    def _first_kind_sums(self, order: int, v) -> np.ndarray:
+        """The first-kind sums formed from ``v``, values of the order's
+        distinct fields (``_field_values``, or rows of them), one per distinct
+        triple: (1/2)((A + B) - C), terms in that order.
 
-        Gamma_{m,jk} = (1/2)(d_j g_{mk} + d_k g_{jm} - d_m g_{jk}) at ``x``
-        (order 1), or its partials d_u Gamma_{m,jk} (order 2), is
-        ``np.take(sums, self._triple_table(order)[1], axis=-1)``, and the
-        order's dense table is ``np.take(values, self._table(order)[1], axis=-1)``.
+        Gamma_{m,jk} = (1/2)(d_j g_{mk} + d_k g_{jm} - d_m g_{jk}) at the
+        values' points (order 1), or its partials d_u Gamma_{m,jk} (order 2),
+        is ``np.take(sums, self._triple_table(order)[1], axis=-1)``.
         """
-        fields, _ = self._table(order)
         (a, b, c), _ = self._triple_table(order)
-        v = evaluate_fields(fields, x)
         w = np.take(v, a, axis=-1) + np.take(v, b, axis=-1)
         w -= np.take(v, c, axis=-1)
         w *= 0.5
-        return v, w
+        return w
 
     def inverse_value(self, x) -> np.ndarray:
         g = self.value(x)
@@ -312,12 +316,16 @@ class ConnectionField:
         """Values, shape ``x.shape[:-1] + (n, n, n)`` indexed ``[l, j, k]``."""
         raise NotImplementedError
 
-    def gamma_partial(self, x, block=()) -> np.ndarray:
+    def gamma_partial(self, x, block=(), rows=None) -> np.ndarray:
         """Partials, shape ``x.shape[:-1] + (n, n, n, n)``, ``[mu, l, j, k]``.
 
         ``block``, a tuple of up to four slices or integers indexing the slot
         axes ``[mu, l, j, k]`` from the front, asks for that slot block
         only: ``gamma_partial(x)[(slice(None),) * (x.ndim - 1) + block]``.
+        ``rows``, a slice of the points of ``x`` flattened to one row each,
+        asks for those points only, shape ``(len(rows),) + slot shape``: the
+        same values as those rows of the whole array, so a caller can read
+        d Gamma one point block at a time.
         """
         raise NotImplementedError
 
@@ -331,7 +339,9 @@ class SymbolicConnection(ConnectionField, _SymmetricComponents):
     def gamma(self, x) -> np.ndarray:
         return self._values(0, x)
 
-    def gamma_partial(self, x, block=()) -> np.ndarray:
+    def gamma_partial(self, x, block=(), rows=None) -> np.ndarray:
+        if rows is not None:
+            x = _rows(_as_points(x, self.n))[rows]
         return self._slot_blocks(1, x, block)[0]
 
 
@@ -361,9 +371,9 @@ class LeviCivitaConnection(ConnectionField):
 
     ``low`` and d_u(low) are lowered by index
     (``MetricField._first_kind_sums``): formed once per distinct triple of the
-    metric's order-1 and order-2 fields, over all points, and gathered over
-    the slots.  Both products are plain ``matmul`` over ``(n, columns)``
-    views.
+    metric's order-1 and order-2 fields, ``low``'s over all points and
+    d_u(low)'s one point block at a time, and gathered over the slots.  Both
+    products are plain ``matmul`` over ``(n, columns)`` views.
 
     The connection holds the jet of the last point set it was asked about: a
     copy of the points, g^{-1}, the order-1 field values and first-kind sums
@@ -380,13 +390,15 @@ class LeviCivitaConnection(ConnectionField):
     ``MetricField._pair_columns`` keeps and one shared all-zero column,
     formed as g^{-1} 0 like every other column, so it carries the NaNs and
     the zero signs of the dense product.  The store is formed one block of
-    ``max(1, JET_BLOCK // n**4)`` points at a time: dense dg, ``low`` and
-    d_u(low) exist only per block, and d^2 g is never laid out, so the jet's
-    peak memory is one compressed d Gamma.  Gamma (n^3 entries per point) is
-    formed from ``low`` in blocks of ``max(1, JET_BLOCK // n**3)`` points the
-    same way.  Every point's products are the same small GEMMs whatever its
-    block, and ``gamma_partial(x, block)`` gathers the slot block asked for,
-    the dense table for ``()``, from the store.
+    ``max(1, JET_BLOCK // n**4)`` points at a time: dense dg, ``low``, the
+    order-2 first-kind sums and d_u(low) exist only per block, and d^2 g is
+    never laid out, so the jet's peak memory is one compressed d Gamma.
+    Gamma (n^3 entries per point) is formed from ``low`` in blocks of
+    ``max(1, JET_BLOCK // n**3)`` points the same way.  Every point's
+    products are the same small GEMMs whatever its block, and
+    ``gamma_partial(x, block, rows)`` gathers the slot block asked for, the
+    dense table for ``()``, from the store's rows ``rows`` (all of them for
+    ``None``).
 
     A stored column is the column of the dense ``(n, n^2)`` product, taken
     from a narrower GEMM.  Where the BLAS rounds each entry independently of
@@ -417,7 +429,8 @@ class LeviCivitaConnection(ConnectionField):
         """The order-1 field values and first-kind sums at the jet's points,
         one row per point."""
         if self._sums is None:
-            self._sums = tuple(map(_rows, self.metric._first_kind_sums(1, self._x)))
+            v = _rows(self.metric._field_values(1, self._x))
+            self._sums = v, self.metric._first_kind_sums(1, v)
         return self._sums
 
     def _release_first_kind(self) -> None:
@@ -438,21 +451,23 @@ class LeviCivitaConnection(ConnectionField):
             self._release_first_kind()
         return self._gamma
 
-    def gamma_partial(self, x, block=()) -> np.ndarray:
+    def gamma_partial(self, x, block=(), rows=None) -> np.ndarray:
         x = self._points(x)
         metric, n = self.metric, self.n
         slots, columns = metric._pair_columns()
         if self._dgamma is None:
             ginv = self._inverse().reshape(-1, 1, n, n)
             v1, w1 = self._first_kind()
-            w2 = _rows(metric._first_kind_sums(2, x)[1])
+            # the order-2 fields over all points, their sums one block at a time
+            v2 = _rows(metric._field_values(2, x))
             dg_at = metric._table(1)[1]
             low_at = metric._triple_table(1)[1].reshape(n, n * n)[:, slots]
             dlow_at = metric._triple_table(2)[1].reshape(n, n, n * n)[..., slots]
             out = np.empty((len(ginv), n, n, len(slots)))
             for at in _point_blocks(len(ginv), n ** 4):
                 gi = ginv[at]
-                np.matmul(gi, np.take(w2[at], dlow_at, axis=-1), out=out[at])
+                w2 = metric._first_kind_sums(2, v2[at])
+                np.matmul(gi, np.take(w2, dlow_at, axis=-1), out=out[at])
                 # d_u(g^{-1}) = -g^{-1} (d_u g) g^{-1}
                 dginv = -np.matmul(np.matmul(gi, np.take(v1[at], dg_at, axis=-1)), gi)
                 low = np.take(w1[at], low_at, axis=-1).reshape(-1, 1, n, len(slots))
@@ -463,8 +478,10 @@ class LeviCivitaConnection(ConnectionField):
         store = self._dgamma
         # each slot's position in a point's row of the store, [u, l, column]
         where = np.add.outer(np.arange(n * n).reshape(n, n)[u, l] * store.shape[-1], columns[j, k])
-        out = np.take(store.reshape(len(store), -1), where, axis=-1)
-        return _frozen(out.reshape(x.shape[:-1] + where.shape))
+        store = store.reshape(len(store), -1)
+        if rows is None:
+            return _frozen(np.take(store, where, axis=-1).reshape(x.shape[:-1] + where.shape))
+        return _frozen(np.take(store[rows], where, axis=-1))
 
 
 class RestrictedConnection(ConnectionField):
@@ -491,9 +508,9 @@ class RestrictedConnection(ConnectionField):
         m = self.n
         return self.parent.gamma(self._embed(y))[..., :m, :m, :m]
 
-    def gamma_partial(self, y, block=()) -> np.ndarray:
+    def gamma_partial(self, y, block=(), rows=None) -> np.ndarray:
         m = self.n
-        leading = self.parent.gamma_partial(self._embed(y), (slice(None, m),) * 4)
+        leading = self.parent.gamma_partial(self._embed(y), (slice(None, m),) * 4, rows)
         return leading[(slice(None),) * (leading.ndim - 4) + tuple(block)]
 
 

@@ -193,6 +193,22 @@ def test_empty_point_batch_is_refused():
         evaluate_fields([f, f.partial(1)], np.empty((0, 2)))
 
 
+def test_evaluate_fields_checks_the_width_of_the_fields_chart():
+    x3 = parse_expression("x3", 3)
+    message = "points must have shape (..., 3), got (4, 2)"
+    for fields in (x3, [x3], [[x3, x3.partial(3)]]):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evaluate_fields(fields, np.zeros((4, 2)))
+    # a field that reads fewer coordinates than its chart has still needs them all
+    with pytest.raises(ValueError, match=re.escape("got (4, 2)")):
+        evaluate_fields([parse_expression("x1", 3)], np.zeros((4, 2)))
+    message = "fields of one chart expected, got chart dimensions [2, 3]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evaluate_fields([parse_expression("x1", 2), x3], np.zeros((4, 3)))
+    assert np.array_equal(evaluate_fields([x3, x3 * x3], np.full((4, 3), 2.0)),
+                          np.tile([2.0, 4.0], (4, 1)))
+
+
 def test_evaluate_checks_point_length():
     with pytest.raises(ValueError):
         parse_expression("x1", 2).evaluate([1.0])

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from walkergeom import (
     SingularMetricError,
     SymbolicConnection,
     christoffel,
+    coordinate,
     curvature_components,
     curvature_condition,
     parse_expression,
@@ -384,7 +386,8 @@ def test_first_kind_lowering_matches_dense_terms(g):
             # Gamma_{m,jk} = (1/2)((d_j g_mk + d_k g_jm) - d_m g_jk), term order kept
             want = 0.5 * ((np.einsum("...jmk->...mjk", dense) + np.einsum("...kjm->...mjk", dense))
                           - dense)
-            v, w = g._first_kind_sums(order, x)
+            v = g._field_values(order, x)
+            w = g._first_kind_sums(order, v)
             assert np.array_equal(np.take(v, g._table(order)[1], axis=-1), dense)
             low = np.take(w, g._triple_table(order)[1], axis=-1)
             assert np.array_equal(low, want)
@@ -478,29 +481,74 @@ def _same_row(got, want) -> bool:
             and np.array_equal(got.worst_point, want.worst_point))
 
 
+def _symbolic_connection(g):
+    """A SymbolicConnection with Gamma^1_{jk} = x_1 g_{jk}, other components zero."""
+    n = g.n
+    return SymbolicConnection(n, {(1, j, k): coordinate(1, n) * g.component(j, k)
+                                  for j in range(1, n + 1) for k in range(j, n + 1)})
+
+
+def _row_reads_match(conn, x, blocks, step, equal_nan) -> bool:
+    """Each slot block read ``step`` points at a time is the whole read's rows."""
+    count = x.size // x.shape[-1]
+    for block in blocks:
+        whole = conn.gamma_partial(x, block)
+        whole = whole.reshape((count,) + whole.shape[x.ndim - 1:])
+        for start in range(0, count, step):
+            rows = slice(start, start + step)
+            got = conn.gamma_partial(x, block, rows)
+            if got.shape != whole[rows].shape or not np.array_equal(
+                    got, whole[rows], equal_nan=equal_nan):
+                return False
+    return True
+
+
 @pytest.mark.parametrize("g", BLOCK_METRICS,
                          ids=["ext22", "ext32", "two_block", "walker", "infinite_inverse"])
 def test_blocked_jet_matches_unblocked_formulas(g):
     # N = 1, B - 1, B, B + 1 and 3B + 5 points for the block sizes B of d Gamma
     # and of Gamma, a single point and (2, B + 1, n) batches: every block
-    # boundary gives the bits of the formulas over all points at once
+    # boundary gives the bits of the formulas over all points at once, and a
+    # read of B rows at a time gives the rows of the whole read
     n = g.n
+    dists = [DistributionSpec.null_block(g.chart)]
+    if g.chart.mode == "three_block":
+        dists.append(DistributionSpec.orthocomplement(g.chart))
     sizes = [max(1, JET_BLOCK // n ** 4), max(1, JET_BLOCK // n ** 3)]
-    count = 3 * max(sizes) + 5
+    # the blocks of d_a Gamma^i_{jk} that projectability_parts reduces
+    part_sizes = [max(1, JET_BLOCK // (d.s * (n - d.s) ** 3)) for d in dists]
+    count = 3 * max(sizes + part_sizes) + 5
     if g is INFINITE_INVERSE:
         pts = np.random.default_rng(n).uniform(-1.0, 1.0, (count, n))
     else:
         pts = sample_points(g, count, seed=n)
     equal_nan = g is INFINITE_INVERSE
-    batches = [pts[0]]
-    for B in sizes:
-        batches += [pts[:N] for N in (1, B - 1, B, B + 1, 3 * B + 5) if N > 0]
-        batches.append(pts[:2 * B + 2].reshape(2, B + 1, n))
-    dists = [DistributionSpec.null_block(g.chart)]
-    if g.chart.mode == "three_block":
-        dists.append(DistributionSpec.orthocomplement(g.chart))
+
+    def batches(B):
+        return [(pts[:N], B) for N in (1, B - 1, B, B + 1, 3 * B + 5) if N > 0] + [
+            (pts[:2 * B + 2].reshape(2, B + 1, n), B)]
+
+    symbolic = _symbolic_connection(g)
+    # at the part sizes, against the whole-block reads of the jet (checked
+    # against the formulas below) and with every connection read by rows
+    for dist, B in zip(dists, part_sizes):
+        lead, trail = dist.leading, dist.trailing
+        block = (trail, lead, lead, lead)
+        for x, step in batches(B):
+            conn = christoffel(g)
+            with np.errstate(all="ignore"):
+                parts = projectability_parts(conn, dist, x)
+            wants = [_reduced("projectable_parallel_part", x, conn.gamma(x)[..., lead, trail, :]),
+                     _reduced("projectable_derivative_part", x, conn.gamma_partial(x, block))]
+            assert all(_same_row(got, want) for got, want in zip(parts, wants))
+            assert _row_reads_match(conn, x, [block], step, equal_nan)
+            assert _row_reads_match(symbolic, x, [block], step, False)
+            leaf = restrict_connection(christoffel(g), dist)
+            with np.errstate(all="ignore"):
+                assert _row_reads_match(leaf, x[..., :leaf.n], [()], step, equal_nan)
     slots, _ = g._pair_columns()
-    for x in batches:
+    slots, _ = g._pair_columns()
+    for x, step in [(pts[0], 1)] + batches(sizes[0]) + batches(sizes[1]):
         conn = christoffel(g)
         with np.errstate(all="ignore"):
             G, dG = conn.gamma(x), conn.gamma_partial(x)
@@ -511,12 +559,23 @@ def test_blocked_jet_matches_unblocked_formulas(g):
         assert np.array_equal(conn._dgamma, want_dG.reshape(-1, n, n, n * n)[..., slots],
                               equal_nan=equal_nan)
         points = (slice(None),) * (x.ndim - 1)
+        # reads by rows: from the jet, a symbolic connection and the
+        # restriction to each leaf space
+        some = (slice(1, None), slice(None, 1))
+        assert _row_reads_match(conn, x, [(), some], step, equal_nan)
+        assert _row_reads_match(symbolic, x, [(), some], step, False)
+        for dist in dists:
+            leaf = restrict_connection(christoffel(g), dist)
+            with np.errstate(all="ignore"):
+                assert _row_reads_match(leaf, x[..., :leaf.n], [(), some], step, equal_nan)
         for dist in dists:
             lead, trail = dist.leading, dist.trailing
             # the slot blocks projectability_parts and curvature_condition read
-            for block in [(trail, lead, lead, lead), (slice(None), lead, trail), (trail, lead)]:
+            blocks = [(trail, lead, lead, lead), (slice(None), lead, trail), (trail, lead)]
+            for block in blocks:
                 assert np.array_equal(conn.gamma_partial(x, block), want_dG[points + block],
                                       equal_nan=equal_nan)
+            assert _row_reads_match(conn, x, blocks, step, equal_nan)
             with np.errstate(all="ignore"):
                 want = _reduced("curvature_condition", x,
                                 _curvature_block(want_G, want_dG, dist))
@@ -544,19 +603,24 @@ def test_blocked_jet_matches_unblocked_formulas(g):
     ["parallel", "projected_connection", "projectable", "curvature_condition"],
 ], ids=["default", "custom"])
 def test_default_extension_suite_shares_one_jet(tmp_path, monkeypatch, checks):
-    # d Gamma is lowered from the order-2 table without laying out d^2 g, so
-    # its builds are counted at the order-2 lowering
+    # d Gamma is lowered from the order-2 fields without laying out d^2 g, so
+    # its builds are counted at the evaluations of those fields and at the
+    # first-kind lowerings, which form the order-2 sums one point block at a time
     calls = {"inverse_value": 0, "second_partial_value": 0}
-    lowered = []  # (order, points) of every first-kind lowering
-    for name in (*calls, "_first_kind_sums"):
+    evaluated = []  # (order, points, values) of every evaluation of a table's fields
+    lowered = []  # (order, values) of every first-kind lowering
+    for name in (*calls, "_field_values", "_first_kind_sums"):
         original = getattr(MetricField, name)
 
         def counted(self, *args, _original=original, _name=name, **kwargs):
-            if _name == "_first_kind_sums":
-                lowered.append((args[0], np.asarray(args[1]).tobytes()))
+            out = _original(self, *args, **kwargs)
+            if _name == "_field_values":
+                evaluated.append((args[0], np.asarray(args[1]).tobytes(), out))
+            elif _name == "_first_kind_sums":
+                lowered.append(args)
             else:
                 calls[_name] += 1
-            return _original(self, *args, **kwargs)
+            return out
 
         monkeypatch.setattr(MetricField, name, counted)
     problem = {"kind": "extension", "r": 2, "m": 1, "D_1_1_2": "x1*x2",
@@ -570,9 +634,41 @@ def test_default_extension_suite_shares_one_jet(tmp_path, monkeypatch, checks):
     # the sample points, then the base points of projected_connection
     assert calls["inverse_value"] <= 2
     assert calls["second_partial_value"] <= 2
-    # one order-1 and one order-2 lowering on the sample points, shared by
-    # Gamma and d Gamma; the padded base points of projected_connection get
-    # one order-1 lowering of their own
-    (sample,) = [x for order, x in lowered if order == 2]
-    assert sorted(order for order, x in lowered if x == sample) == [1, 2]
-    assert sorted(order for order, x in lowered if x != sample) == [1]
+    # one evaluation of the order-2 fields, on the sample points, and one of
+    # the order-1 fields on each point set, shared by Gamma and d Gamma
+    ((sample, v2),) = [(x, v) for order, x, v in evaluated if order == 2]
+    order1 = {x: v for order, x, v in evaluated if order == 1}
+    assert len(order1) == 2 == len([order for order, _, _ in evaluated if order == 1])
+    assert sample in order1
+    # one order-1 lowering per point set; every order-2 lowering reads rows
+    # of the one order-2 evaluation
+    assert sorted(next(x for x, v in order1.items() if np.shares_memory(v, values))
+                  for order, values in lowered if order == 1) == sorted(order1)
+    order2 = [values for order, values in lowered if order == 2]
+    assert order2 and all(np.shares_memory(values, v2) for values in order2)
+
+
+def test_metric_form_suite_peaks_at_its_jet(tmp_path):
+    # an r = 3, m = 2 metric-form suite at 2000 samples (n = 8): every
+    # all-point transient of its rows is read one point block at a time, so
+    # the suite's peak is the jet it holds (Gamma, the d Gamma store, g^{-1})
+    # and not a row's gathers
+    ext = random_extension_spec(np.random.default_rng(7), 3, 2)
+    problem = cli.build_components(cli.ProblemSpec(kind="extension", path="", checks=[],
+                                                   extension=ext))
+    problem.update(checks=["null", "parallel", "projectable", "curvature_condition",
+                           "walker_form", "walker_projectability"], samples=2000, seed=5)
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps(problem))
+    spec = cli.load_spec(str(path))
+    tracemalloc.start()
+    try:
+        report = cli.run_checks(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict
+    n, count = spec.metric.n, spec.samples
+    columns = len(spec.metric._pair_columns()[0])
+    jet = 8 * count * (n ** 3 + n * n * columns + n * n)
+    assert peak <= 1.25 * jet
