@@ -434,8 +434,8 @@ def _projectable(c: _Context):
 
 def _projected_connection(c: _Context) -> CheckResult:
     base_pts = c.pts[:, : c.g.chart.r]
-    # its own connection, so the jet of c.conn stays on the sample points
-    diff = (restrict_connection(christoffel(c.g), c.ortho).gamma(base_pts)
+    # a slot-block read off the sample points leaves the jet of c.conn there
+    diff = (restrict_connection(c.conn, c.ortho).gamma(base_pts)
             - c.spec.extension.base_connection.gamma(base_pts))
     return _reduced("projected_connection", c.pts, diff)
 

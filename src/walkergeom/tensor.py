@@ -4,9 +4,16 @@ Components are :class:`~walkergeom.expr.ScalarField` expressions, so all
 coordinate partials entering Christoffel symbols and curvature are exact;
 floating point enters only through point evaluation and through the inverse
 metric, which is solved numerically at the evaluation points rather than
-symbolically.  A :class:`LeviCivitaConnection` holds its own jet: a copy of
-the last point set it was asked about and the inverse metric, the order-1
-first-kind sums, Gamma and d Gamma there, each computed on first use; calls
+symbolically.  A structurally Walker metric (three-block chart, g_ab and
+g_ap structurally zero, g_ia constant) is inverted by blocks, with C = [g_ia]
+inverted once per metric: the leading rows of g^{-1} are [0, 0, C^{-T}]
+exactly, so Gamma^i_{a mu}, d_a Gamma^i_{jk} and R_{a mu nu}{}^i of an
+extension come out exactly 0.0 at any scale of its data.  Every other
+metric is inverted densely.
+
+A :class:`LeviCivitaConnection` holds its own jet: a copy of the last point
+set it was asked about and the inverse metric, the order-1 first-kind sums,
+Gamma and d Gamma there, each computed on first use; calls
 on points equal to that set by value reuse it, so the checks of one suite on
 one sample share one Gamma / d Gamma evaluation and one lowering of each
 order.  Over all points the jet materializes g^{-1}, Gamma and d Gamma
@@ -21,10 +28,12 @@ a time, ``max(1, JET_BLOCK // n**4)`` points for d Gamma and
 reader gathers only the slot block of d Gamma it asks for and, given
 ``rows``, only those points of it; the checks of
 :mod:`walkergeom.distributions` read d Gamma one point block at a time, so a
-check suite's peak memory is the jet it holds.  A metric is singular at a
-point where ``|det g|`` is below :data:`DET_FLOOR`; the constant block
-``[g_ia]`` that :mod:`walkergeom.extensions` inverts is held to the same
-floor.
+check suite's peak memory is the jet it holds.  A slot block of Gamma at
+points other than the jet's (the leaf block that a restriction reads) is
+formed on its own, from only the first-kind sums its columns read, and
+leaves the jet as it is.  A metric is singular at a point where ``|det g|``
+is below :data:`DET_FLOOR`; the constant block ``[g_ia]`` that
+:mod:`walkergeom.extensions` inverts is held to the same floor.
 
 Curvature comes as a batched array: :func:`curvature_components` gives
 ``R_{ijk}{}^l`` at the points of ``x``.
@@ -58,6 +67,7 @@ the same way.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Dict, Mapping, Tuple
 
@@ -266,35 +276,102 @@ class MetricField(_SymmetricComponents):
             self._columns = np.array(slots, dtype=np.intp), columns
         return self._columns
 
-    def _first_kind_sums(self, order: int, v) -> np.ndarray:
+    def _first_kind_sums(self, order: int, v, triples=slice(None)) -> np.ndarray:
         """The first-kind sums formed from ``v``, values of the order's
         distinct fields (``_field_values``, or rows of them), one per distinct
-        triple: (1/2)((A + B) - C), terms in that order.
+        triple (or per triple that ``triples`` picks from that list):
+        (1/2)((A + B) - C), terms in that order.
 
         Gamma_{m,jk} = (1/2)(d_j g_{mk} + d_k g_{jm} - d_m g_{jk}) at the
         values' points (order 1), or its partials d_u Gamma_{m,jk} (order 2),
         is ``np.take(sums, self._triple_table(order)[1], axis=-1)``.
         """
-        (a, b, c), _ = self._triple_table(order)
+        a, b, c = (t[triples] for t in self._triple_table(order)[0])
         w = np.take(v, a, axis=-1) + np.take(v, b, axis=-1)
         w -= np.take(v, c, axis=-1)
         w *= 0.5
         return w
 
+    @functools.cached_property
+    def _walker_block(self):
+        """``(C^{-1}, det(C)^2)`` for the constant block ``C = [g_ia]`` when
+        the metric is structurally Walker, else None.
+
+        Structurally Walker: a three-block chart, every g_ab and g_ap
+        structurally zero (``is_zero``) and every g_ia constant (no
+        coordinate in its expression), with C finite and nonsingular.  Then
+        g = [[A, B, C], [B^T, H, 0], [C^T, 0, 0]] in (leading, middle,
+        trailing) blocks.
+        """
+        chart, n = self.chart, self.n
+        if chart.mode != "three_block":
+            return None
+        r = chart.r
+        lead, trail = range(1, r + 1), range(n - r + 1, n + 1)
+        if not (all(self.component(a, b).is_zero for a in trail for b in range(r + 1, n + 1))
+                and all(self.component(i, a).max_var == 0 for i in lead for a in trail)):
+            return None
+        c = evaluate_fields([[self.component(i, a) for a in trail] for i in lead],
+                            np.zeros(n))
+        det = np.linalg.det(c)
+        if not (np.all(np.isfinite(c)) and det != 0):
+            return None
+        return np.linalg.inv(c), det * det
+
     def inverse_value(self, x) -> np.ndarray:
+        """g^{-1} at ``x``, shape ``x.shape[:-1] + (n, n)``.
+
+        A structurally Walker metric (``_walker_block``) is inverted by
+        blocks: the leading rows of g^{-1} are ``[0, 0, C^{-T}]`` exactly, so
+        every quantity they contract with structurally zero fields comes out
+        exactly 0.0, and ``|det g| = det(C)^2 |det H|`` is what meets
+        :data:`DET_FLOOR`.  Every other metric is inverted densely.
+        """
         g = self.value(x)
-        det = np.linalg.det(g)
+        walker = self._walker_block
+        if walker is None:
+            det = np.linalg.det(g)
+        else:
+            c_inv, c_det2 = walker
+            mid = self.chart.middle
+            det = c_det2 * np.linalg.det(g[..., mid, mid])
         bad = np.abs(det) < DET_FLOOR
         if np.any(bad):
             where = np.asarray(x, dtype=float).reshape(-1, self.n)[np.argmax(bad.reshape(-1))]
             raise SingularMetricError(
                 f"metric singular (|det| < {DET_FLOOR:g}) at point {where.tolist()}"
             )
-        return np.linalg.inv(g)
+        return np.linalg.inv(g) if walker is None else _walker_inverse(g, self.chart.r, c_inv)
 
     def __repr__(self):
         nonzero = {k: str(v) for k, v in self._comps.items() if not v.is_zero}
         return f"MetricField(n={self.n}, {nonzero})"
+
+
+def _walker_inverse(g: np.ndarray, r: int, ci: np.ndarray) -> np.ndarray:
+    """The inverse of g = [[A, B, C], [B^T, H, 0], [C^T, 0, 0]] (blocks of
+    sizes r, n - 2r, r; C constant with inverse ``ci``), point axes first:
+
+        [[0,     0,          C^{-T}                      ],
+         [0,     H^{-1},     -H^{-1} B^T C^{-T}          ],
+         [C^{-1}, -C^{-1} B H^{-1}, C^{-1}(B H^{-1} B^T - A) C^{-T}]]
+
+    The off-diagonal middle-trailing blocks are one product and its
+    transpose.
+    """
+    q = g.shape[-1] - r
+    a, b, h = g[..., :r, :r], g[..., :r, r:q], g[..., r:q, r:q]
+    hi = np.linalg.inv(h)
+    p = np.matmul(ci, b)  # C^{-1} B
+    k = np.matmul(p, hi)  # C^{-1} B H^{-1}
+    out = np.zeros(g.shape)
+    out[..., :r, q:] = ci.T
+    out[..., q:, :r] = ci
+    out[..., r:q, r:q] = hi
+    out[..., q:, r:q] = -k
+    out[..., r:q, q:] = -np.swapaxes(k, -1, -2)
+    out[..., q:, q:] = np.matmul(k, np.swapaxes(p, -1, -2)) - np.matmul(np.matmul(ci, a), ci.T)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +389,14 @@ class ConnectionField:
 
     n: int
 
-    def gamma(self, x) -> np.ndarray:
-        """Values, shape ``x.shape[:-1] + (n, n, n)`` indexed ``[l, j, k]``."""
+    def gamma(self, x, block=()) -> np.ndarray:
+        """Values, shape ``x.shape[:-1] + (n, n, n)`` indexed ``[l, j, k]``.
+
+        ``block``, a tuple of up to three slices or integers indexing the
+        slot axes ``[l, j, k]`` from the front, asks for that slot block
+        only: the same values as
+        ``gamma(x)[(slice(None),) * (x.ndim - 1) + block]``.
+        """
         raise NotImplementedError
 
     def gamma_partial(self, x, block=(), rows=None) -> np.ndarray:
@@ -336,8 +419,8 @@ class SymbolicConnection(ConnectionField, _SymmetricComponents):
     def __init__(self, n: int, components: Mapping[Tuple[int, int, int], object] = ()):
         super().__init__(n, components, 3, "Gamma")
 
-    def gamma(self, x) -> np.ndarray:
-        return self._values(0, x)
+    def gamma(self, x, block=()) -> np.ndarray:
+        return self._slot_blocks(0, x, tuple(block))[0]
 
     def gamma_partial(self, x, block=(), rows=None) -> np.ndarray:
         if rows is not None:
@@ -398,7 +481,11 @@ class LeviCivitaConnection(ConnectionField):
     products are the same small GEMMs whatever its block, and
     ``gamma_partial(x, block, rows)`` gathers the slot block asked for, the
     dense table for ``()``, from the store's rows ``rows`` (all of them for
-    ``None``).
+    ``None``); a read of ``rows`` compares only those rows of ``x`` with the
+    jet's points, and each slot block's index into the store is worked out
+    on its first read.  ``gamma(x, block)`` slices the jet's Gamma when the
+    jet holds Gamma at ``x``; at other points it forms the block alone and
+    keeps the jet.
 
     A stored column is the column of the dense ``(n, n^2)`` product, taken
     from a narrower GEMM.  Where the BLAS rounds each entry independently of
@@ -411,11 +498,25 @@ class LeviCivitaConnection(ConnectionField):
         self.metric = metric
         self.n = metric.n
         self._x = self._ginv = self._sums = self._gamma = self._dgamma = None
+        # the store index of each slot block read; the store's layout is the metric's
+        self._where = {}
 
-    def _points(self, x) -> np.ndarray:
-        """The jet's points, after starting a new jet unless they equal ``x``."""
+    def _points(self, x, rows=None) -> np.ndarray:
+        """The jet's points, after starting a new jet unless they equal ``x``.
+
+        Given ``rows``, a slice of the flattened points, only those rows are
+        compared (with the shape): a reader that walks d Gamma one point
+        block at a time compares each point once, and a read's result
+        depends on its own rows only.
+        """
         x = _as_points(x, self.n)
-        if self._x is None or not np.array_equal(x, self._x):
+        jet = self._x
+        if rows is None:
+            same = jet is not None and np.array_equal(x, jet)
+        else:
+            same = (jet is not None and x.shape == jet.shape
+                    and np.array_equal(_rows(x)[rows], _rows(jet)[rows]))
+        if not same:
             self._x = x.copy()
             self._ginv = self._sums = self._gamma = self._dgamma = None
         return self._x
@@ -438,24 +539,64 @@ class LeviCivitaConnection(ConnectionField):
         if self._gamma is not None and self._dgamma is not None:
             self._sums = None
 
-    def gamma(self, x) -> np.ndarray:
+    def gamma(self, x, block=()) -> np.ndarray:
+        block = tuple(block)
+        if block:
+            x = _as_points(x, self.n)
+            if self._gamma is None or not np.array_equal(x, self._x):
+                return self._gamma_block(x, block)
+            return self._gamma[(slice(None),) * (x.ndim - 1) + block]
         x = self._points(x)
         if self._gamma is None:
             n, w1 = self.n, self._first_kind()[1]
             ginv = self._inverse().reshape(-1, n, n)
             low_at = self.metric._triple_table(1)[1].reshape(n, n * n)
             out = np.empty((len(ginv), n, n * n))
-            for block in _point_blocks(len(ginv), n ** 3):
-                np.matmul(ginv[block], np.take(w1[block], low_at, axis=-1), out=out[block])
+            for at in _point_blocks(len(ginv), n ** 3):
+                np.matmul(ginv[at], np.take(w1[at], low_at, axis=-1), out=out[at])
             self._gamma = _frozen(out.reshape(x.shape[:-1] + (n,) * 3))
             self._release_first_kind()
         return self._gamma
 
-    def gamma_partial(self, x, block=(), rows=None) -> np.ndarray:
-        x = self._points(x)
+    def _gamma_block(self, x, block) -> np.ndarray:
+        """The slot block ``block`` of Gamma at ``x``, outside the jet: g^{-1}
+        times the block's columns of the first-kind sums, then the block's
+        rows, the same GEMM per point as the jet's but narrower."""
         metric, n = self.metric, self.n
-        slots, columns = metric._pair_columns()
+        slots = block + (slice(None),) * (3 - len(block))
+        l, j, k = (np.atleast_1d(np.arange(n)[s]) for s in slots)
+        ginv = metric.inverse_value(x).reshape(-1, n, n)
+        # the sums of only the triples that the block's columns read
+        width = len(j) * len(k)
+        triples, low_at = np.unique(metric._triple_table(1)[1][:, j[:, None], k],
+                                    return_inverse=True)
+        low_at = low_at.reshape(n, width)
+        w1 = metric._first_kind_sums(1, _rows(metric._field_values(1, x)), triples=triples)
+        # numpy hands a one-column product to GEMV, which sums in another
+        # order than GEMM: give it two
+        if width == 1:
+            low_at = np.repeat(low_at, 2, axis=1)
+        out = np.matmul(ginv, np.take(w1, low_at, axis=-1))[:, l, :width]
+        return _frozen(out.reshape(x.shape[:-1] + np.empty((n,) * 3)[block].shape))
+
+    def _store_index(self, block) -> np.ndarray:
+        """Each slot of ``block`` as its position in a point's row of the
+        d Gamma store ``[u, l, column]``, worked out once per slot block."""
+        # slices are unhashable before Python 3.12
+        key = tuple((s.start, s.stop, s.step) if isinstance(s, slice) else s for s in block)
+        if key not in self._where:
+            n = self.n
+            slots, columns = self.metric._pair_columns()
+            u, l, j, k = block + (slice(None),) * (4 - len(block))
+            self._where[key] = np.add.outer(
+                np.arange(n * n).reshape(n, n)[u, l] * len(slots), columns[j, k])
+        return self._where[key]
+
+    def gamma_partial(self, x, block=(), rows=None) -> np.ndarray:
+        x = self._points(x, rows)
         if self._dgamma is None:
+            metric, n = self.metric, self.n
+            slots, _ = metric._pair_columns()
             ginv = self._inverse().reshape(-1, 1, n, n)
             v1, w1 = self._first_kind()
             # the order-2 fields over all points, their sums one block at a time
@@ -474,11 +615,8 @@ class LeviCivitaConnection(ConnectionField):
                 out[at] += np.matmul(dginv, low)
             self._dgamma = _frozen(out)
             self._release_first_kind()
-        u, l, j, k = tuple(block) + (slice(None),) * (4 - len(block))
-        store = self._dgamma
-        # each slot's position in a point's row of the store, [u, l, column]
-        where = np.add.outer(np.arange(n * n).reshape(n, n)[u, l] * store.shape[-1], columns[j, k])
-        store = store.reshape(len(store), -1)
+        where = self._store_index(tuple(block))
+        store = self._dgamma.reshape(len(self._dgamma), -1)
         if rows is None:
             return _frozen(np.take(store, where, axis=-1).reshape(x.shape[:-1] + where.shape))
         return _frozen(np.take(store[rows], where, axis=-1))
@@ -504,9 +642,10 @@ class RestrictedConnection(ConnectionField):
         y = _as_points(y, self.n)
         return np.concatenate([y, np.zeros(y.shape[:-1] + (self.parent.n - self.n,))], axis=-1)
 
-    def gamma(self, y) -> np.ndarray:
+    def gamma(self, y, block=()) -> np.ndarray:
         m = self.n
-        return self.parent.gamma(self._embed(y))[..., :m, :m, :m]
+        leading = self.parent.gamma(self._embed(y), (slice(None, m),) * 3)
+        return leading[(slice(None),) * (leading.ndim - 3) + tuple(block)]
 
     def gamma_partial(self, y, block=(), rows=None) -> np.ndarray:
         m = self.n
