@@ -14,6 +14,19 @@ them on top of the connection's jet.  A check "passes" when its residual is
 at or below the caller's tolerance; genuine violations show up at O(1) while
 true zeros sit at rounding level, so thresholding is unambiguous in practice.
 
+Parallelism, both parts of projectability and the curvature condition first
+look up their family's slot block in the connection's slot pattern
+(``ConnectionField.nonzero``; for the curvature condition, the OR of the
+patterns of its four terms).  A family whose block is all False is
+structurally zero: it reads 0.0 at every point, the first point is its worst,
+and the connection is not asked for it, so no Gamma, d Gamma or g^{-1} is
+evaluated for it.  This holds whatever the sampled values are: where an
+evaluated dg or g^{-1} is not finite, such a family reads 0.0 where its
+numeric product would read inf * 0 = NaN, and a point where g is singular
+is not refused for it (``sample_points`` never draws one).  Every other
+family is evaluated as below, with the same bits.  On a built extension or
+its metric form, all of these families are structurally zero.
+
 Component families checked (indices: i,j,k leading; p,q middle; a,b trailing):
 
 * nullity                          g_ab = 0
@@ -34,6 +47,7 @@ from typing import List, Optional
 import numpy as np
 
 from .chart import ChartSplit
+from .expr import _as_points
 from .tensor import ConnectionField, MetricField, RestrictedConnection, _point_blocks
 
 __all__ = [
@@ -126,9 +140,23 @@ def check_null(g: MetricField, dist: DistributionSpec, points) -> CheckResult:
     return _reduced("null", points, g.value(points)[..., dist.trailing, dist.trailing])
 
 
+def _base(conn: ConnectionField, points) -> tuple:
+    """The point axes of ``points``, refused like a read of ``conn`` there."""
+    return _as_points(points, conn.n).shape[:-1]
+
+
+def _parallel_family(conn: ConnectionField, dist: DistributionSpec, points) -> np.ndarray:
+    """Gamma^i_{a mu} at ``points``, or one 0.0 per point when its slot
+    pattern is all False."""
+    lead, trail = dist.leading, dist.trailing
+    if not conn.nonzero(0)[lead, trail].any():
+        return np.zeros(_base(conn, points))
+    return conn.gamma(points)[..., lead, trail, :]
+
+
 def check_parallel(conn: ConnectionField, dist: DistributionSpec, points) -> CheckResult:
     """Residual of parallelism of the trailing span: max |Gamma^i_{a mu}|."""
-    return _reduced("parallel", points, conn.gamma(points)[..., dist.leading, dist.trailing, :])
+    return _reduced("parallel", points, _parallel_family(conn, dist, points))
 
 
 def projectability_parts(
@@ -142,14 +170,16 @@ def projectability_parts(
     each point's largest |entry| is kept.
     """
     lead, trail, s = dist.leading, dist.trailing, dist.s
-    G = conn.gamma(points)
-    base, r = G.shape[:-3], dist.n - s
-    per_point = np.empty(math.prod(base))
-    for at in _point_blocks(len(per_point), s * r ** 3):
-        dG_a = conn.gamma_partial(points, (trail, lead, lead, lead), at)
-        per_point[at] = np.max(np.abs(dG_a), axis=(1, 2, 3, 4), initial=0.0)
+    parallel = _parallel_family(conn, dist, points)
+    block = (trail, lead, lead, lead)
+    base, r = _base(conn, points), dist.n - s
+    per_point = np.zeros(math.prod(base))
+    if conn.nonzero(1)[block].any():
+        for at in _point_blocks(len(per_point), s * r ** 3):
+            dG_a = conn.gamma_partial(points, block, at)
+            per_point[at] = np.max(np.abs(dG_a), axis=(1, 2, 3, 4), initial=0.0)
     return (
-        _reduced("projectable_parallel_part", points, G[..., lead, trail, :]),
+        _reduced("projectable_parallel_part", points, parallel),
         _reduced("projectable_derivative_part", points, per_point.reshape(base)),
     )
 
@@ -176,12 +206,15 @@ def curvature_condition(conn: ConnectionField, dist: DistributionSpec, points) -
     R is formed one block of points at a time (``tensor.JET_BLOCK``), each in
     a fresh ``[..., a, i, mu, nu]`` array (the jet's arrays are read-only),
     from that block's rows of the only two slot blocks of d Gamma the formula
-    reads, and only each point's largest |entry| is kept."""
+    reads, and only each point's largest |entry| is kept.  A block whose
+    slot pattern (:func:`_curvature_nonzero`) is all False reads 0.0 at
+    every point without Gamma or d Gamma being read."""
     lead, trail, n, s = dist.leading, dist.trailing, dist.n, dist.s
-    G = conn.gamma(points)
-    base, r = G.shape[:-3], n - s
-    G = G.reshape(-1, n, n, n)
-    per_point = np.empty(len(G))
+    base, r = _base(conn, points), n - s
+    per_point = np.zeros(math.prod(base))
+    if not _curvature_nonzero(conn, dist).any():
+        return _reduced("curvature_condition", points, per_point.reshape(base))
+    G = conn.gamma(points).reshape(-1, n, n, n)
     for at in _point_blocks(len(G), n ** 4):
         g = G[at]
         # Gamma^i_{mu p} Gamma^p_{a nu}: [i mu, p] @ [a][p, nu]
@@ -197,6 +230,17 @@ def curvature_condition(conn: ConnectionField, dist: DistributionSpec, points) -
         block -= conn.gamma_partial(points, (trail, lead), at)
         per_point[at] = np.max(np.abs(block), axis=(1, 2, 3, 4), initial=0.0)
     return _reduced("curvature_condition", points, per_point.reshape(base))
+
+
+def _curvature_nonzero(conn: ConnectionField, dist: DistributionSpec) -> np.ndarray:
+    """The slot pattern of the curvature-condition block ``[a, i, mu, nu]``:
+    the OR of the patterns of its four terms, a product term's slot being
+    nonzero when some p pairs two nonzero factors."""
+    lead, trail = dist.leading, dist.trailing
+    G, dG = conn.nonzero(0).astype(int), conn.nonzero(1)
+    products = (np.einsum("imp,pav->aimv", G[lead], G[:, trail])
+                + np.einsum("iap,pmv->aimv", G[lead, trail], G))
+    return (products > 0) | np.einsum("miav->aimv", dG[:, lead, trail]) | dG[trail, lead]
 
 
 def check_walker_form(g: MetricField, points) -> List[CheckResult]:

@@ -8,8 +8,24 @@ symbolically.  A structurally Walker metric (three-block chart, g_ab and
 g_ap structurally zero, g_ia constant) is inverted by blocks, with C = [g_ia]
 inverted once per metric: the leading rows of g^{-1} are [0, 0, C^{-T}]
 exactly, so Gamma^i_{a mu}, d_a Gamma^i_{jk} and R_{a mu nu}{}^i of an
-extension come out exactly 0.0 at any scale of its data.  Every other
-metric is inverted densely.
+extension are structurally zero (below) at any scale of its data.  Every
+other metric is inverted densely.
+
+A connection also has a slot pattern per order,
+:meth:`ConnectionField.nonzero`: one boolean array over the slots of Gamma
+or of d Gamma, the same at every point.  The Levi-Civita connection builds
+it once from its metric's tables by the formulas of its jet, over booleans:
+a field's ``is_zero`` gives the first-kind sums' pattern (all three slots
+a sum reads zero), g^{-1}'s pattern is the zero blocks of the block inverse
+(all True when dense), Gamma = g^{-1} low, and d Gamma = g^{-1} d(low) +
+d(g^{-1}) low with d(g^{-1}) = g^{-1} dg g^{-1}; the d Gamma pattern (and
+with it the order-2 table) is built only when asked for.  A False slot is a
+sum of products that each hold an exact-zero factor, so it reads 0.0
+wherever the other factors are finite.  The checks of
+:mod:`walkergeom.distributions` decide a family whose slots are all False
+as 0.0 at every point without evaluating it, so where an evaluated dg
+overflows, such a family reads 0.0 and not the NaN of inf * 0.  The lower
+pairs that the d Gamma store keeps come from the same first-kind patterns.
 
 A :class:`LeviCivitaConnection` holds its own jet: a copy of the last point
 set it was asked about and the inverse metric, the order-1 first-kind sums,
@@ -204,9 +220,23 @@ class _SymmetricComponents:
     def _slot_blocks(self, order: int, x, *blocks) -> list:
         """The order's table at ``x`` over each slot block of ``blocks`` (a
         tuple indexing the dense slot axes; ``()`` is the whole table), one
-        array per block, all gathered from one evaluation of the fields."""
-        v, index = self._field_values(order, x), self._table(order)[1]
-        return [np.take(v, index[block], axis=-1) for block in blocks]
+        array per block, all gathered from one evaluation of the distinct
+        fields that the blocks index."""
+        fields, index = self._table(order)
+        at = [index[block] for block in blocks]
+        used = np.zeros(len(fields), dtype=bool)
+        for a in at:
+            used[a] = True
+        v = evaluate_fields([f for f, u in zip(fields, used) if u], _as_points(x, self.n))
+        # each field's position among the evaluated ones
+        position = np.cumsum(used) - 1
+        return [np.take(v, position[a], axis=-1) for a in at]
+
+    def _nonzero(self, order: int) -> np.ndarray:
+        """The order's slot pattern: False where the slot's field is
+        structurally zero (``is_zero``), so it reads 0.0 at every point."""
+        fields, index = self._table(order)
+        return np.array([not f.is_zero for f in fields], dtype=bool)[index]
 
 
 class MetricField(_SymmetricComponents):
@@ -245,12 +275,32 @@ class MetricField(_SymmetricComponents):
             self._triples[order] = (key // (f * f), key // f % f, key % f), at.reshape(index.shape)
         return self._triples[order]
 
+    def _low_nonzero(self, order: int) -> np.ndarray:
+        """The slot pattern of the order's first-kind sums, ``[m, j, k]``
+        (order 1) or ``[u, m, j, k]`` (order 2): False where all three slots
+        that the sum reads (those of ``_triple_table``) are structurally
+        zero, so it reads (0 + 0) - 0 = 0.0 at every point."""
+        d = self._nonzero(order)
+        return np.einsum("...jmk->...mjk", d) | np.einsum("...kjm->...mjk", d) | d
+
+    def _inverse_nonzero(self) -> np.ndarray:
+        """The slot pattern of g^{-1}: False on the blocks that
+        ``_walker_inverse`` leaves exactly zero (leading-leading,
+        leading-middle and middle-leading) when the metric is structurally
+        Walker, all True for the dense inverse."""
+        n = self.n
+        out = np.ones((n, n), dtype=bool)
+        if self._walker_block is not None:
+            r, q = self.chart.r, n - self.chart.r
+            out[:r, :q] = out[:q, :r] = False
+        return out
+
     def _pair_columns(self):
         """The lower-pair columns of the Levi-Civita d Gamma, built on first use.
 
-        A pair ``(j, k)``, ``j <= k``, gets a column unless the first-kind
-        sums of every order-1 slot ``[m, j, k]`` and order-2 slot
-        ``[u, m, j, k]`` come from structurally zero fields only; all such
+        A pair ``(j, k)``, ``j <= k``, gets a column unless every order-1
+        slot ``[m, j, k]`` and order-2 slot ``[u, m, j, k]`` of the
+        first-kind sums is structurally zero (``_low_nonzero``); all such
         pairs share one last column, where they all read the sum of three
         zero fields, +0.  Returns the flat slot ``j * n + k`` that each
         column is formed from and the ``(n, n)`` ``intp`` map of every
@@ -258,13 +308,7 @@ class MetricField(_SymmetricComponents):
         """
         if self._columns is None:
             n = self.n
-            zero = np.ones((n, n), dtype=bool)
-            for order in (1, 2):
-                fields, _ = self._table(order)
-                (a, b, c), at = self._triple_table(order)
-                field_zero = np.array([f.is_zero for f in fields])
-                slot_zero = (field_zero[a] & field_zero[b] & field_zero[c])[at]
-                zero &= np.all(slot_zero.reshape(-1, n, n), axis=0)
+            zero = ~(self._low_nonzero(1).any(axis=0) | self._low_nonzero(2).any(axis=(0, 1)))
             j, k = np.triu_indices(n)
             j, k = j[~zero[j, k]], k[~zero[j, k]]
             slots = list(j * n + k)
@@ -399,6 +443,16 @@ class ConnectionField:
         """
         raise NotImplementedError
 
+    def nonzero(self, order: int) -> np.ndarray:
+        """The slot pattern of Gamma (order 0, ``[l, j, k]``) or of d Gamma
+        (order 1, ``[mu, l, j, k]``), the same at every point: a False slot
+        is structurally zero, a sum of products that each hold an exact-zero
+        factor, so it reads 0.0 wherever the other factors are finite.  The
+        checks of :mod:`walkergeom.distributions` read a family whose slots
+        are all False as 0.0 without evaluating it.  Here every slot is True.
+        """
+        return np.ones((self.n,) * (3 + order), dtype=bool)
+
     def gamma_partial(self, x, block=(), rows=None) -> np.ndarray:
         """Partials, shape ``x.shape[:-1] + (n, n, n, n)``, ``[mu, l, j, k]``.
 
@@ -500,6 +554,24 @@ class LeviCivitaConnection(ConnectionField):
         self._x = self._ginv = self._sums = self._gamma = self._dgamma = None
         # the store index of each slot block read; the store's layout is the metric's
         self._where = {}
+        self._patterns = {}
+
+    def nonzero(self, order: int) -> np.ndarray:
+        # the jet's formulas over booleans: g^{-1} low for Gamma, and
+        # g^{-1} d(low) + d(g^{-1}) low with d(g^{-1}) = g^{-1} dg g^{-1}
+        # for d Gamma, whose order-2 pattern is built only when asked for
+        if order not in self._patterns:
+            metric, n = self.metric, self.n
+            ginv = metric._inverse_nonzero()
+            low = metric._low_nonzero(1).reshape(n, n * n)
+            if order == 0:
+                out = np.matmul(ginv, low)
+            else:
+                dginv = np.matmul(np.matmul(ginv, metric._nonzero(1)), ginv)
+                out = (np.matmul(ginv, metric._low_nonzero(2).reshape(n, n, n * n))
+                       | np.matmul(dginv, low))
+            self._patterns[order] = _frozen(out.reshape((n,) * (3 + order)))
+        return self._patterns[order]
 
     def _points(self, x, rows=None) -> np.ndarray:
         """The jet's points, after starting a new jet unless they equal ``x``.
@@ -646,6 +718,9 @@ class RestrictedConnection(ConnectionField):
         m = self.n
         leading = self.parent.gamma(self._embed(y), (slice(None, m),) * 3)
         return leading[(slice(None),) * (leading.ndim - 3) + tuple(block)]
+
+    def nonzero(self, order: int) -> np.ndarray:
+        return self.parent.nonzero(order)[(slice(None, self.n),) * (3 + order)]
 
     def gamma_partial(self, y, block=(), rows=None) -> np.ndarray:
         m = self.n

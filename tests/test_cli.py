@@ -516,6 +516,25 @@ def test_main_structured_output_is_json(tmp_path, capsys, problem, nonfinite):
         assert captured.err == ""
 
 
+# an exact Walker metric whose d_1 g_11 folds to inf*x1^99: the families of
+# parallel, projectable and curvature_condition are structurally zero, so
+# they read 0.0 at every point rather than inf*0 = NaN
+OVERFLOWING_PARTIAL_WALKER = {"kind": "metric", "n": 3, "r": 1, "middle": 1,
+                              "g_1_1": "1 + 1e307*x1^100", "g_1_3": "1", "g_2_2": "1"}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_main_structurally_zero_rows_read_zero_where_partials_overflow(tmp_path, capsys):
+    path = write(tmp_path, OVERFLOWING_PARTIAL_WALKER)
+    assert main(["check", path, "--format", "report-structured"]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out, parse_constant=_reject_constant)
+    names = ["null", "parallel", "projectable:s=r", "projectable:s=n-r", "curvature_condition"]
+    assert [(c["name"], c["residual"], c["pass"]) for c in payload["checks"]] == [
+        (name, 0.0, True) for name in names]
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("expression", [
     "1/0", "1/(2-2)", "0^-1", "2^9999", "exp(1000)", "x2*exp(1000)",
 ])

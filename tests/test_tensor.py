@@ -16,6 +16,7 @@ from walkergeom import (
     build_pullback_extension,
     check_parallel,
     check_projectable,
+    CheckResult,
     SingularMetricError,
     SymbolicConnection,
     christoffel,
@@ -26,11 +27,18 @@ from walkergeom import (
     restrict_connection,
     walker_projectability,
 )
-from walkergeom.corpus import random_extension_spec, random_metric, random_walker_metric
+from walkergeom import tensor
+from walkergeom.corpus import (
+    random_extension_spec,
+    random_metric,
+    random_polynomial,
+    random_walker_metric,
+    walker_from_linear_data,
+)
 from walkergeom.distributions import _reduced, projectability_parts
 from walkergeom.expr import evaluate_fields
 from walkergeom.sampling import sample_points
-from walkergeom.tensor import JET_BLOCK
+from walkergeom.tensor import JET_BLOCK, LeviCivitaConnection
 
 from tensor_oracles import (
     covariant_derivative_metric_residual,
@@ -403,6 +411,11 @@ def test_block_inverse_reads_the_determinant_floor_from_c_and_h():
         g.inverse_value(x)
     with pytest.raises(SingularMetricError, match=re.escape(message)):
         christoffel(g).gamma(x)
+    # structurally zero families are decided without g^{-1}, so their rows
+    # read 0.0 at the singular point
+    null = DistributionSpec.null_block(g.chart)
+    for check in (check_parallel, check_projectable, curvature_condition):
+        assert check(christoffel(g), null, x).residual == 0.0
     tiny = MetricField(ChartSplit.three_block(3, 1), {(1, 1): "x1", (1, 3): 1e-4, (2, 2): 1e-5})
     assert tiny._walker_block is not None
     with pytest.raises(SingularMetricError):
@@ -419,6 +432,19 @@ def _jet_metrics():
     metrics = [build_pullback_extension(random_extension_spec(rng, r, m))
                for r, m in [(1, 1), (2, 2), (3, 2)]]
     return metrics + [random_metric(rng, ChartSplit.two_block(5, 2))]
+
+
+def _not_structurally_walker(g):
+    """``g`` with its first g_ia written as itself + x1 - x1: equal at every
+    point, but not structurally Walker, so g^{-1} is dense and no family
+    that a check suite reduces is structurally zero: the suite's checks
+    build and read the numeric jet."""
+    n, key = g.n, (1, g.n - g.chart.trailing_size + 1)
+    comps = dict(g._comps)
+    comps[key] = comps[key] + coordinate(1, n) - coordinate(1, n)
+    out = MetricField(g.chart, comps)
+    assert g._walker_block is not None and out._walker_block is None
+    return out
 
 
 def _einsum_gamma_partial(g, x):
@@ -580,6 +606,17 @@ BLOCK_METRICS = (_jet_metrics()[1:] + [random_walker_metric(np.random.default_rn
                  + [INFINITE_INVERSE])
 
 
+def _numeric_row(name, x, family, nan_edge):
+    """The row of a numeric ``family``.  With ``nan_edge`` the family is
+    structurally zero but reads inf*0 = NaN numerically, and its row reads
+    0.0 at the first point instead: a structurally zero family is never
+    evaluated."""
+    if nan_edge:
+        assert np.all(np.isnan(family))
+        family = np.zeros(x.shape[:-1])
+    return _reduced(name, x, family)
+
+
 def _same_row(got, want) -> bool:
     """Equal rows, the residual to its bits (repr keeps the sign of zero)."""
     return (got.name == want.name and repr(got.residual) == repr(want.residual)
@@ -614,7 +651,9 @@ def test_blocked_jet_matches_unblocked_formulas(g):
     # N = 1, B - 1, B, B + 1 and 3B + 5 points for the block sizes B of d Gamma
     # and of Gamma, a single point and (2, B + 1, n) batches: every block
     # boundary gives the bits of the formulas over all points at once, and a
-    # read of B rows at a time gives the rows of the whole read
+    # read of B rows at a time gives the rows of the whole read.  The rows'
+    # families are structurally zero on INFINITE_INVERSE, which its checks
+    # read as 0.0 where its jet reads NaN
     n = g.n
     dists = [DistributionSpec.null_block(g.chart)]
     if g.chart.mode == "three_block":
@@ -643,8 +682,10 @@ def test_blocked_jet_matches_unblocked_formulas(g):
             conn = christoffel(g)
             with np.errstate(all="ignore"):
                 parts = projectability_parts(conn, dist, x)
-            wants = [_reduced("projectable_parallel_part", x, conn.gamma(x)[..., lead, trail, :]),
-                     _reduced("projectable_derivative_part", x, conn.gamma_partial(x, block))]
+            wants = [_numeric_row("projectable_parallel_part", x,
+                                  conn.gamma(x)[..., lead, trail, :], equal_nan),
+                     _numeric_row("projectable_derivative_part", x,
+                                  conn.gamma_partial(x, block), equal_nan)]
             assert all(_same_row(got, want) for got, want in zip(parts, wants))
             assert _row_reads_match(conn, x, [block], step, equal_nan)
             assert _row_reads_match(symbolic, x, [block], step, False)
@@ -682,13 +723,14 @@ def test_blocked_jet_matches_unblocked_formulas(g):
                                       equal_nan=equal_nan)
             assert _row_reads_match(conn, x, blocks, step, equal_nan)
             with np.errstate(all="ignore"):
-                want = _reduced("curvature_condition", x,
-                                _curvature_block(want_G, want_dG, dist))
+                want = _numeric_row("curvature_condition", x,
+                                    _curvature_block(want_G, want_dG, dist), equal_nan)
                 assert _same_row(curvature_condition(conn, dist, x), want)
                 parts = projectability_parts(conn, dist, x)
-            wants = [_reduced("projectable_parallel_part", x, want_G[..., lead, trail, :]),
-                     _reduced("projectable_derivative_part", x,
-                              want_dG[..., trail, lead, lead, lead])]
+            wants = [_numeric_row("projectable_parallel_part", x, want_G[..., lead, trail, :],
+                                  equal_nan),
+                     _numeric_row("projectable_derivative_part", x,
+                                  want_dG[..., trail, lead, lead, lead], equal_nan)]
             assert all(_same_row(got, want) for got, want in zip(parts, wants))
         if g.chart.mode == "three_block":
             lead, mid, trail = g.chart.leading, g.chart.middle, g.chart.trailing
@@ -761,8 +803,10 @@ def test_point_block_reads_compare_each_point_once_and_index_each_slot_block_onc
     # curvature_condition reads two slot blocks of d Gamma per point block
     # (250 reads at n = 8, N = 2000); a read compares only its own rows with
     # the jet's points, and the store index of a slot block is worked out on
-    # its first read only (each build reads g._pair_columns)
-    g = _jet_metrics()[2]
+    # its first read only (each build reads g._pair_columns); on an r = 3,
+    # m = 2 extension that is not structurally Walker, so that its
+    # curvature condition reads d Gamma
+    g = _not_structurally_walker(_jet_metrics()[2])
     n = g.n
     x = sample_points(g, 3 * max(1, JET_BLOCK // n ** 4) + 5, seed=3)
     dist = DistributionSpec.orthocomplement(g.chart)
@@ -800,7 +844,11 @@ def test_point_block_reads_compare_each_point_once_and_index_each_slot_block_onc
 def test_default_extension_suite_shares_one_jet(tmp_path, monkeypatch, checks):
     # d Gamma is lowered from the order-2 fields without laying out d^2 g, so
     # its builds are counted at the evaluations of those fields and at the
-    # first-kind lowerings, which form the order-2 sums one point block at a time
+    # first-kind lowerings, which form the order-2 sums one point block at a time.
+    # The suite runs on the built metric written not structurally Walker, so
+    # that its checks read the jet rather than deciding by slot patterns
+    metric = cli._metric
+    monkeypatch.setattr(cli, "_metric", lambda spec: _not_structurally_walker(metric(spec)))
     calls = {"inverse_value": 0, "second_partial_value": 0}
     evaluated = []  # (order, points, values) of every evaluation of a table's fields
     lowered = []  # (order, values) of every first-kind lowering
@@ -859,9 +907,13 @@ def _suite_peak(spec) -> float:
     return peak / (8 * count * (n ** 3 + n * n * columns + n * n))
 
 
-def test_extension_suite_peaks_at_its_jet():
+def test_extension_suite_peaks_at_its_jet(monkeypatch):
     # the metric-form suite below plus the extension rows: projected_connection
-    # reads its leaf block of Gamma off the jet instead of a second full Gamma
+    # reads its leaf block of Gamma off the jet instead of a second full Gamma.
+    # The built metric is written not structurally Walker, so that the suite
+    # builds its jet
+    metric = cli._metric
+    monkeypatch.setattr(cli, "_metric", lambda spec: _not_structurally_walker(metric(spec)))
     ext = random_extension_spec(np.random.default_rng(7), 3, 2)
     checks = ["null", "parallel", "projectable", "curvature_condition", "projected_connection",
               "vertical_metric", "transformation_rule", "walker_form", "walker_projectability"]
@@ -874,12 +926,133 @@ def test_metric_form_suite_peaks_at_its_jet(tmp_path):
     # an r = 3, m = 2 metric-form suite at 2000 samples (n = 8): every
     # all-point transient of its rows is read one point block at a time, so
     # the suite's peak is the jet it holds (Gamma, the d Gamma store, g^{-1})
-    # and not a row's gathers
+    # and not a row's gathers; g_16 is written not structurally Walker, so
+    # that the suite builds its jet
     ext = random_extension_spec(np.random.default_rng(7), 3, 2)
     problem = cli.build_components(cli.ProblemSpec(kind="extension", path="", checks=[],
                                                    extension=ext))
+    problem["g_1_6"] = f"{problem['g_1_6']} + x1 - x1"
     problem.update(checks=["null", "parallel", "projectable", "curvature_condition",
                            "walker_form", "walker_projectability"], samples=2000, seed=5)
     path = tmp_path / "metric.json"
     path.write_text(json.dumps(problem))
     assert _suite_peak(cli.load_spec(str(path))) <= 1.25
+
+
+# ---------------------------------------------------------------------------
+# structural-zero slot patterns
+# ---------------------------------------------------------------------------
+
+
+def _linear_walker(rng, r, m, extra):
+    """walker_from_linear_data with B on the leading block, plus x_extra in
+    B_111 when ``extra`` (a 1-based coordinate) is given."""
+    n, lead = 2 * r + m, range(1, r + 1)
+    B = {(a, j, k): random_polynomial(rng, n, variables=lead, scale=0.5)
+         for a in lead for j in lead for k in lead if j <= k}
+    if extra is not None:
+        B[(1, 1, 1)] = B[(1, 1, 1)] + coordinate(extra, n)
+    lam = {(j, k): random_polynomial(rng, r + m, scale=0.5) for j in lead for k in lead if j <= k}
+    return walker_from_linear_data(r, m, B, lam)
+
+
+def _pattern_metrics():
+    """Extensions and their built metric forms, Walker metrics with B also on
+    a trailing and on a middle coordinate, a random Walker metric and a
+    two-block random metric."""
+    rng = np.random.default_rng(48)
+    out = []
+    for r, m in [(1, 1), (2, 2), (3, 2)]:
+        ext = random_extension_spec(rng, r, m)
+        problem = cli.build_components(cli.ProblemSpec(kind="extension", path="", checks=[],
+                                                        extension=ext))
+        out += [pytest.param(build_pullback_extension(ext), id=f"ext_r{r}m{m}"),
+                pytest.param(cli._load_metric({k: v for k, v in problem.items() if k != "checks"}),
+                             id=f"metric_form_r{r}m{m}")]
+    out += [pytest.param(_linear_walker(rng, 2, 1, None), id="linear_walker"),
+            pytest.param(_linear_walker(rng, 2, 1, 5), id="linear_walker_b_trailing"),
+            pytest.param(_linear_walker(rng, 2, 1, 3), id="linear_walker_b_middle"),
+            pytest.param(random_walker_metric(rng, 2, 1), id="random_walker"),
+            pytest.param(random_metric(rng, ChartSplit.two_block(5, 2)), id="two_block")]
+    return out
+
+
+@pytest.mark.parametrize("g", _pattern_metrics())
+def test_slot_patterns_are_sound_and_rows_are_unchanged(g):
+    x = sample_points(g, 200, seed=g.n)
+    conn = christoffel(g)
+    G, dG = conn.gamma(x).copy(), conn.gamma_partial(x).copy()
+    for pattern, values in ((conn.nonzero(0), G), (conn.nonzero(1), dG)):
+        assert pattern.shape == values.shape[1:] and not pattern.flags.writeable
+        assert np.all(values[:, ~pattern] == 0.0)
+    dists = [DistributionSpec.null_block(g.chart)]
+    if g.chart.mode == "three_block":
+        dists.append(DistributionSpec.orthocomplement(g.chart))
+        # the leaf space's pattern is its parent's leading block
+        leaf = restrict_connection(christoffel(g), dists[1])
+        assert np.all(leaf.gamma(x[:, :leaf.n])[:, ~leaf.nonzero(0)] == 0.0)
+    # each row, decided by its pattern or reduced from the jet, against the
+    # same row reduced from the numeric families on a fresh connection
+    for dist in dists:
+        lead, trail = dist.leading, dist.trailing
+        rows = [check_parallel(christoffel(g), dist, x),
+                check_projectable(christoffel(g), dist, x),
+                curvature_condition(christoffel(g), dist, x)]
+        parallel = _reduced("parallel", x, G[:, lead, trail])
+        derivative = _reduced("projectable", x, dG[:, trail, lead, lead, lead])
+        projectable = parallel if parallel.residual >= derivative.residual else derivative
+        wants = [parallel, CheckResult("projectable", projectable.residual, projectable.worst_point),
+                 _reduced("curvature_condition", x, _curvature_block(G, dG, dist))]
+        assert all(_same_row(got, want) for got, want in zip(rows, wants))
+
+
+@pytest.mark.parametrize("kind", ["extension", "metric_form"])
+def test_extension_suites_decide_their_connection_rows_by_pattern(tmp_path, monkeypatch, kind):
+    # the default suite of an extension and of its built metric form reads
+    # no d Gamma and no g^{-1} on its sample points: every family of
+    # parallel, projectable and curvature_condition is structurally zero
+    problem = {"kind": "extension", "r": 2, "m": 1, "D_1_1_2": "x1*x2",
+               "lambda_1_3": "x2*x3", "h_3_3": "2 + x1^2", "samples": 30}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    if kind == "metric_form":
+        path.write_text(json.dumps(cli.build_components(cli.load_spec(str(path)))))
+    spec = cli.load_spec(str(path))
+    sample = sample_points(cli._metric(spec), spec.samples, spec.seed)
+    calls = []
+    for cls, name in ((LeviCivitaConnection, "gamma_partial"), (MetricField, "inverse_value")):
+        original = getattr(cls, name)
+
+        def counted(self, x, *args, _original=original, _name=name, **kwargs):
+            calls.append((_name, np.shape(x) == sample.shape and np.array_equal(x, sample)))
+            return _original(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    report = cli.run_checks(spec)
+    assert report.verdict
+    assert {"parallel", "curvature_condition"} <= {c.name for c in report.checks}
+    assert [name for name, on_sample in calls if on_sample] == []
+
+
+def test_slot_blocks_evaluate_only_the_fields_they_index(monkeypatch):
+    g = _jet_metrics()[2]
+    x = sample_points(g, 20, seed=4)
+    lead, mid, trail = g.chart.leading, g.chart.middle, g.chart.trailing
+    counts = []
+    evaluate = tensor.evaluate_fields
+    monkeypatch.setattr(tensor, "evaluate_fields",
+                        lambda fields, *a, **kw: counts.append(len(fields)) or evaluate(fields, *a, **kw))
+    for order, blocks in [(1, [(slice(None), lead, trail), (trail, mid, mid), (trail, mid, lead)]),
+                          (2, [(trail, trail, lead, lead), (trail, mid, lead, lead)]),
+                          (0, [()])]:
+        fields, index = g._table(order)
+        want = np.take(g._field_values(order, x), index, axis=-1)
+        counts.clear()
+        got = g._slot_blocks(order, x, *blocks)
+        assert counts == [len(np.unique(np.concatenate([index[b].ravel() for b in blocks])))]
+        assert all(_same_bits(a, np.ascontiguousarray(want[(...,) + b]))
+                   for a, b in zip(got, blocks))
+    # the whole table still evaluates every field
+    counts.clear()
+    g._values(2, x)
+    assert counts == [len(g._table(2)[0])]
