@@ -24,31 +24,29 @@ sum of products that each hold an exact-zero factor, so it reads 0.0
 wherever the other factors are finite.  The checks of
 :mod:`walkergeom.distributions` decide a family whose slots are all False
 as 0.0 at every point without evaluating it, so where an evaluated dg
-overflows, such a family reads 0.0 and not the NaN of inf * 0.  The lower
-pairs that the d Gamma store keeps come from the same first-kind patterns.
+overflows, such a family reads 0.0 and not the NaN of inf * 0.
 
 A :class:`LeviCivitaConnection` holds its own jet: a copy of the last point
-set it was asked about and the inverse metric, the order-1 first-kind sums,
-Gamma and d Gamma there, each computed on first use; calls
-on points equal to that set by value reuse it, so the checks of one suite on
-one sample share one Gamma / d Gamma evaluation and one lowering of each
-order.  Over all points the jet materializes g^{-1}, Gamma and d Gamma
-compressed to one column per stored lower pair (see
-:class:`LeviCivitaConnection`), the order-1 field values and first-kind sums
-until both Gamma and d Gamma exist, and, while d Gamma is formed, the values
-of the order-2 fields (under a hundred numbers per point at n = 8).  The
-order-2 first-kind sums and the dense dg, Gamma_{m,jk} and d_u Gamma_{m,jk}
-that Gamma and d Gamma are formed from exist only for one block of points at
-a time, ``max(1, JET_BLOCK // n**4)`` points for d Gamma and
-``max(1, JET_BLOCK // n**3)`` for Gamma, and d^2 g is never laid out.  A
-reader gathers only the slot block of d Gamma it asks for and, given
-``rows``, only those points of it; the checks of
-:mod:`walkergeom.distributions` read d Gamma one point block at a time, so a
-check suite's peak memory is the jet it holds.  A slot block of Gamma at
-points other than the jet's (the leaf block that a restriction reads) is
-formed on its own, from only the first-kind sums its columns read, and
-leaves the jet as it is.  A metric is singular at a point where ``|det g|``
-is below :data:`DET_FLOOR`; the constant block ``[g_ia]`` that
+set it was asked about and, each computed on first use, the inverse metric,
+the values of the order-1 fields, those of the order-2 fields once d Gamma
+is read (under a hundred numbers per point at n = 8), and Gamma once all of
+it is read.  Calls on points equal to that set by value reuse it, so the
+checks of one suite on one sample share one inverse, one evaluation of each
+order's fields and one Gamma.  Every slot block of Gamma or d Gamma, the
+whole table included, is formed on read by one routine, from the rows of
+those arrays: the first-kind sums of only the triples that the block's
+columns read, g^{-1} times them, then the block's rows, one block of points
+at a time (``max(1, JET_BLOCK // n**4)`` points for all of d Gamma,
+``max(1, JET_BLOCK // n**3)`` for all of Gamma), so dg and the sums exist
+only per block and d^2 g is never laid out.  Given ``rows``, a read forms
+only those points; the checks of :mod:`walkergeom.distributions` read d
+Gamma one point block at a time, so a check suite's peak memory is the jet
+it holds.  A slot block of Gamma at points other than the jet's (the leaf
+block that a restriction reads) is formed the same way from its own g^{-1}
+and field values, and leaves the jet as it is.
+
+A metric is singular at a point where ``|det g|`` is below
+:data:`DET_FLOOR`; the constant block ``[g_ia]`` that
 :mod:`walkergeom.extensions` inverts is held to the same floor.
 
 Curvature comes as a batched array: :func:`curvature_components` gives
@@ -105,9 +103,9 @@ __all__ = [
 # |det| below this counts as singular
 DET_FLOOR = 1e-12
 
-# entries per point block of the Levi-Civita jet and the curvature-condition
-# block (points x n^4 for d Gamma): 512 KB of doubles, so a block's operands
-# stay in cache
+# entries per point block of a Levi-Civita slot block's largest operand and
+# of the curvature-condition block (points x n^4 for all of d Gamma): 512 KB
+# of doubles, so a block's operands stay in cache
 JET_BLOCK = 2 ** 16
 
 
@@ -246,7 +244,6 @@ class MetricField(_SymmetricComponents):
         super().__init__(chart.n, components, 2, "g")
         self.chart = chart
         self._triples = {}
-        self._columns = None
 
     def value(self, x) -> np.ndarray:
         """Component matrix, shape ``x.shape[:-1] + (n, n)``."""
@@ -294,31 +291,6 @@ class MetricField(_SymmetricComponents):
             r, q = self.chart.r, n - self.chart.r
             out[:r, :q] = out[:q, :r] = False
         return out
-
-    def _pair_columns(self):
-        """The lower-pair columns of the Levi-Civita d Gamma, built on first use.
-
-        A pair ``(j, k)``, ``j <= k``, gets a column unless every order-1
-        slot ``[m, j, k]`` and order-2 slot ``[u, m, j, k]`` of the
-        first-kind sums is structurally zero (``_low_nonzero``); all such
-        pairs share one last column, where they all read the sum of three
-        zero fields, +0.  Returns the flat slot ``j * n + k`` that each
-        column is formed from and the ``(n, n)`` ``intp`` map of every
-        lower slot to its column.
-        """
-        if self._columns is None:
-            n = self.n
-            zero = ~(self._low_nonzero(1).any(axis=0) | self._low_nonzero(2).any(axis=(0, 1)))
-            j, k = np.triu_indices(n)
-            j, k = j[~zero[j, k]], k[~zero[j, k]]
-            slots = list(j * n + k)
-            columns = np.empty((n, n), dtype=np.intp)
-            columns[j, k] = columns[k, j] = np.arange(len(slots))
-            if zero.any():
-                columns[zero] = len(slots)
-                slots.append(np.flatnonzero(zero)[0])
-            self._columns = np.array(slots, dtype=np.intp), columns
-        return self._columns
 
     def _first_kind_sums(self, order: int, v, triples=slice(None)) -> np.ndarray:
         """The first-kind sums formed from ``v``, values of the order's
@@ -461,8 +433,9 @@ class ConnectionField:
         only: ``gamma_partial(x)[(slice(None),) * (x.ndim - 1) + block]``.
         ``rows``, a slice of the points of ``x`` flattened to one row each,
         asks for those points only, shape ``(len(rows),) + slot shape``: the
-        same values as those rows of the whole array, so a caller can read
-        d Gamma one point block at a time.
+        same values as those rows of the whole array.  Each read computes
+        only the slots and points it asks for, so a caller can read d Gamma
+        one point block at a time and never hold all of it.
         """
         raise NotImplementedError
 
@@ -506,54 +479,46 @@ class LeviCivitaConnection(ConnectionField):
 
         d_u Gamma = g^{-1} d_u(low) + d_u(g^{-1}) low,   low = Gamma_{m,jk}.
 
-    ``low`` and d_u(low) are lowered by index
-    (``MetricField._first_kind_sums``): formed once per distinct triple of the
-    metric's order-1 and order-2 fields, ``low``'s over all points and
-    d_u(low)'s one point block at a time, and gathered over the slots.  Both
-    products are plain ``matmul`` over ``(n, columns)`` views.
+    One routine forms every slot block of Gamma or d Gamma, the whole table
+    for ``()``: it lowers ``low`` (and d_u(low)) from the metric's order-1
+    (and order-2) field values for only the distinct triples that the
+    block's lower-pair columns read (``MetricField._first_kind_sums``),
+    takes the ``matmul`` of g^{-1} with those columns, and keeps the block's
+    rows.  It works one block of points at a time, ``max(1, JET_BLOCK //
+    entries)`` points for the ``entries`` per point of the block's largest
+    operand (n^3 for all of Gamma, n^4 for all of d Gamma), so dg, ``low``,
+    d_u(low) and the sums exist only per block and d^2 g is never laid out.
+    Every point's products are the same small GEMMs whatever its block.
 
     The connection holds the jet of the last point set it was asked about: a
-    copy of the points, g^{-1}, the order-1 field values and first-kind sums
-    (shared by Gamma and d Gamma, and dropped once both exist), Gamma and
-    d Gamma there, each computed on first use.  A later call whose points
-    equal that copy by value (same shape, equal entries; points changed in
-    place since do not match) reuses it, so checks that share their sample
-    points share one evaluation.  Arrays returned from the jet are read-only,
-    C-contiguous and have the point axes first.
+    copy of the points, g^{-1}, the order-1 field values, the order-2 field
+    values once d Gamma is read, and Gamma once all of it is read, each
+    computed on first use.  A later call whose points equal that copy by
+    value (same shape, equal entries; points changed in place since do not
+    match) reads the jet, so checks that share their sample points share one
+    inverse and one evaluation of each order's fields.  A read of ``rows``
+    compares only those rows of ``x`` with the jet's points.
+    ``gamma(x, block)`` on the jet's points slices the jet's Gamma when it
+    holds it, and otherwise forms the block from the jet's arrays; a slot
+    block of Gamma at other points is formed on its own and leaves the jet
+    as it is.  d Gamma is never held: each read forms its block from the
+    jet's field values.  Arrays returned are read-only, C-contiguous and
+    have the point axes first.
 
-    d Gamma^l_{jk} is symmetric in ``(j, k)``, and for adapted metrics many
-    lower pairs are structurally zero, so the jet stores it compressed,
-    ``[point, u, l, column]``: one column per lower pair ``j <= k`` that
-    ``MetricField._pair_columns`` keeps and one shared all-zero column,
-    formed as g^{-1} 0 like every other column, so it carries the NaNs and
-    the zero signs of the dense product.  The store is formed one block of
-    ``max(1, JET_BLOCK // n**4)`` points at a time: dense dg, ``low``, the
-    order-2 first-kind sums and d_u(low) exist only per block, and d^2 g is
-    never laid out, so the jet's peak memory is one compressed d Gamma.
-    Gamma (n^3 entries per point) is formed from ``low`` in blocks of
-    ``max(1, JET_BLOCK // n**3)`` points the same way.  Every point's
-    products are the same small GEMMs whatever its block, and
-    ``gamma_partial(x, block, rows)`` gathers the slot block asked for, the
-    dense table for ``()``, from the store's rows ``rows`` (all of them for
-    ``None``); a read of ``rows`` compares only those rows of ``x`` with the
-    jet's points, and each slot block's index into the store is worked out
-    on its first read.  ``gamma(x, block)`` slices the jet's Gamma when the
-    jet holds Gamma at ``x``; at other points it forms the block alone and
-    keeps the jet.
-
-    A stored column is the column of the dense ``(n, n^2)`` product, taken
-    from a narrower GEMM.  Where the BLAS rounds each entry independently of
-    the GEMM's width its bits are the dense product's; OpenBLAS 0.3.31 on
-    AVX-512 does so for n <= 15, and at n = 16 may round some columns
-    differently in the last bit.
+    A block's columns are those of the dense ``(n, n^2)`` product, taken
+    from a narrower GEMM (two columns wide for a one-column block: numpy
+    hands a one-column product to GEMV, which sums in another order).  Where
+    the BLAS rounds each entry independently of the GEMM's width the bits
+    are the whole read's; OpenBLAS 0.3.31 on AVX-512 does so for n <= 15,
+    and at n = 16 may round some columns of a narrow block differently in
+    the last bit.
     """
 
     def __init__(self, metric: MetricField):
         self.metric = metric
         self.n = metric.n
-        self._x = self._ginv = self._sums = self._gamma = self._dgamma = None
-        # the store index of each slot block read; the store's layout is the metric's
-        self._where = {}
+        self._x = self._ginv = self._gamma = None
+        self._fields = {}
         self._patterns = {}
 
     def nonzero(self, order: int) -> np.ndarray:
@@ -573,125 +538,108 @@ class LeviCivitaConnection(ConnectionField):
             self._patterns[order] = _frozen(out.reshape((n,) * (3 + order)))
         return self._patterns[order]
 
-    def _points(self, x, rows=None) -> np.ndarray:
-        """The jet's points, after starting a new jet unless they equal ``x``.
-
-        Given ``rows``, a slice of the flattened points, only those rows are
-        compared (with the shape): a reader that walks d Gamma one point
-        block at a time compares each point once, and a read's result
-        depends on its own rows only.
-        """
-        x = _as_points(x, self.n)
+    def _on_jet(self, x, rows=None) -> bool:
+        """Whether ``x`` equals the jet's points; given ``rows``, a slice of
+        the flattened points, only those rows are compared (with the shape),
+        so a reader that walks d Gamma one point block at a time compares
+        each point once, and a read's result depends on its own rows only."""
         jet = self._x
         if rows is None:
-            same = jet is not None and np.array_equal(x, jet)
-        else:
-            same = (jet is not None and x.shape == jet.shape
-                    and np.array_equal(_rows(x)[rows], _rows(jet)[rows]))
-        if not same:
-            self._x = x.copy()
-            self._ginv = self._sums = self._gamma = self._dgamma = None
-        return self._x
+            return jet is not None and np.array_equal(x, jet)
+        return (jet is not None and x.shape == jet.shape
+                and np.array_equal(_rows(x)[rows], _rows(jet)[rows]))
+
+    def _start(self, x) -> None:
+        """Start a new jet on a copy of ``x``."""
+        self._x = x.copy()
+        self._ginv = self._gamma = None
+        self._fields = {}
 
     def _inverse(self) -> np.ndarray:
+        """g^{-1} at the jet's points, one row per point."""
         if self._ginv is None:
-            self._ginv = self.metric.inverse_value(self._x)
+            self._ginv = self.metric.inverse_value(self._x).reshape(-1, self.n, self.n)
         return self._ginv
 
-    def _first_kind(self):
-        """The order-1 field values and first-kind sums at the jet's points,
-        one row per point."""
-        if self._sums is None:
-            v = _rows(self.metric._field_values(1, self._x))
-            self._sums = v, self.metric._first_kind_sums(1, v)
-        return self._sums
+    def _values(self, order: int) -> np.ndarray:
+        """The order's field values at the jet's points, one row per point."""
+        if order not in self._fields:
+            self._fields[order] = _rows(self.metric._field_values(order, self._x))
+        return self._fields[order]
 
-    def _release_first_kind(self) -> None:
-        # the sums' last readers are the Gamma and d Gamma builds
-        if self._gamma is not None and self._dgamma is not None:
-            self._sums = None
-
-    def gamma(self, x, block=()) -> np.ndarray:
-        block = tuple(block)
-        if block:
-            x = _as_points(x, self.n)
-            if self._gamma is None or not np.array_equal(x, self._x):
-                return self._gamma_block(x, block)
-            return self._gamma[(slice(None),) * (x.ndim - 1) + block]
-        x = self._points(x)
-        if self._gamma is None:
-            n, w1 = self.n, self._first_kind()[1]
-            ginv = self._inverse().reshape(-1, n, n)
-            low_at = self.metric._triple_table(1)[1].reshape(n, n * n)
-            out = np.empty((len(ginv), n, n * n))
-            for at in _point_blocks(len(ginv), n ** 3):
-                np.matmul(ginv[at], np.take(w1[at], low_at, axis=-1), out=out[at])
-            self._gamma = _frozen(out.reshape(x.shape[:-1] + (n,) * 3))
-            self._release_first_kind()
-        return self._gamma
-
-    def _gamma_block(self, x, block) -> np.ndarray:
-        """The slot block ``block`` of Gamma at ``x``, outside the jet: g^{-1}
-        times the block's columns of the first-kind sums, then the block's
-        rows, the same GEMM per point as the jet's but narrower."""
+    def _form(self, order: int, block, ginv, v1, v2=None) -> np.ndarray:
+        """The slot block ``block`` of Gamma (order 0) or d Gamma (order 1)
+        at the points of the rows of ``ginv`` (g^{-1}), ``v1`` and ``v2``
+        (the order-1 and order-2 field values), ``(points,) + slot shape``."""
         metric, n = self.metric, self.n
-        slots = block + (slice(None),) * (3 - len(block))
-        l, j, k = (np.atleast_1d(np.arange(n)[s]) for s in slots)
-        ginv = metric.inverse_value(x).reshape(-1, n, n)
-        # the sums of only the triples that the block's columns read
+        slots = block + (slice(None),) * (3 + order - len(block))
+        *u, l, j, k = (np.atleast_1d(np.arange(n)[s]) for s in slots)
         width = len(j) * len(k)
-        triples, low_at = np.unique(metric._triple_table(1)[1][:, j[:, None], k],
-                                    return_inverse=True)
-        low_at = low_at.reshape(n, width)
-        w1 = metric._first_kind_sums(1, _rows(metric._field_values(1, x)), triples=triples)
-        # numpy hands a one-column product to GEMV, which sums in another
-        # order than GEMM: give it two
-        if width == 1:
-            low_at = np.repeat(low_at, 2, axis=1)
-        out = np.matmul(ginv, np.take(w1, low_at, axis=-1))[:, l, :width]
-        return _frozen(out.reshape(x.shape[:-1] + np.empty((n,) * 3)[block].shape))
 
-    def _store_index(self, block) -> np.ndarray:
-        """Each slot of ``block`` as its position in a point's row of the
-        d Gamma store ``[u, l, column]``, worked out once per slot block."""
-        # slices are unhashable before Python 3.12
-        key = tuple((s.start, s.stop, s.step) if isinstance(s, slice) else s for s in block)
-        if key not in self._where:
-            n = self.n
-            slots, columns = self.metric._pair_columns()
-            u, l, j, k = block + (slice(None),) * (4 - len(block))
-            self._where[key] = np.add.outer(
-                np.arange(n * n).reshape(n, n)[u, l] * len(slots), columns[j, k])
-        return self._where[key]
+        def plan(order, head=()):
+            # the triples that the block's columns read, and each column's
+            # position among them; a one-column product goes to GEMM as two
+            triples, table = metric._triple_table(order)
+            table = table[head]
+            at = table[..., j[:, None], k].reshape(table.shape[:-2] + (width,))
+            used = np.zeros(len(triples[0]), dtype=bool)
+            used[at] = True
+            at = (np.cumsum(used) - 1)[at]
+            return np.flatnonzero(used), (np.repeat(at, 2, axis=-1) if width == 1 else at)
 
-    def gamma_partial(self, x, block=(), rows=None) -> np.ndarray:
-        x = self._points(x, rows)
-        if self._dgamma is None:
-            metric, n = self.metric, self.n
-            slots, _ = metric._pair_columns()
-            ginv = self._inverse().reshape(-1, 1, n, n)
-            v1, w1 = self._first_kind()
-            # the order-2 fields over all points, their sums one block at a time
-            v2 = _rows(metric._field_values(2, x))
-            dg_at = metric._table(1)[1]
-            low_at = metric._triple_table(1)[1].reshape(n, n * n)[:, slots]
-            dlow_at = metric._triple_table(2)[1].reshape(n, n, n * n)[..., slots]
-            out = np.empty((len(ginv), n, n, len(slots)))
-            for at in _point_blocks(len(ginv), n ** 4):
-                gi = ginv[at]
-                w2 = metric._first_kind_sums(2, v2[at])
-                np.matmul(gi, np.take(w2, dlow_at, axis=-1), out=out[at])
+        low_triples, low_at = plan(1)
+        if order:
+            u = u[0]
+            dlow_triples, dlow_at = plan(2, u)
+            dg_at = metric._table(1)[1][u]
+        out = np.empty((len(ginv),) + (len(u),) * order + (len(l), width))
+        # a product that is the block itself is written into it in place
+        whole = width > 1 and l.tolist() == list(range(n))
+        entries = n * max(n, width) * (len(u) if order else 1)
+        for at in _point_blocks(len(ginv), entries):
+            gi, into = ginv[at], out[at] if whole else None
+            low = np.take(metric._first_kind_sums(1, v1[at], triples=low_triples), low_at,
+                          axis=-1)
+            if order:
+                gi = gi[:, None]
+                dlow = np.take(metric._first_kind_sums(2, v2[at], triples=dlow_triples),
+                               dlow_at, axis=-1)
+                prod = np.matmul(gi, dlow, out=into)
                 # d_u(g^{-1}) = -g^{-1} (d_u g) g^{-1}
                 dginv = -np.matmul(np.matmul(gi, np.take(v1[at], dg_at, axis=-1)), gi)
-                low = np.take(w1[at], low_at, axis=-1).reshape(-1, 1, n, len(slots))
-                out[at] += np.matmul(dginv, low)
-            self._dgamma = _frozen(out)
-            self._release_first_kind()
-        where = self._store_index(tuple(block))
-        store = self._dgamma.reshape(len(self._dgamma), -1)
-        if rows is None:
-            return _frozen(np.take(store, where, axis=-1).reshape(x.shape[:-1] + where.shape))
-        return _frozen(np.take(store[rows], where, axis=-1))
+                prod += np.matmul(dginv, low[:, None])
+            else:
+                prod = np.matmul(gi, low, out=into)
+            if not whole:
+                out[at] = prod[..., l, :width]
+        return out.reshape(out.shape[:1] + np.empty((n,) * len(slots), dtype=bool)[block].shape)
+
+    def gamma(self, x, block=()) -> np.ndarray:
+        block, x = tuple(block), _as_points(x, self.n)
+        if not self._on_jet(x):
+            if block:
+                # a slot block elsewhere is formed on its own
+                metric = self.metric
+                out = self._form(0, block, metric.inverse_value(x).reshape(-1, self.n, self.n),
+                                 _rows(metric._field_values(1, x)))
+                return _frozen(out.reshape(x.shape[:-1] + out.shape[1:]))
+            self._start(x)
+        if self._gamma is not None:
+            return self._gamma[(slice(None),) * (x.ndim - 1) + block] if block else self._gamma
+        out = self._form(0, block, self._inverse(), self._values(1))
+        out = _frozen(out.reshape(x.shape[:-1] + out.shape[1:]))
+        if not block:
+            self._gamma = out
+        return out
+
+    def gamma_partial(self, x, block=(), rows=None) -> np.ndarray:
+        x = _as_points(x, self.n)
+        if not self._on_jet(x, rows):
+            self._start(x)
+        at = slice(None) if rows is None else rows
+        out = self._form(1, tuple(block), self._inverse()[at], self._values(1)[at],
+                         self._values(2)[at])
+        return _frozen(out if rows is not None else out.reshape(x.shape[:-1] + out.shape[1:]))
 
 
 class RestrictedConnection(ConnectionField):

@@ -498,17 +498,6 @@ def test_jet_is_matched_by_value_not_identity():
     assert not conn.gamma(a).flags.writeable
 
 
-def test_jet_drops_the_first_kind_sums_once_gamma_and_d_gamma_exist():
-    g = _jet_metrics()[1]
-    x = sample_points(g, 10, seed=1)
-    for first, second in (("gamma", "gamma_partial"), ("gamma_partial", "gamma")):
-        conn = christoffel(g)
-        getattr(conn, first)(x)
-        assert conn._sums is not None  # the other one still reads them
-        getattr(conn, second)(x)
-        assert conn._sums is None
-
-
 @pytest.mark.parametrize("g", _jet_metrics(), ids=["ext11", "ext22", "ext32", "two_block"])
 def test_first_kind_lowering_matches_dense_terms(g):
     pts = sample_points(g, 7, seed=g.n)
@@ -692,8 +681,6 @@ def test_blocked_jet_matches_unblocked_formulas(g):
             leaf = restrict_connection(christoffel(g), dist)
             with np.errstate(all="ignore"):
                 assert _row_reads_match(leaf, x[..., :leaf.n], [()], step, equal_nan)
-    slots, _ = g._pair_columns()
-    slots, _ = g._pair_columns()
     for x, step in [(pts[0], 1)] + batches(sizes[0]) + batches(sizes[1]):
         conn = christoffel(g)
         with np.errstate(all="ignore"):
@@ -701,9 +688,6 @@ def test_blocked_jet_matches_unblocked_formulas(g):
             want_G, want_dG = _unblocked_jet(g, x)
         assert np.array_equal(G, want_G, equal_nan=equal_nan)
         assert np.array_equal(dG, want_dG, equal_nan=equal_nan)
-        # the store: one column per stored lower pair, from its flat slot
-        assert np.array_equal(conn._dgamma, want_dG.reshape(-1, n, n, n * n)[..., slots],
-                              equal_nan=equal_nan)
         points = (slice(None),) * (x.ndim - 1)
         # reads by rows: from the jet, a symbolic connection and the
         # restriction to each leaf space
@@ -786,53 +770,85 @@ def test_gamma_block_reads_are_slices_of_the_whole_read(g):
                 assert _same_bits(leaf.gamma(y, block), want[(slice(None),) + block])
 
 
+def _one_nan(a: np.ndarray) -> np.ndarray:
+    return np.where(np.isnan(a), np.nan, a)
+
+
+@pytest.mark.parametrize("g", BLOCK_METRICS,
+                         ids=["ext22", "ext32", "two_block", "walker", "infinite_inverse"])
+def test_one_column_d_gamma_reads_are_slices_of_the_whole_read(g):
+    # numpy hands a one-column product to GEMV, which sums in another order
+    # than the GEMM of the whole read; integer slots drop their axes.  IEEE
+    # 754 leaves the sign of a NaN unspecified, and two reads that form one
+    # entry may differ in it, so every NaN is read as one NaN
+    n = g.n
+    if g is INFINITE_INVERSE:
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, (40, n))
+    else:
+        x = sample_points(g, 40, seed=n)
+    blocks = [(0, 1, 2, n - 1), (slice(None), 1, 2, 0), (n - 1, slice(None), 1, 1),
+              (slice(None), slice(None), 0, 0)]
+    conn = christoffel(g)
+    with np.errstate(all="ignore"):
+        whole = conn.gamma_partial(x)
+        for block in blocks:
+            want = _one_nan(whole[(slice(None),) + block])
+            assert _same_bits(_one_nan(conn.gamma_partial(x, block)), want)
+            for rows in (slice(0, 7), slice(7, None)):
+                assert _same_bits(_one_nan(conn.gamma_partial(x, block, rows)), want[rows])
+
+
+def _jet_arrays(conn) -> tuple:
+    """The arrays a Levi-Civita jet holds."""
+    return conn._x, conn._ginv, conn._fields.get(1), conn._fields.get(2), conn._gamma
+
+
 def test_gamma_block_read_off_the_jet_leaves_the_jet():
     g = _jet_metrics()[2]
     x, y = sample_points(g, 30, seed=1), sample_points(g, 30, seed=2)
+    block = (slice(None, 3),) * 3
     conn = christoffel(g)
-    G = conn.gamma(x)
     conn.gamma_partial(x)
-    store = conn._dgamma
-    conn.gamma(y, (slice(None, 3),) * 3)
+    # on the jet's points, before Gamma: the jet's g^{-1} and order-1 values
+    jet = _jet_arrays(conn)
+    assert _same_bits(conn.gamma(x, block), christoffel(g).gamma(x)[:, :3, :3, :3])
+    assert all(a is b for a, b in zip(_jet_arrays(conn), jet))
+    G = conn.gamma(x)
+    jet = _jet_arrays(conn)
+    assert jet[-1] is G and all(a is not None for a in jet)
+    conn.gamma(y, block)
     assert conn.gamma(x) is G
     conn.gamma_partial(x)
-    assert conn._dgamma is store
+    assert all(a is b for a, b in zip(_jet_arrays(conn), jet))
 
 
-def test_point_block_reads_compare_each_point_once_and_index_each_slot_block_once(monkeypatch):
+def test_point_block_reads_compare_each_point_once(monkeypatch):
     # curvature_condition reads two slot blocks of d Gamma per point block
     # (250 reads at n = 8, N = 2000); a read compares only its own rows with
-    # the jet's points, and the store index of a slot block is worked out on
-    # its first read only (each build reads g._pair_columns); on an r = 3,
-    # m = 2 extension that is not structurally Walker, so that its
-    # curvature condition reads d Gamma
+    # the jet's points; on an r = 3, m = 2 extension that is not structurally
+    # Walker, so that its curvature condition reads d Gamma
     g = _not_structurally_walker(_jet_metrics()[2])
     n = g.n
     x = sample_points(g, 3 * max(1, JET_BLOCK // n ** 4) + 5, seed=3)
     dist = DistributionSpec.orthocomplement(g.chart)
     conn = christoffel(g)
-    builds = []
-    original = g._pair_columns
-    monkeypatch.setattr(g, "_pair_columns", lambda: builds.append(1) or original())
     compared = []
     array_equal = np.array_equal
     monkeypatch.setattr(np, "array_equal", lambda a, b, **kw: compared.append(np.size(a))
                         or array_equal(a, b, **kw))
     first = curvature_condition(conn, dist, x)
-    assert len(builds) == 1 + 2  # the d Gamma store and two slot blocks
     assert sum(compared) <= 2 * x.size
     compared.clear()
     again = curvature_condition(conn, dist, x)
-    assert len(builds) == 3
     # Gamma's full comparison, then each point once per slot block
     assert sum(compared) == 3 * x.size
     assert _same_row(again, first)
     # points changed in place within a read's rows start a new jet
     monkeypatch.undo()
     x[1, 0] += 0.25
-    store = conn._dgamma
+    jet = _jet_arrays(conn)
     got = conn.gamma_partial(x, (dist.trailing, dist.leading), slice(0, 2))
-    assert conn._dgamma is not store
+    assert not any(a is b for a, b in zip(_jet_arrays(conn), jet))
     assert np.array_equal(got, christoffel(g).gamma_partial(x, (dist.trailing, dist.leading))[:2])
 
 
@@ -883,17 +899,23 @@ def test_default_extension_suite_shares_one_jet(tmp_path, monkeypatch, checks):
     order1 = {x: v for order, x, v in evaluated if order == 1}
     assert len(order1) == 2 == len([order for order, _, _ in evaluated if order == 1])
     assert sample in order1
-    # one order-1 lowering per point set; every order-2 lowering reads rows
-    # of the one order-2 evaluation
-    assert sorted(next(x for x, v in order1.items() if np.shares_memory(v, values))
-                  for order, values in lowered if order == 1) == sorted(order1)
+    # every order-1 lowering reads rows of its point set's one order-1
+    # evaluation, and every order-2 lowering rows of the one order-2 evaluation
+    order1_lowered = [values for order, values in lowered if order == 1]
+    assert order1_lowered and all(any(np.shares_memory(values, v) for v in order1.values())
+                                  for values in order1_lowered)
     order2 = [values for order, values in lowered if order == 2]
     assert order2 and all(np.shares_memory(values, v2) for values in order2)
 
 
-def _suite_peak(spec) -> float:
-    """The traced peak of a check suite over its jet's bytes (Gamma, the
-    d Gamma store, g^{-1}); the suite must pass."""
+# the jet of a design that stored d Gamma, at n = 8 and N = 2000: Gamma, 25
+# lower-pair columns of d Gamma and g^{-1}, 34.8 MB
+STORED_JET_BYTES = 8 * 2000 * (8 ** 3 + 8 ** 2 * 25 + 8 ** 2)
+
+
+def _suite_peak(spec) -> tuple:
+    """The traced peak of a check suite and its jet's bytes (Gamma, g^{-1}
+    and the order-1 and order-2 field values); the suite must pass."""
     g = cli._metric(spec)
     tracemalloc.start()
     try:
@@ -902,9 +924,10 @@ def _suite_peak(spec) -> float:
     finally:
         tracemalloc.stop()
     assert report.verdict
-    n, count = g.n, spec.samples
-    columns = len(g._pair_columns()[0])
-    return peak / (8 * count * (n ** 3 + n * n * columns + n * n))
+    # the ceiling that the stored design was held to
+    assert peak <= 1.25 * STORED_JET_BYTES
+    n, fields = g.n, len(g._table(1)[0]) + len(g._table(2)[0])
+    return peak, 8 * spec.samples * (n ** 3 + n * n + fields)
 
 
 def test_extension_suite_peaks_at_its_jet(monkeypatch):
@@ -919,14 +942,16 @@ def test_extension_suite_peaks_at_its_jet(monkeypatch):
               "vertical_metric", "transformation_rule", "walker_form", "walker_projectability"]
     spec = cli.ProblemSpec(kind="extension", path="", checks=checks, samples=2000, seed=5,
                            extension=ext)
-    assert _suite_peak(spec) <= 1.25
+    peak, jet = _suite_peak(spec)
+    assert jet <= peak < STORED_JET_BYTES
 
 
 def test_metric_form_suite_peaks_at_its_jet(tmp_path):
     # an r = 3, m = 2 metric-form suite at 2000 samples (n = 8): every
     # all-point transient of its rows is read one point block at a time, so
-    # the suite's peak is the jet it holds (Gamma, the d Gamma store, g^{-1})
-    # and not a row's gathers; g_16 is written not structurally Walker, so
+    # the suite's peak is the jet it holds (Gamma, g^{-1} and the order-1 and
+    # order-2 field values) and not a row's gathers, and is below the jet of
+    # a design that stored d Gamma; g_16 is written not structurally Walker, so
     # that the suite builds its jet
     ext = random_extension_spec(np.random.default_rng(7), 3, 2)
     problem = cli.build_components(cli.ProblemSpec(kind="extension", path="", checks=[],
@@ -936,7 +961,8 @@ def test_metric_form_suite_peaks_at_its_jet(tmp_path):
                            "walker_form", "walker_projectability"], samples=2000, seed=5)
     path = tmp_path / "metric.json"
     path.write_text(json.dumps(problem))
-    assert _suite_peak(cli.load_spec(str(path))) <= 1.25
+    peak, jet = _suite_peak(cli.load_spec(str(path)))
+    assert jet <= peak < STORED_JET_BYTES
 
 
 # ---------------------------------------------------------------------------
