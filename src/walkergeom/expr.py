@@ -12,8 +12,9 @@ holds the child nodes and ``data`` the kind's own value (the constant, the
 coordinate index, the exponent or the function name).  Nodes hash and compare
 by structure.  One function per job walks the tree and branches on ``op``:
 ``_evaluate`` (numpy values, with the ``checked`` division tests), ``_deriv``
-(the exact partial) and ``_subst`` (coordinate replacement, rebuilding only
-the nodes whose children changed).
+(the exact partial, returning 0 for a subtree whose variable mask lacks the
+coordinate) and ``_subst`` (coordinate replacement, rebuilding only the nodes
+whose children changed).
 
 Construction goes through smart constructors that fold constants and drop
 additive zeros / multiplicative ones; no other rewriting is performed, so a
@@ -71,20 +72,27 @@ class _Node:
     """One expression node: an ``op`` with its child nodes ``args`` and its
     own ``data``, the float of a ``"const"``, the index of a ``"var"``, the
     integer exponent of a ``"pow"`` and the function name of a ``"call"``
-    (``"add"``, ``"mul"`` and ``"div"`` hold none).  Equality is structural."""
+    (``"add"``, ``"mul"`` and ``"div"`` hold none).  ``var_mask`` has bit
+    ``i - 1`` set where ``x_i`` occurs in the tree.  Equality is structural.
 
-    __slots__ = ("op", "args", "data", "max_var", "_hash")
+    A ``"var"`` node is built only after its index has been range-checked
+    (by the parser or :func:`coordinate`), since its mask has that many bits.
+    """
+
+    __slots__ = ("op", "args", "data", "var_mask", "_hash")
 
     def __init__(self, op: str, args: tuple = (), data=None):
+        mask = 0
         if op == "const":
             data = float(data)
-            self.max_var = 0
         elif op == "var":
             if data < 1:
                 raise VariableRangeError(f"coordinate index must be >= 1, got {data}")
-            self.max_var = data
+            mask = 1 << (data - 1)
         else:
-            self.max_var = max([a.max_var for a in args])
+            for a in args:
+                mask |= a.var_mask
+        self.var_mask = mask
         self.op = op
         self.args = args
         self.data = data
@@ -101,6 +109,11 @@ class _Node:
 
     def __hash__(self) -> int:
         return self._hash
+
+    @property
+    def max_var(self) -> int:
+        """The highest coordinate index in the tree, 0 for none."""
+        return self.var_mask.bit_length()
 
     def __repr__(self) -> str:
         return f"<_Node {self.op} {render(self)}>"
@@ -145,12 +158,15 @@ def _evaluate(node: _Node, x: np.ndarray, checked: bool):
 
 
 def _deriv(node: _Node, i: int) -> _Node:
-    """The exact partial derivative of ``node`` with respect to ``x_i``."""
-    op, args = node.op, node.args
-    if op == "const":
+    """The exact partial derivative of ``node`` with respect to ``x_i``.
+
+    A subtree in which ``x_i`` does not occur is 0 at once: walking it would
+    fold to that same constant through ``add``, ``mul`` and ``div``."""
+    if not node.var_mask >> (i - 1) & 1:
         return _ZERO
+    op, args = node.op, node.args
     if op == "var":
-        return _ONE if node.data == i else _ZERO
+        return _ONE
     if op == "add":
         return add(*(_deriv(t, i) for t in args))
     if op == "mul":

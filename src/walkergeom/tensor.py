@@ -425,6 +425,13 @@ class ConnectionField:
         """
         return np.ones((self.n,) * (3 + order), dtype=bool)
 
+    def _propagators(self, curve, build) -> np.ndarray:
+        """The transport propagators along ``curve``: what ``build()``
+        returns, the prefix products of
+        :func:`walkergeom.transport.parallel_transport`.  Here they are built
+        on every call and kept nowhere."""
+        return build()
+
     def gamma_partial(self, x, block=(), rows=None) -> np.ndarray:
         """Partials, shape ``x.shape[:-1] + (n, n, n, n)``, ``[mu, l, j, k]``.
 
@@ -505,6 +512,13 @@ class LeviCivitaConnection(ConnectionField):
     jet's field values.  Arrays returned are read-only, C-contiguous and
     have the point axes first.
 
+    The jet also holds the transport propagators of the last curve
+    transported on its points (``_propagators``), keyed by the curve (equal
+    components, ``t_span`` and ``step``) and read-only, so the transports of
+    one curve share one solve.  Starting a new jet drops them with the rest:
+    a full Gamma or d Gamma read at other points does, a slot block of Gamma
+    elsewhere does not.
+
     A block's columns are those of the dense ``(n, n^2)`` product, taken
     from a narrower GEMM (two columns wide for a one-column block: numpy
     hands a one-column product to GEMV, which sums in another order).  Where
@@ -517,7 +531,7 @@ class LeviCivitaConnection(ConnectionField):
     def __init__(self, metric: MetricField):
         self.metric = metric
         self.n = metric.n
-        self._x = self._ginv = self._gamma = None
+        self._x = self._ginv = self._gamma = self._solve = None
         self._fields = {}
         self._patterns = {}
 
@@ -552,8 +566,15 @@ class LeviCivitaConnection(ConnectionField):
     def _start(self, x) -> None:
         """Start a new jet on a copy of ``x``."""
         self._x = x.copy()
-        self._ginv = self._gamma = None
+        self._ginv = self._gamma = self._solve = None
         self._fields = {}
+
+    def _propagators(self, curve, build) -> np.ndarray:
+        # building reads Gamma on the curve's grid, which may start a new
+        # jet; the propagators are held only after that
+        if self._solve is None or self._solve[0] != curve:
+            self._solve = (curve, _frozen(build()))
+        return self._solve[1]
 
     def _inverse(self) -> np.ndarray:
         """g^{-1} at the jet's points, one row per point."""

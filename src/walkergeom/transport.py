@@ -12,10 +12,17 @@ step propagators are built at once and the vectors at every grid time come
 from a log-depth prefix product of them, with no loop over steps.  A
 deliberately separate first-order (Euler) integrator, the product of the
 matrices ``I + h A_k`` reduced pairwise, serves as an independent reference.
+
+The prefix products depend only on the connection and the curve.  A
+Levi-Civita connection holds those of the last curve transported on its
+points in its jet, so the norm check and both commuting-projection checks of
+one curve share one solve: one coefficient evaluation and one prefix
+product.  Symbolic and restricted connections build them on every call.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Tuple
@@ -68,8 +75,12 @@ class CurveSpec:
         return len(self.components)
 
     def truncated(self, keep: int) -> "CurveSpec":
-        """The image curve under the leading-coordinate truncation."""
-        return CurveSpec(self.components[:keep], self.t_span, self.step)
+        """The image curve under the leading-coordinate truncation; it keeps
+        this curve's first ``keep`` rates rather than deriving them again."""
+        sub = copy.copy(self)
+        object.__setattr__(sub, "components", self.components[:keep])
+        object.__setattr__(sub, "_rates", self._rates[:keep])
+        return sub
 
     def grid(self, step: float = None) -> np.ndarray:
         """Evenly spaced parameter values covering t_span (step adjusted to fit)."""
@@ -118,18 +129,10 @@ def _initial_vector(conn: ConnectionField, curve: CurveSpec, w0) -> np.ndarray:
     return w0
 
 
-def parallel_transport(conn: ConnectionField, curve: CurveSpec, w0) -> TransportResult:
-    """Transport ``w0`` along the curve with the classical 4th-order scheme.
-
-    Returns the transported vector at every grid time.  The transport
-    equation is linear in ``w``, so one step is ``w -> P_k w`` with ``P_k`` a
-    polynomial in the coefficient matrices at ``t``, ``t + h/2`` and
-    ``t + h``.  All ``P_k`` are built at once; their inclusive prefix
-    products, taken by doubling in log2(steps) batched rounds, map ``w0`` to
-    every grid value.
-    """
-    w0 = _initial_vector(conn, curve, w0)
-    ts = curve.grid()
+def _rk4_propagators(conn: ConnectionField, curve: CurveSpec, ts: np.ndarray) -> np.ndarray:
+    """The inclusive prefix products of the RK4 step propagators along the
+    curve's grid ``ts``, ``(steps, n, n)``: entry ``k`` maps ``w0`` to the
+    vector at ``ts[k + 1]``."""
     h = ts[1] - ts[0]
     A_all = _coefficients(conn, curve, np.concatenate([ts, (ts[:-1] + ts[1:]) / 2.0]))
     a0, a1, am = A_all[: len(ts) - 1], A_all[1: len(ts)], A_all[len(ts):]
@@ -146,7 +149,25 @@ def parallel_transport(conn: ConnectionField, curve: CurveSpec, w0) -> Transport
     while s < len(P):
         P[s:] = P[s:] @ P[:-s]
         s *= 2
+    return P
 
+
+def parallel_transport(conn: ConnectionField, curve: CurveSpec, w0) -> TransportResult:
+    """Transport ``w0`` along the curve with the classical 4th-order scheme.
+
+    Returns the transported vector at every grid time.  The transport
+    equation is linear in ``w``, so one step is ``w -> P_k w`` with ``P_k`` a
+    polynomial in the coefficient matrices at ``t``, ``t + h/2`` and
+    ``t + h``.  All ``P_k`` are built at once; their inclusive prefix
+    products, taken by doubling in log2(steps) batched rounds, map ``w0`` to
+    every grid value.  The connection is handed the builder of those
+    products (``ConnectionField._propagators``): a Levi-Civita connection
+    keeps the last curve's in its jet, so a second transport along an equal
+    curve only applies them to its own ``w0``.
+    """
+    w0 = _initial_vector(conn, curve, w0)
+    ts = curve.grid()
+    P = conn._propagators(curve, lambda: _rk4_propagators(conn, curve, ts))
     out = np.empty((len(ts), conn.n))
     out[0] = w0
     out[1:] = P @ w0

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from walkergeom import ScalarField, check_walker_form, cli
+from walkergeom import ScalarField, check_walker_form, christoffel, cli, transport
 from walkergeom.corpus import random_extension_spec
 from walkergeom.cli import (
     SpecFormatError,
@@ -457,6 +457,34 @@ def test_run_transport_extension(tmp_path):
     assert report.verdict
     names = [c.name for c in report.checks]
     assert names == ["transport_norm_preservation", "transport_projection_commutes"]
+
+
+def test_run_transport_shares_one_solve_between_its_rows(monkeypatch):
+    # both rows transport the same curve under the same Levi-Civita
+    # connection, so its coefficients are built once; the report is the one
+    # that a fresh connection per row gives
+    spec = load_spec(str(pathlib.Path(__file__).parent.parent / "demos" / "specs"
+                         / "extension_r1m1.json"))
+    built = []
+    coefficients = transport._coefficients
+
+    def counted(conn, curve, ts):
+        built.append(type(conn).__name__)
+        return coefficients(conn, curve, ts)
+
+    monkeypatch.setattr(transport, "_coefficients", counted)
+    report = run_transport(spec)
+    assert built.count("LeviCivitaConnection") == 1
+
+    def fresh_connection(g, D, dist, curve, w0, conn=None):
+        return transport.projection_commutes_residual(g, D, dist, curve, w0, conn=christoffel(g))
+
+    monkeypatch.setattr(cli, "projection_commutes_residual", fresh_connection)
+    built.clear()
+    fresh = run_transport(spec)
+    assert built.count("LeviCivitaConnection") == 2
+    assert report.to_json() == fresh.to_json()
+    assert report.to_text() == fresh.to_text()
 
 
 def test_build_components_round_trips_through_metric_problem(tmp_path):

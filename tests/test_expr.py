@@ -1,5 +1,6 @@
 """Parser, exact differentiation and evaluation of scalar fields."""
 
+import pathlib
 import re
 
 import numpy as np
@@ -7,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walkergeom.corpus import random_polynomial
+from walkergeom import expr
+from walkergeom.chart import ChartSplit
+from walkergeom.cli import load_spec
+from walkergeom.corpus import (
+    random_extension_spec,
+    random_metric,
+    random_polynomial,
+    random_walker_metric,
+)
+from walkergeom.extensions import build_pullback_extension
 from walkergeom.expr import (
     EvaluationError,
     ExpressionError,
@@ -18,7 +28,7 @@ from walkergeom.expr import (
     evaluate_fields,
     parse_expression,
 )
-from walkergeom.tensor import _gather
+from walkergeom.tensor import MetricField, _gather
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +337,72 @@ def test_mixed_partials_commute_on_transcendental_fields():
         vb = f.partial(2).partial(1).evaluate(pts)
         scale = 1.0 + np.max(np.abs(va))
         assert np.max(np.abs(va - vb)) < 1e-12 * scale
+
+
+def full_deriv(node, i):
+    """The partial by a walk of every subtree, whether ``x_i`` occurs in it
+    or not: the reference for the short-cut of ``expr._deriv``."""
+    op, args = node.op, node.args
+    if op == "const":
+        return expr._ZERO
+    if op == "var":
+        return expr._ONE if node.data == i else expr._ZERO
+    if op == "add":
+        return expr.add(*(full_deriv(t, i) for t in args))
+    if op == "mul":
+        terms = [expr.mul(*args[:j], full_deriv(f, i), *args[j + 1:])
+                 for j, f in enumerate(args) if full_deriv(f, i) != expr._ZERO]
+        return expr.add(*terms)
+    if op == "div":
+        num, den = args
+        du, dv = full_deriv(num, i), full_deriv(den, i)
+        return expr.div(expr.add(expr.mul(du, den), expr.mul(expr._const(-1.0), num, dv)),
+                        expr.intpow(den, 2))
+    da = full_deriv(args[0], i)
+    if op == "pow":
+        return expr.mul(expr._const(node.data), expr.intpow(args[0], node.data - 1), da)
+    if node.data == "sin":
+        return expr.mul(expr._Node("call", args, "cos"), da)
+    if node.data == "cos":
+        return expr.mul(expr._const(-1.0), expr._Node("call", args, "sin"), da)
+    return expr.mul(node, da)
+
+
+def corpus_metrics():
+    rng = np.random.default_rng(61)
+    metrics = [build_pullback_extension(random_extension_spec(rng, r, m))
+               for r, m in [(1, 1), (2, 0), (2, 2), (3, 2)]]
+    metrics += [random_walker_metric(rng, 2, 1), random_metric(rng, ChartSplit.two_block(4, 2))]
+    specs = pathlib.Path(__file__).parent.parent / "demos" / "specs"
+    metrics += [load_spec(str(specs / name)).metric
+                for name in ("ppwave_metric.json", "nonprojectable_metric.json")]
+    metrics.append(MetricField(ChartSplit.two_block(3, 1), {
+        (1, 1): "2 + sin(x1*x2)*exp(x3)", (1, 2): "x1^2/(3 + x2^2)",
+        (2, 2): "1 + cos(x1 + x3)^3", (3, 3): "exp(x2)/(2 + sin(x1))"}))
+    return metrics
+
+
+def test_partials_skipping_absent_variables_equal_a_full_walk():
+    # the order-1 and order-2 tables hold d_i of every component and d_j of
+    # every order-1 field: each tree is the one a walk of every subtree gives
+    skipped = 0
+    for g in corpus_metrics():
+        for order in (0, 1):
+            for f in g._table(order)[0]:
+                for i in range(1, g.n + 1):
+                    got, ref = f.partial(i).node, full_deriv(f.node, i)
+                    assert got == ref and expr.render(got) == expr.render(ref)
+                    skipped += not f.node.var_mask >> (i - 1) & 1
+    assert skipped > 0
+
+
+def test_variable_mask_marks_the_coordinates_that_occur():
+    f = parse_expression("x2*sin(x5) + 3", 6)
+    assert f.node.var_mask == 0b10010 and f.max_var == 5
+    assert ScalarField.constant(2.0, 3).node.var_mask == 0 and coordinate(3, 4).max_var == 3
+    # a coordinate that cancels still occurs in the tree
+    g = parse_expression("x1 - x1", 1)
+    assert g.node.var_mask == 1 and g.partial(1).is_zero
 
 
 # ---------------------------------------------------------------------------

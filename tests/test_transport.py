@@ -10,6 +10,7 @@ from walkergeom import (
     ChartSplit,
     CurveSpec,
     DistributionSpec,
+    LeviCivitaConnection,
     MetricField,
     ScalarField,
     SymbolicConnection,
@@ -197,6 +198,13 @@ def test_curve_derives_its_velocities_once(monkeypatch):
     monkeypatch.setattr(ScalarField, "partial", refused)
     ts = curve.grid()
     assert np.array_equal(curve.velocities(ts), np.stack([np.ones(5), 2 * ts], axis=-1))
+    # truncation keeps the leading rates
+    sub = curve.truncated(1)
+    monkeypatch.undo()
+    fresh = CurveSpec(curve.components[:1], curve.t_span, curve.step)
+    assert sub == fresh and repr(sub) == repr(fresh)
+    assert np.array_equal(sub.positions(ts), fresh.positions(ts))
+    assert np.array_equal(sub.velocities(ts), fresh.velocities(ts))
 
 
 def test_curve_rejects_nonpositive_step():
@@ -231,3 +239,119 @@ def test_transport_refuses_curve_of_other_dimension(integrate, curve_n):
 def test_euler_validates_vector_shape():
     with pytest.raises(ValueError, match=r"initial vector must have shape \(2,\)"):
         euler_transport(SymbolicConnection(2), line_curve(2), np.array([1.0]))
+
+
+# ---------------------------------------------------------------------------
+# the held solve: one Levi-Civita connection transports one curve once
+# ---------------------------------------------------------------------------
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that appends its first argument
+    (the connection, or the metric of a method) to the returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def upstairs_runs(monkeypatch):
+    """The vectors of every transport under a Levi-Civita connection."""
+    runs = []
+    original = transport.parallel_transport
+
+    def recorded(conn, curve, w0):
+        res = original(conn, curve, w0)
+        if isinstance(conn, LeviCivitaConnection):
+            runs.append(res.vectors)
+        return res
+
+    monkeypatch.setattr(transport, "parallel_transport", recorded)
+    return runs
+
+
+def transport_op(seed):
+    """A built extension, its connection, the true and a perturbed base
+    connection, a curve and a vector: one op of the transport workload."""
+    rng = np.random.default_rng(seed)
+    spec = random_extension_spec(rng, 2, 1)
+    g = build_pullback_extension(spec)
+    D = spec.base_connection
+    perturbed = SymbolicConnection(2, {(l, j, k): D.component(l, j, k) + 1.0
+                                       for l in (1, 2) for j in (1, 2) for k in (j, 2)})
+    return g, christoffel(g), D, perturbed, random_curve(rng, g.n), rng.uniform(-1, 1, g.n)
+
+
+def test_transport_and_commute_checks_share_one_solve(monkeypatch):
+    g, conn, D, perturbed, curve, w0 = transport_op(71)
+    V = DistributionSpec.orthocomplement(g.chart)
+    built = count_calls(monkeypatch, transport, "_coefficients")
+    inverses = count_calls(monkeypatch, MetricField, "inverse_value")
+    runs = upstairs_runs(monkeypatch)
+    transport.parallel_transport(conn, curve, w0)
+    projection_commutes_residual(g, D, V, curve, w0, conn=conn)
+    projection_commutes_residual(g, perturbed, V, curve, w0, conn=conn)
+    assert sum(isinstance(c, LeviCivitaConnection) for c in built) == 1
+    assert len(inverses) == 1
+    monkeypatch.undo()
+    fresh = parallel_transport(christoffel(g), curve, w0).vectors
+    assert len(runs) == 3
+    assert all(run.tobytes() == fresh.tobytes() for run in runs)
+
+
+@pytest.mark.parametrize("change", [
+    lambda c: dataclasses.replace(c, step=5e-4),
+    lambda c: dataclasses.replace(c, t_span=(0.0, 0.5)),
+    lambda c: dataclasses.replace(c, components=c.components[:-1] + (c.components[-1] + 0.01,)),
+], ids=["step", "t_span", "component"])
+def test_another_curve_builds_its_own_solve(monkeypatch, change):
+    g, conn, _, _, curve, w0 = transport_op(73)
+    other = change(curve)
+    built = count_calls(monkeypatch, transport, "_coefficients")
+    parallel_transport(conn, curve, w0)
+    got = parallel_transport(conn, other, w0).vectors
+    assert len(built) == 2
+    assert got.tobytes() == parallel_transport(christoffel(g), other, w0).vectors.tobytes()
+
+
+def test_gamma_read_elsewhere_drops_the_held_solve(monkeypatch):
+    g, conn, _, _, curve, w0 = transport_op(79)
+    built = count_calls(monkeypatch, transport, "_coefficients")
+    first = parallel_transport(conn, curve, w0).vectors
+    conn.gamma(np.full((3, g.n), 0.1))
+    again = parallel_transport(conn, curve, w0).vectors
+    assert len(built) == 2
+    assert again.tobytes() == first.tobytes()
+
+
+def test_symbolic_connection_holds_no_solve(monkeypatch):
+    conn = SymbolicConnection(2, {(1, 1, 2): "x1*x2", (2, 2, 2): "1 + x1"})
+    built = count_calls(monkeypatch, transport, "_coefficients")
+    curve = line_curve(2)
+    first = parallel_transport(conn, curve, np.ones(2)).vectors
+    again = parallel_transport(conn, curve, np.ones(2)).vectors
+    assert len(built) == 2
+    assert again.tobytes() == first.tobytes()
+
+
+def test_held_solve_is_read_only_and_still_validates():
+    g, conn, _, _, curve, w0 = transport_op(83)
+    parallel_transport(conn, curve, w0)
+
+    def refused():
+        raise AssertionError("the held solve was built again")
+
+    held = conn._propagators(curve, refused)
+    assert not held.flags.writeable
+    with pytest.raises(ValueError):
+        held[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match=rf"initial vector must have shape \({g.n},\)"):
+        parallel_transport(conn, curve, w0[:-1])
+    wrong = CurveSpec(curve.components[:-1], curve.t_span, curve.step)
+    with pytest.raises(ValueError, match=f"curve has dimension {g.n - 1}"):
+        parallel_transport(conn, wrong, w0)
