@@ -23,9 +23,15 @@ and the connection is not asked for it, so no Gamma, d Gamma or g^{-1} is
 evaluated for it.  This holds whatever the sampled values are: where an
 evaluated dg or g^{-1} is not finite, such a family reads 0.0 where its
 numeric product would read inf * 0 = NaN, and a point where g is singular
-is not refused for it (``sample_points`` never draws one).  Every other
+is not refused for it (``sample_points`` never draws one).  Nullity, the
+clauses of the Walker form and adapted-form projectability do the same with
+the metric's slot patterns (``MetricField._nonzero``) of g, dg and d^2 g:
+a block that is all False reads 0.0 without being evaluated, and every
+other block (the Walker form's determinant blocks always) is read as a
+slot block (``MetricField._slot_blocks``), never all of g.  Every other
 family is evaluated as below, with the same bits.  On a built extension or
-its metric form, all of these families are structurally zero.
+its metric form, all of these families but the two determinant blocks are
+structurally zero.
 
 Component families checked (indices: i,j,k leading; p,q middle; a,b trailing):
 
@@ -135,14 +141,28 @@ def _reduced(name: str, points, *families) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
+def _base(field, points) -> tuple:
+    """The point axes of ``points``, refused like a read of ``field`` (a
+    connection or a metric) there."""
+    return _as_points(points, field.n).shape[:-1]
+
+
+def _metric_families(g: MetricField, order: int, points, *blocks) -> list:
+    """The slot blocks ``blocks`` of g (order 0) or of its order-``order``
+    partials at ``points``, from one ``g._slot_blocks`` read, except that a
+    block whose slot pattern (``g._nonzero(order)``) is all False is one 0.0
+    per point, unevaluated."""
+    pattern = g._nonzero(order)
+    live = [pattern[b].any() for b in blocks]
+    read = iter(g._slot_blocks(order, points, *(b for b, on in zip(blocks, live) if on))
+                if any(live) else ())
+    base = _base(g, points)
+    return [next(read) if on else np.zeros(base) for on in live]
+
+
 def check_null(g: MetricField, dist: DistributionSpec, points) -> CheckResult:
     """Residual of nullity: max |g(d_a, d_b)| over trailing pairs."""
-    return _reduced("null", points, g.value(points)[..., dist.trailing, dist.trailing])
-
-
-def _base(conn: ConnectionField, points) -> tuple:
-    """The point axes of ``points``, refused like a read of ``conn`` there."""
-    return _as_points(points, conn.n).shape[:-1]
+    return _reduced("null", points, *_metric_families(g, 0, points, (dist.trailing,) * 2))
 
 
 def _parallel_family(conn: ConnectionField, dist: DistributionSpec, points) -> np.ndarray:
@@ -256,14 +276,16 @@ def check_walker_form(g: MetricField, points) -> List[CheckResult]:
         raise ValueError("check_walker_form requires a metric on a three-block chart")
     lead, mid, trail = chart.leading, chart.middle, chart.trailing
 
-    gv = g.value(points)
-    # only the three slot blocks of dg the clauses read
-    dg_ia, dg_pq, dg_pi = g._slot_blocks(
-        1, points, (slice(None), lead, trail), (trail, mid, mid), (trail, mid, lead))
-    det_ia = np.abs(np.linalg.det(gv[..., lead, trail]))
+    # the clauses' slot blocks of g and dg; the determinant blocks are
+    # always read
+    g_ab, g_pa = _metric_families(g, 0, points, (trail, trail), (mid, trail))
+    dg_ia, dg_pq, dg_pi = _metric_families(
+        g, 1, points, (slice(None), lead, trail), (trail, mid, mid), (trail, mid, lead))
+    g_ia, g_pq = g._slot_blocks(0, points, (lead, trail), (mid, mid))
+    det_ia = np.abs(np.linalg.det(g_ia))
     results = [
-        _reduced("null_trailing_block", points, gv[..., trail, trail]),
-        _reduced("null_middle_trailing_block", points, gv[..., mid, trail]),
+        _reduced("null_trailing_block", points, g_ab),
+        _reduced("null_middle_trailing_block", points, g_pa),
         _reduced("constant_leading_trailing_block", points, dg_ia),
         _reduced("trailing_independence_middle_block", points, dg_pq),
         _reduced("trailing_independence_middle_leading_block", points, dg_pi),
@@ -271,7 +293,7 @@ def check_walker_form(g: MetricField, points) -> List[CheckResult]:
                  np.maximum(0.0, 1.0 - det_ia / WALKER_DET_FLOOR)),
     ]
     if chart.middle_size > 0:
-        det_pq = np.abs(np.linalg.det(gv[..., mid, mid]))
+        det_pq = np.abs(np.linalg.det(g_pq))
         results.append(_reduced("nonsingular_middle_block", points,
                                 np.maximum(0.0, 1.0 - det_pq / WALKER_DET_FLOOR)))
     return results
@@ -284,8 +306,8 @@ def walker_projectability(g: MetricField, points) -> CheckResult:
         raise ValueError("walker_projectability requires a metric on a three-block chart")
     lead, mid, trail = chart.leading, chart.middle, chart.trailing
     # only the two slot blocks of d^2 g the criterion reads
-    return _reduced("walker_projectability", points, *g._slot_blocks(
-        2, points, (trail, trail, lead, lead), (trail, mid, lead, lead)))
+    return _reduced("walker_projectability", points, *_metric_families(
+        g, 2, points, (trail, trail, lead, lead), (trail, mid, lead, lead)))
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,10 @@ def sample_points(metric: MetricField, count: int, seed: int) -> np.ndarray:
         batch = rng.uniform(-BOX, BOX, size=(max(count, 64), n))
         with np.errstate(all="ignore"):
             gv = metric.value(batch)
-            det = np.linalg.det(np.nan_to_num(gv, nan=0.0, posinf=0.0, neginf=0.0))
-        finite = np.all(np.isfinite(gv), axis=(-1, -2))
+            finite = np.all(np.isfinite(gv), axis=(-1, -2))
+            # zero the non-finite entries, in a copy only where there are any
+            det = np.linalg.det(gv if finite.all() else
+                                np.nan_to_num(gv, nan=0.0, posinf=0.0, neginf=0.0))
         keep = batch[finite & (np.abs(det) >= DET_FLOOR)]
         if keep.size:
             accepted.append(keep)

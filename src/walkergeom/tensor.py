@@ -14,17 +14,22 @@ other metric is inverted densely.
 A connection also has a slot pattern per order,
 :meth:`ConnectionField.nonzero`: one boolean array over the slots of Gamma
 or of d Gamma, the same at every point.  The Levi-Civita connection builds
-it once from its metric's tables by the formulas of its jet, over booleans:
-a field's ``is_zero`` gives the first-kind sums' pattern (all three slots
-a sum reads zero), g^{-1}'s pattern is the zero blocks of the block inverse
-(all True when dense), Gamma = g^{-1} low, and d Gamma = g^{-1} d(low) +
-d(g^{-1}) low with d(g^{-1}) = g^{-1} dg g^{-1}; the d Gamma pattern (and
-with it the order-2 table) is built only when asked for.  A False slot is a
-sum of products that each hold an exact-zero factor, so it reads 0.0
-wherever the other factors are finite.  The checks of
-:mod:`walkergeom.distributions` decide a family whose slots are all False
-as 0.0 at every point without evaluating it, so where an evaluated dg
-overflows, such a family reads 0.0 and not the NaN of inf * 0.
+it once from its metric's patterns by the formulas of its jet, over
+booleans: the metric's order-1 and order-2 patterns give the first-kind
+sums' (all three slots a sum reads zero), g^{-1}'s pattern is the zero
+blocks of the block inverse (all True when dense), Gamma = g^{-1} low, and
+d Gamma = g^{-1} d(low) + d(g^{-1}) low with d(g^{-1}) = g^{-1} dg g^{-1}.
+The metric's patterns come from variable sets
+(:meth:`_SymmetricComponents._nonzero`): a slot of g is live unless its
+entry is the constant 0, ``[i, mu, nu]`` of dg iff x_i occurs in g_{mu nu},
+and ``[i, j, mu, nu]`` of d^2 g (i <= j, mirrored) iff x_j occurs in
+d_i g_{mu nu}; so no pattern builds the order-2 table, which only a read of
+d Gamma or of a live d^2 g block does.  A False slot is a sum of products
+that each hold an exact-zero factor, so it reads 0.0 wherever the other
+factors are finite.  The checks of :mod:`walkergeom.distributions` decide a
+family of Gamma, d Gamma, g, dg or d^2 g whose slots are all False as 0.0 at
+every point without evaluating it, so where an evaluated dg overflows, such
+a family reads 0.0 and not the NaN of inf * 0.
 
 A :class:`LeviCivitaConnection` holds its own jet: a copy of the last point
 set it was asked about and, each computed on first use, the inverse metric,
@@ -171,6 +176,16 @@ def _gather(store: Mapping[Tuple[int, ...], ScalarField], n: int, pairs):
     return [f for _, f in position.values()], index
 
 
+def _var_bits(fields, n: int) -> np.ndarray:
+    """``[field, i]``: whether x_{i+1} occurs in the field, read byte by byte
+    from its ``var_mask``, so any n fits."""
+    width = (n + 7) // 8
+    raw = b"".join(f.node.var_mask.to_bytes(width, "little") for f in fields)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, width), axis=1,
+                         bitorder="little")
+    return bits[:, :n].astype(bool)
+
+
 class _SymmetricComponents:
     """A component family symmetric in its last index pair: the canonical
     store, component access, and one table per derivative order, each built
@@ -232,9 +247,22 @@ class _SymmetricComponents:
 
     def _nonzero(self, order: int) -> np.ndarray:
         """The order's slot pattern: False where the slot's field is
-        structurally zero (``is_zero``), so it reads 0.0 at every point."""
-        fields, index = self._table(order)
-        return np.array([not f.is_zero for f in fields], dtype=bool)[index]
+        structurally zero, so it reads 0.0 at every point.  Order 0 reads
+        each field's ``is_zero``.  A higher order reads the variable sets of
+        the order below, since d_i f is the constant 0 wherever x_i does not
+        occur in f: slot ``[i, ...]`` of order 1 is live iff x_i occurs in
+        the entry, and ``[i, j, ...]`` of order 2 (i <= j, mirrored) iff x_j
+        occurs in d_i of it.  No pattern builds the order-2 table."""
+        if order == 0:
+            fields, index = self._table(0)
+            return np.array([not f.is_zero for f in fields], dtype=bool)[index]
+        fields, index = self._table(order - 1)
+        # [..., i]: whether x_i occurs in the slot's field of the order below
+        live = np.moveaxis(_var_bits(fields, self.n)[index], -1, order - 1)
+        if order == 1:
+            return live
+        upper = np.triu(np.ones((self.n, self.n), dtype=bool))
+        return np.where(upper[(...,) + (None,) * (live.ndim - 2)], live, np.swapaxes(live, 0, 1))
 
 
 class MetricField(_SymmetricComponents):
@@ -515,9 +543,11 @@ class LeviCivitaConnection(ConnectionField):
     The jet also holds the transport propagators of the last curve
     transported on its points (``_propagators``), keyed by the curve (equal
     components, ``t_span`` and ``step``) and read-only, so the transports of
-    one curve share one solve.  Starting a new jet drops them with the rest:
-    a full Gamma or d Gamma read at other points does, a slot block of Gamma
-    elsewhere does not.
+    one curve share one solve.  Once they are built the jet drops Gamma on
+    the curve's grid, which only the build reads; a later read there forms
+    it again, with the same bits.  Starting a new jet drops them with the
+    rest: a full Gamma or d Gamma read at other points does, a slot block of
+    Gamma elsewhere does not.
 
     A block's columns are those of the dense ``(n, n^2)`` product, taken
     from a narrower GEMM (two columns wide for a one-column block: numpy
@@ -571,9 +601,12 @@ class LeviCivitaConnection(ConnectionField):
 
     def _propagators(self, curve, build) -> np.ndarray:
         # building reads Gamma on the curve's grid, which may start a new
-        # jet; the propagators are held only after that
+        # jet; the propagators are held only after that, and the grid's
+        # Gamma, which only the build reads, is dropped (a later read forms
+        # it again)
         if self._solve is None or self._solve[0] != curve:
             self._solve = (curve, _frozen(build()))
+            self._gamma = None
         return self._solve[1]
 
     def _inverse(self) -> np.ndarray:

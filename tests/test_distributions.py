@@ -1,5 +1,7 @@
 """Residual checks for trailing-coordinate distributions."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from walkergeom import (
     transformation_rule_residual,
     walker_projectability,
 )
+from walkergeom import cli, tensor
 from walkergeom.cli import _record
 from walkergeom.corpus import (
     random_extension_spec,
@@ -506,3 +509,45 @@ def test_nan_entry_is_a_nan_residual_at_the_first_nan_point():
     [record] = _record("nan", 1e-8, lambda: res)
     assert record.to_dict() == {"name": "nan", "residual": None, "pass": False,
                                 "worst_point": [2.0, 3.0], "error": "non-finite residual: nan"}
+
+
+# ---------------------------------------------------------------------------
+# metric rows decided by slot patterns
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["extension", "metric_form"])
+def test_structured_suite_reads_no_second_partials(tmp_path, monkeypatch, kind):
+    # on an extension and on its built metric form every family of null,
+    # walker_form's clauses and walker_projectability is structurally zero
+    # but for the two determinant blocks: its variable-set pattern decides
+    # it, so no row differentiates g twice or evaluates a field that is the
+    # constant 0
+    ext = random_extension_spec(np.random.default_rng(11), 3, 2)
+    spec = cli.ProblemSpec(kind="extension", path="", checks=[], samples=50, seed=3,
+                           extension=ext)
+    if kind == "metric_form":
+        path = tmp_path / "metric.json"
+        path.write_text(json.dumps(cli.build_components(spec)))
+        spec = cli.load_spec(str(path))
+    spec.checks = [name for name, check in cli._CHECKS.items()
+                   if check.default and spec.kind in check.kinds]
+    spec.checks += ["walker_form", "walker_projectability"]
+    metrics, handed, row = [], [], [None]
+    metric, record, evaluate = cli._metric, cli._record, tensor.evaluate_fields
+    monkeypatch.setattr(cli, "_metric", lambda s: metrics.append(metric(s)) or metrics[-1])
+    monkeypatch.setattr(cli, "_record",
+                        lambda name, *a: row.__setitem__(0, name) or record(name, *a))
+    monkeypatch.setattr(tensor, "evaluate_fields", lambda fields, *a, **kw: handed.append(
+        (row[0], list(fields))) or evaluate(fields, *a, **kw))
+    report = cli.run_checks(spec)
+    assert report.verdict
+    assert {"null", "walker_form:null_trailing_block", "walker_projectability"} <= {
+        c.name for c in report.checks}
+    (g,) = metrics
+    assert 2 not in g._tables
+    decided = [fields for name, fields in handed
+               if name in ("null", "walker_form", "walker_projectability")]
+    # only walker_form's determinant blocks, C = [g_ia] and h, are read
+    assert len(decided) == 1
+    assert not any(f.is_zero for f in decided[0])

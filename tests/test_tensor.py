@@ -1,6 +1,7 @@
 """Christoffel symbols, the Levi-Civita jet, curvature and the metric-compatibility residual."""
 
 import json
+import pathlib
 import re
 import tracemalloc
 
@@ -18,7 +19,10 @@ from walkergeom import (
     check_projectable,
     CheckResult,
     SingularMetricError,
+    ScalarField,
     SymbolicConnection,
+    check_null,
+    check_walker_form,
     christoffel,
     coordinate,
     curvature_components,
@@ -35,7 +39,7 @@ from walkergeom.corpus import (
     random_walker_metric,
     walker_from_linear_data,
 )
-from walkergeom.distributions import _reduced, projectability_parts
+from walkergeom.distributions import WALKER_DET_FLOOR, _reduced, projectability_parts
 from walkergeom.expr import evaluate_fields
 from walkergeom.sampling import sample_points
 from walkergeom.tensor import JET_BLOCK, LeviCivitaConnection
@@ -1082,3 +1086,109 @@ def test_slot_blocks_evaluate_only_the_fields_they_index(monkeypatch):
     counts.clear()
     g._values(2, x)
     assert counts == [len(g._table(2)[0])]
+
+
+# ---------------------------------------------------------------------------
+# variable-set slot patterns and the metric rows they decide
+# ---------------------------------------------------------------------------
+
+
+def _is_zero_pattern(g, order):
+    """The order's slot pattern read off its table's fields (``is_zero``),
+    which builds that table."""
+    fields, index = g._table(order)
+    return np.array([not f.is_zero for f in fields], dtype=bool)[index]
+
+
+def _demo_metrics():
+    specs = pathlib.Path(__file__).parent.parent / "demos" / "specs"
+    return [pytest.param(cli._metric(cli.load_spec(str(path))), id=path.stem)
+            for path in sorted(specs.glob("*.json"))]
+
+
+@pytest.mark.parametrize("g", _pattern_metrics() + _walker_metrics() + _demo_metrics())
+def test_variable_set_patterns_equal_the_is_zero_patterns(g):
+    got = {order: g._nonzero(order) for order in (0, 1, 2)}
+    # no pattern differentiates to order 2
+    assert 2 not in g._tables
+    for order, pattern in got.items():
+        want = _is_zero_pattern(g, order)
+        assert pattern.shape == want.shape == (g.n,) * (2 + order)
+        # sound: every slot whose field is not the constant 0 is live ...
+        assert np.all(pattern[want])
+        # ... and on these metrics no other slot is
+        assert np.array_equal(pattern, want)
+
+
+def test_a_variable_that_cancels_stays_live():
+    # x1 - x1 holds x1, so d_1 of it is live although it folds to the
+    # constant 0: a live slot only has to read its value, which is 0.0
+    x1 = coordinate(1, 2)
+    g = MetricField(ChartSplit.two_block(2, 1), {(1, 1): x1 * x1 + x1 - x1 + 2, (2, 2): 1.0})
+    assert g._nonzero(1)[0, 0, 0] and g._nonzero(2)[0, 0, 0, 0]
+    zero = MetricField(ChartSplit.two_block(2, 1), {(1, 1): 1 + x1 - x1, (2, 2): 1.0})
+    assert zero._nonzero(1)[0, 0, 0] and not _is_zero_pattern(zero, 1)[0, 0, 0]
+    assert zero._values(1, np.full((3, 2), 0.5))[:, 0, 0, 0].tolist() == [0.0] * 3
+    # x1 no longer occurs in d_1 of it
+    assert not zero._nonzero(2).any()
+    # d_1 of x2 (x1 - x1) folds to 0 while d_2 of it holds x1: the order-2
+    # table holds d_2 d_1 once for both orders, and its pattern follows that
+    x2 = coordinate(2, 2)
+    skew = MetricField(ChartSplit.two_block(2, 1), {(1, 1): 2 + x2 * (x1 - x1), (2, 2): 1.0})
+    assert skew._nonzero(1)[0, 0, 0] and skew._nonzero(1)[1, 0, 0]
+    assert not skew._nonzero(2)[0, 1, 0, 0] and not skew._nonzero(2)[1, 0, 0, 0]
+    assert np.array_equal(skew._nonzero(2), _is_zero_pattern(skew, 2))
+
+
+def test_variable_bits_past_sixty_four_coordinates():
+    n = 70
+    fields = [coordinate(1, n) * coordinate(64, n), coordinate(65, n) + coordinate(70, n),
+              ScalarField.constant(2.0, n)]
+    bits = tensor._var_bits(fields, n)
+    assert bits.shape == (3, n) and bits.dtype == bool
+    assert [np.flatnonzero(b).tolist() for b in bits] == [[0, 63], [64, 69], []]
+
+
+def _walker_rows(g, x):
+    """null, walker_form and walker_projectability reduced from whole reads
+    of g, dg and d^2 g."""
+    lead, mid, trail = g.chart.leading, g.chart.middle, g.chart.trailing
+    gv, dg, d2g = g.value(x), g._values(1, x), g._values(2, x)
+
+    def nonsingular(name, block):
+        det = np.abs(np.linalg.det(block))
+        return _reduced(name, x, np.maximum(0.0, 1.0 - det / WALKER_DET_FLOOR))
+
+    form = [_reduced("null_trailing_block", x, gv[:, trail, trail]),
+            _reduced("null_middle_trailing_block", x, gv[:, mid, trail]),
+            _reduced("constant_leading_trailing_block", x, dg[:, :, lead, trail]),
+            _reduced("trailing_independence_middle_block", x, dg[:, trail, mid, mid]),
+            _reduced("trailing_independence_middle_leading_block", x, dg[:, trail, mid, lead]),
+            nonsingular("nonsingular_leading_trailing_block", gv[:, lead, trail])]
+    if g.chart.middle_size:
+        form.append(nonsingular("nonsingular_middle_block", gv[:, mid, mid]))
+    return ([_reduced("null", x, gv[:, trail, trail])] + form
+            + [_reduced("walker_projectability", x, d2g[:, trail, trail, lead, lead],
+                        d2g[:, trail, mid, lead, lead])])
+
+
+def _three_block_pattern_metrics():
+    out = []
+    for param in _pattern_metrics():
+        (g,) = param.values
+        if g.chart.mode != "three_block":
+            continue
+        out.append(param)
+        if g._walker_block is not None:
+            out.append(pytest.param(_not_structurally_walker(g), id=param.id + "_not_walker"))
+    return out
+
+
+@pytest.mark.parametrize("g", _three_block_pattern_metrics())
+def test_pattern_decided_metric_rows_are_unchanged(g):
+    x = sample_points(g, 200, seed=g.n + 1)
+    dist = DistributionSpec.null_block(g.chart)
+    rows = ([check_null(g, dist, x)] + check_walker_form(g, x) + [walker_projectability(g, x)])
+    wants = _walker_rows(g, x)
+    assert [r.name for r in rows] == [w.name for w in wants]
+    assert all(_same_row(got, want) for got, want in zip(rows, wants))

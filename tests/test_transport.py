@@ -355,3 +355,22 @@ def test_held_solve_is_read_only_and_still_validates():
     wrong = CurveSpec(curve.components[:-1], curve.t_span, curve.step)
     with pytest.raises(ValueError, match=f"curve has dimension {g.n - 1}"):
         parallel_transport(conn, wrong, w0)
+
+
+def test_held_solve_drops_gamma_on_its_grid(monkeypatch):
+    # the build reads Gamma on the step and half-step grid once; the jet
+    # then keeps the propagators and not that Gamma
+    g, conn, _, _, curve, w0 = transport_op(89)
+    formed = []
+    gamma = LeviCivitaConnection.gamma
+    monkeypatch.setattr(LeviCivitaConnection, "gamma", lambda self, x, *a: formed.append(
+        (np.array(x), gamma(self, x, *a).copy())) or formed[-1][1])
+    first = parallel_transport(conn, curve, w0).vectors
+    assert conn._gamma is None
+    built = count_calls(monkeypatch, transport, "_coefficients")
+    again = parallel_transport(conn, curve, w0).vectors
+    assert built == [] and again.tobytes() == first.tobytes()
+    ((grid, held),) = formed
+    # a read on the grid forms it again, to the bits it had
+    monkeypatch.undo()
+    assert conn.gamma(grid).tobytes() == held.tobytes()
