@@ -44,7 +44,7 @@ from .distributions import (
     walker_projectability,
 )
 from .expr import ExpressionError, parse_expression
-from .extensions import ExtensionSpec, build_pullback_extension, transformation_rule_residual
+from .extensions import ExtensionSpec, _transformation_rule_rows, build_pullback_extension
 from .corpus import random_one_form
 from .sampling import sample_points
 from .tensor import ConnectionField, MetricField, SymbolicConnection, christoffel
@@ -451,13 +451,13 @@ def _vertical_metric(c: _Context) -> CheckResult:
 
 
 def _transformation_rule(c: _Context) -> CheckResult:
-    """The worst of three seeded random one-form sections on the first 20 points."""
+    """The worst of three seeded random one-form sections on the first 20
+    points, whose rows share one evaluation of g there."""
     ext = c.spec.extension
     rng = np.random.default_rng(c.spec.seed)
+    omegas = [random_one_form(rng, ext.r, ext.m) for _ in range(3)]
     best = CheckResult("transformation_rule", 0.0, None)
-    for _ in range(3):
-        omega = random_one_form(rng, ext.r, ext.m)
-        res = transformation_rule_residual(c.g, ext, omega, c.pts[:20])
+    for res in _transformation_rule_rows(c.g, ext, omegas, c.pts[:20]):
         if res.residual >= best.residual:
             best = res
     return best

@@ -282,7 +282,13 @@ def check_walker_form(g: MetricField, points) -> List[CheckResult]:
     dg_ia, dg_pq, dg_pi = _metric_families(
         g, 1, points, (slice(None), lead, trail), (trail, mid, mid), (trail, mid, lead))
     g_ia, g_pq = g._slot_blocks(0, points, (lead, trail), (mid, mid))
-    det_ia = np.abs(np.linalg.det(g_ia))
+    if g._nonzero(1)[:, lead, trail].any():
+        det_ia = np.abs(np.linalg.det(g_ia))
+    else:
+        # a constant block: one det (the same LU as each of a batch), for
+        # every point
+        flat = g_ia.reshape((-1,) + g_ia.shape[-2:])
+        det_ia = np.abs(np.linalg.det(flat[:1])).repeat(len(flat)).reshape(g_ia.shape[:-2])
     results = [
         _reduced("null_trailing_block", points, g_ab),
         _reduced("null_middle_trailing_block", points, g_pa),

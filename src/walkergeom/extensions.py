@@ -53,12 +53,17 @@ class OneFormSection:
     r: int
     m: int
     components: Tuple[ScalarField, ...]
+    # d_mu omega_i as [mu][i], derived once per section
+    _partials: Tuple[Tuple[ScalarField, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.components) != self.r:
             raise ValueError(f"need {self.r} components, got {len(self.components)}")
-        lifted = tuple(as_field(c, self.r + self.m) for c in self.components)
+        q = self.r + self.m
+        lifted = tuple(as_field(c, q) for c in self.components)
         object.__setattr__(self, "components", lifted)
+        object.__setattr__(self, "_partials", tuple(
+            tuple(w.partial(mu) for w in lifted) for mu in range(1, q + 1)))
 
     def jet(self, x) -> Tuple[np.ndarray, np.ndarray]:
         """``omega_i`` and ``d_mu omega_i`` (axes ``[..., i]`` and ``[..., mu, i]``)
@@ -69,8 +74,7 @@ class OneFormSection:
         if x.shape[-1] < q:
             raise ValueError(f"points must carry at least the first {q} coordinates")
         x = x[..., :q]
-        partials = [[w.partial(mu) for w in self.components] for mu in range(1, q + 1)]
-        return evaluate_fields(list(self.components), x), evaluate_fields(partials, x)
+        return evaluate_fields(list(self.components), x), evaluate_fields(self._partials, x)
 
 
 @dataclass
@@ -241,7 +245,18 @@ def transformation_rule_residual(
     ``pi*(L omega)`` places the Killing matrix in the leading+middle block
     and is zero in any slot with a trailing index.
     """
+    return _transformation_rule_rows(g, spec, [omega], points)[0]
+
+
+def _transformation_rule_rows(g: MetricField, spec: ExtensionSpec, omegas, points) -> list:
+    """The :func:`transformation_rule_residual` row of each one-form section
+    of ``omegas`` at ``points``, with the same bits, all subtracting one
+    evaluation of g there."""
     q = spec.r + spec.m
-    diff = fiber_translate_pullback(g, omega, spec.g_ia, points) - g.value(points)
-    diff[..., :q, :q] -= killing_operator(spec.base_connection, omega, points)
-    return _reduced("transformation_rule", points, diff)
+    g_x = g.value(points)
+    rows = []
+    for omega in omegas:
+        diff = fiber_translate_pullback(g, omega, spec.g_ia, points) - g_x
+        diff[..., :q, :q] -= killing_operator(spec.base_connection, omega, points)
+        rows.append(_reduced("transformation_rule", points, diff))
+    return rows

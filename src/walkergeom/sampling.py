@@ -4,7 +4,10 @@ Points are drawn uniformly from the cube ``[-BOX, BOX]^n`` of the metric's
 chart.  Points where any component fails to evaluate to a finite real (a
 quotient pole) or where ``|det g|`` falls below ``DET_FLOOR`` are rejected and
 redrawn, at most ``MAX_DRAWS`` batches, so downstream residual checks only
-ever see usable points.
+ever see usable points.  ``|det g|`` is the metric's one determinant rule
+(``MetricField._abs_det``): ``det(C)^2 |det H|`` on a structurally Walker
+metric, so no n x n determinant is taken there, and the dense determinant
+otherwise.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ def sample_points(metric: MetricField, count: int, seed: int) -> np.ndarray:
             gv = metric.value(batch)
             finite = np.all(np.isfinite(gv), axis=(-1, -2))
             # zero the non-finite entries, in a copy only where there are any
-            det = np.linalg.det(gv if finite.all() else
-                                np.nan_to_num(gv, nan=0.0, posinf=0.0, neginf=0.0))
-        keep = batch[finite & (np.abs(det) >= DET_FLOOR)]
+            det = metric._abs_det(batch, gv if finite.all() else
+                                  np.nan_to_num(gv, nan=0.0, posinf=0.0, neginf=0.0))
+        keep = batch[finite & (det >= DET_FLOOR)]
         if keep.size:
             accepted.append(keep)
             have += keep.shape[0]

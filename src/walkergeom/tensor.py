@@ -47,12 +47,21 @@ only per block and d^2 g is never laid out.  Given ``rows``, a read forms
 only those points; the checks of :mod:`walkergeom.distributions` read d
 Gamma one point block at a time, so a check suite's peak memory is the jet
 it holds.  A slot block of Gamma at points other than the jet's (the leaf
-block that a restriction reads) is formed the same way from its own g^{-1}
-and field values, and leaves the jet as it is.
+block that a restriction reads) leaves the jet as it is.  Where its rows of
+g^{-1} are the same at every point, the leading rows ``[0, 0, C^{-T}]`` of a
+structurally Walker metric, it is read off them: Gamma^i_{jk} =
+(C^{-T})_{ia} Gamma_{a,jk} with only the triples Gamma_{a,jk} lowered, from
+only the order-1 fields they read (d_a g_{jk}, and d_j g_{ak}, the constant
+0), and neither g nor g^{-1} is evaluated.  Otherwise it is formed like a
+jet block, from its own g^{-1} and field values.
 
 A metric is singular at a point where ``|det g|`` is below
 :data:`DET_FLOOR`; the constant block ``[g_ia]`` that
-:mod:`walkergeom.extensions` inverts is held to the same floor.
+:mod:`walkergeom.extensions` inverts is held to the same floor.  ``|det
+g|`` has one rule (``MetricField._abs_det``), which the inverse, the leaf
+block and :func:`walkergeom.sampling.sample_points` share: det(C)^2 |det H|,
+H the middle block, on a structurally Walker metric, and the dense
+determinant otherwise.
 
 Curvature comes as a batched array: :func:`curvature_components` gives
 ``R_{ijk}{}^l`` at the points of ``x``.
@@ -320,17 +329,21 @@ class MetricField(_SymmetricComponents):
             out[:r, :q] = out[:q, :r] = False
         return out
 
-    def _first_kind_sums(self, order: int, v, triples=slice(None)) -> np.ndarray:
+    def _first_kind_sums(self, order: int, v, triples=slice(None), fields=None) -> np.ndarray:
         """The first-kind sums formed from ``v``, values of the order's
         distinct fields (``_field_values``, or rows of them), one per distinct
         triple (or per triple that ``triples`` picks from that list):
-        (1/2)((A + B) - C), terms in that order.
+        (1/2)((A + B) - C), terms in that order.  ``fields``, when given, is
+        the ascending positions of the distinct fields that ``v`` holds, when
+        it holds only those that the picked triples read.
 
         Gamma_{m,jk} = (1/2)(d_j g_{mk} + d_k g_{jm} - d_m g_{jk}) at the
         values' points (order 1), or its partials d_u Gamma_{m,jk} (order 2),
         is ``np.take(sums, self._triple_table(order)[1], axis=-1)``.
         """
         a, b, c = (t[triples] for t in self._triple_table(order)[0])
+        if fields is not None:
+            a, b, c = (np.searchsorted(fields, t) for t in (a, b, c))
         w = np.take(v, a, axis=-1) + np.take(v, b, axis=-1)
         w -= np.take(v, c, axis=-1)
         w *= 0.5
@@ -362,30 +375,53 @@ class MetricField(_SymmetricComponents):
             return None
         return np.linalg.inv(c), det * det
 
+    def _inverse_rows(self, rows: np.ndarray):
+        """The rows ``rows`` (0-based) of g^{-1} over their live columns, and
+        those columns, when the rows are the same at every point, else None.
+        Those are leading rows of a structurally Walker metric: ``[0, 0,
+        C^{-T}]``, whose live columns (``_inverse_nonzero``) are the
+        trailing ones."""
+        walker, r = self._walker_block, self.chart.r
+        if walker is None or not np.all(rows < r):
+            return None
+        return walker[0].T[rows], np.arange(self.n - r, self.n)
+
+    def _abs_det(self, x, g=None) -> np.ndarray:
+        """|det g| at the points ``x``; ``g``, the metric's values there when
+        the caller holds them.  A structurally Walker metric
+        (``_walker_block``) reads ``det(C)^2 |det H|``, H the middle block
+        (a slot block read at ``x`` when ``g`` is not given), so it takes no
+        n x n determinant; every other metric takes the dense one."""
+        walker = self._walker_block
+        if walker is None:
+            return np.abs(np.linalg.det(self.value(x) if g is None else g))
+        mid = self.chart.middle
+        h = self._slot_blocks(0, x, (mid, mid))[0] if g is None else g[..., mid, mid]
+        return walker[1] * np.abs(np.linalg.det(h))
+
+    def _refuse_singular(self, x, g=None) -> None:
+        """Raise SingularMetricError at the first point of ``x`` where
+        ``_abs_det`` is below :data:`DET_FLOOR`."""
+        bad = self._abs_det(x, g) < DET_FLOOR
+        if np.any(bad):
+            where = np.asarray(x, dtype=float).reshape(-1, self.n)[np.argmax(bad.reshape(-1))]
+            raise SingularMetricError(
+                f"metric singular (|det| < {DET_FLOOR:g}) at point {where.tolist()}"
+            )
+
     def inverse_value(self, x) -> np.ndarray:
         """g^{-1} at ``x``, shape ``x.shape[:-1] + (n, n)``.
 
         A structurally Walker metric (``_walker_block``) is inverted by
         blocks: the leading rows of g^{-1} are ``[0, 0, C^{-T}]`` exactly, so
         every quantity they contract with structurally zero fields comes out
-        exactly 0.0, and ``|det g| = det(C)^2 |det H|`` is what meets
-        :data:`DET_FLOOR`.  Every other metric is inverted densely.
+        exactly 0.0, and ``|det g| = det(C)^2 |det H|`` (``_abs_det``) is
+        what meets :data:`DET_FLOOR`.  Every other metric is inverted densely.
         """
         g = self.value(x)
+        self._refuse_singular(x, g)
         walker = self._walker_block
-        if walker is None:
-            det = np.linalg.det(g)
-        else:
-            c_inv, c_det2 = walker
-            mid = self.chart.middle
-            det = c_det2 * np.linalg.det(g[..., mid, mid])
-        bad = np.abs(det) < DET_FLOOR
-        if np.any(bad):
-            where = np.asarray(x, dtype=float).reshape(-1, self.n)[np.argmax(bad.reshape(-1))]
-            raise SingularMetricError(
-                f"metric singular (|det| < {DET_FLOOR:g}) at point {where.tolist()}"
-            )
-        return np.linalg.inv(g) if walker is None else _walker_inverse(g, self.chart.r, c_inv)
+        return np.linalg.inv(g) if walker is None else _walker_inverse(g, self.chart.r, walker[0])
 
     def __repr__(self):
         nonzero = {k: str(v) for k, v in self._comps.items() if not v.is_zero}
@@ -534,11 +570,18 @@ class LeviCivitaConnection(ConnectionField):
     inverse and one evaluation of each order's fields.  A read of ``rows``
     compares only those rows of ``x`` with the jet's points.
     ``gamma(x, block)`` on the jet's points slices the jet's Gamma when it
-    holds it, and otherwise forms the block from the jet's arrays; a slot
+    holds it, and otherwise forms the block from the jet's arrays.  A slot
     block of Gamma at other points is formed on its own and leaves the jet
-    as it is.  d Gamma is never held: each read forms its block from the
-    jet's field values.  Arrays returned are read-only, C-contiguous and
-    have the point axes first.
+    as it is: on rows of g^{-1} that are the same at every point
+    (``MetricField._inverse_rows``; the leading rows ``[0, 0, C^{-T}]`` of a
+    structurally Walker metric, so the leaf block of a restriction) it
+    lowers only the sums that those rows' live columns contract, from only
+    the order-1 fields they read, and holds the points to the floor through
+    ``|det g| = det(C)^2 |det H|``, reading H alone; on other rows it forms
+    the block from its own g^{-1} and order-1 field values.  d Gamma is
+    never held: each read forms its block from the jet's field values.
+    Arrays returned are read-only, C-contiguous and have the point axes
+    first.
 
     The jet also holds the transport propagators of the last curve
     transported on its points (``_propagators``), keyed by the curve (equal
@@ -621,6 +664,21 @@ class LeviCivitaConnection(ConnectionField):
             self._fields[order] = _rows(self.metric._field_values(order, self._x))
         return self._fields[order]
 
+    def _plan(self, order: int, j, k, m=slice(None), head=()):
+        """The distinct first-kind triples of the order that the columns
+        ``(j, k)`` of the rows ``m`` of the sums read (ascending positions in
+        ``MetricField._triple_table``), and each column's position among
+        them, ``[*head, m, column]``; a one-column product goes to GEMM as
+        two, so a single column is repeated."""
+        triples, table = self.metric._triple_table(order)
+        table = table[head][..., m, :, :]
+        width = len(j) * len(k)
+        at = table[..., j[:, None], k].reshape(table.shape[:-2] + (width,))
+        used = np.zeros(len(triples[0]), dtype=bool)
+        used[at] = True
+        at = (np.cumsum(used) - 1)[at]
+        return np.flatnonzero(used), (np.repeat(at, 2, axis=-1) if width == 1 else at)
+
     def _form(self, order: int, block, ginv, v1, v2=None) -> np.ndarray:
         """The slot block ``block`` of Gamma (order 0) or d Gamma (order 1)
         at the points of the rows of ``ginv`` (g^{-1}), ``v1`` and ``v2``
@@ -629,22 +687,10 @@ class LeviCivitaConnection(ConnectionField):
         slots = block + (slice(None),) * (3 + order - len(block))
         *u, l, j, k = (np.atleast_1d(np.arange(n)[s]) for s in slots)
         width = len(j) * len(k)
-
-        def plan(order, head=()):
-            # the triples that the block's columns read, and each column's
-            # position among them; a one-column product goes to GEMM as two
-            triples, table = metric._triple_table(order)
-            table = table[head]
-            at = table[..., j[:, None], k].reshape(table.shape[:-2] + (width,))
-            used = np.zeros(len(triples[0]), dtype=bool)
-            used[at] = True
-            at = (np.cumsum(used) - 1)[at]
-            return np.flatnonzero(used), (np.repeat(at, 2, axis=-1) if width == 1 else at)
-
-        low_triples, low_at = plan(1)
+        low_triples, low_at = self._plan(1, j, k)
         if order:
             u = u[0]
-            dlow_triples, dlow_at = plan(2, u)
+            dlow_triples, dlow_at = self._plan(2, j, k, head=u)
             dg_at = metric._table(1)[1][u]
         out = np.empty((len(ginv),) + (len(u),) * order + (len(l), width))
         # a product that is the block itself is written into it in place
@@ -668,14 +714,47 @@ class LeviCivitaConnection(ConnectionField):
                 out[at] = prod[..., l, :width]
         return out.reshape(out.shape[:1] + np.empty((n,) * len(slots), dtype=bool)[block].shape)
 
+    def _form_rows(self, block, x, ginv, cols) -> np.ndarray:
+        """The slot block ``block`` of Gamma at the points ``x`` (one row
+        each) from ``ginv``, its rows of g^{-1} over their live columns
+        ``cols``, the same at every point (``MetricField._inverse_rows``):
+        only the first-kind sums Gamma_{m,jk} of m in ``cols`` are lowered,
+        from only the order-1 fields that they read, so neither g nor g^{-1}
+        is evaluated."""
+        metric, n = self.metric, self.n
+        slots = block + (slice(None),) * (3 - len(block))
+        l, j, k = (np.atleast_1d(np.arange(n)[s]) for s in slots)
+        width = len(j) * len(k)
+        triples, at = self._plan(1, j, k, cols)
+        table = metric._table(1)[0]
+        used = np.zeros(len(table), dtype=bool)
+        for t in metric._triple_table(1)[0]:
+            used[t[triples]] = True
+        fields = np.flatnonzero(used)
+        v = evaluate_fields([table[f] for f in fields], x)
+        # like a one-column product, a one-row product goes to GEMM as two
+        ginv = np.repeat(ginv, 2, axis=0) if len(l) == 1 else ginv
+        out = np.empty((len(x), len(l), width))
+        for rows in _point_blocks(len(x), max(len(cols), len(ginv)) * at.shape[-1]):
+            low = np.take(metric._first_kind_sums(1, v[rows], triples, fields), at, axis=-1)
+            out[rows] = np.matmul(ginv, low)[..., :len(l), :width]
+        return out.reshape(out.shape[:1] + np.empty((n,) * 3, dtype=bool)[block].shape)
+
     def gamma(self, x, block=()) -> np.ndarray:
         block, x = tuple(block), _as_points(x, self.n)
         if not self._on_jet(x):
             if block:
-                # a slot block elsewhere is formed on its own
-                metric = self.metric
-                out = self._form(0, block, metric.inverse_value(x).reshape(-1, self.n, self.n),
-                                 _rows(metric._field_values(1, x)))
+                # a slot block elsewhere is formed on its own: from the
+                # constant rows of g^{-1} where the block's rows are those,
+                # and from g^{-1} and the order-1 field values otherwise
+                metric, n = self.metric, self.n
+                rows = metric._inverse_rows(np.atleast_1d(np.arange(n)[block[0]]))
+                if rows is None:
+                    out = self._form(0, block, metric.inverse_value(x).reshape(-1, n, n),
+                                     _rows(metric._field_values(1, x)))
+                else:
+                    metric._refuse_singular(x)
+                    out = self._form_rows(block, _rows(x), *rows)
                 return _frozen(out.reshape(x.shape[:-1] + out.shape[1:]))
             self._start(x)
         if self._gamma is not None:

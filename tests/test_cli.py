@@ -563,6 +563,37 @@ def test_main_structurally_zero_rows_read_zero_where_partials_overflow(tmp_path,
     assert captured.err == ""
 
 
+LEAF_EDGE = {"kind": "extension", "r": 1, "m": 1, "g_ia": [[1]], "D_1_1_1": "x1"}
+
+
+def test_projected_connection_refuses_a_singular_middle_block_at_the_leaf_points(tmp_path):
+    # the leaf block reads no g^{-1}, but |det g| = det(C)^2 |det H| is still
+    # held to the floor there: h_2_2 = x2 vanishes on the leaf (x2 = x3 = 0)
+    problem = dict(LEAF_EDGE, lambda_1_1="x2", h_2_2="x2", checks=["projected_connection"])
+    report = run_checks(load_spec(write(tmp_path, problem)))
+    assert [c.to_dict() for c in report.checks] == [{
+        "name": "projected_connection", "residual": None, "pass": False, "worst_point": None,
+        "error": "SingularMetricError: metric singular (|det| < 1e-12) "
+                 "at point [0.5479120971119267, 0.0, 0.0]"}]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_projected_connection_reads_no_overflowing_column_it_does_not_contract(tmp_path, capsys):
+    # d_1 g_11 overflows to inf; only the rows m of Gamma_{m,jk} that the
+    # leaf block's constant rows C^{-T} of g^{-1} contract are lowered, so
+    # the inf in Gamma_{1,11}, which g^{11} = 0 multiplies, is never formed
+    # and the row passes like the others, not NaN from 0 * inf
+    path = write(tmp_path, dict(LEAF_EDGE, lambda_1_1="1 + 1e307*x1^100", h_2_2="1"))
+    main(["check", path, "--format", "report-structured"])
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out, parse_constant=_reject_constant)
+    rows = {c["name"]: c for c in payload["checks"]}
+    first = rows["null"]["worst_point"]
+    assert rows["projected_connection"] == {"name": "projected_connection", "residual": 0.0,
+                                            "pass": True, "worst_point": first}
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("expression", [
     "1/0", "1/(2-2)", "0^-1", "2^9999", "exp(1000)", "x2*exp(1000)",
 ])

@@ -7,7 +7,9 @@ import pytest
 from walkergeom import (
     DistributionSpec,
     ExtensionSpec,
+    MetricField,
     OneFormSection,
+    ScalarField,
     SingularMetricError,
     SymbolicConnection,
     build_pullback_extension,
@@ -23,6 +25,8 @@ from walkergeom import (
     transformation_rule_residual,
 )
 from walkergeom.corpus import random_extension_spec, random_one_form
+from walkergeom.distributions import _reduced
+from walkergeom.extensions import _transformation_rule_rows
 from walkergeom.sampling import sample_points
 
 from leaf_oracles import canonical_field_parallelism, canonical_vertical_field
@@ -240,6 +244,42 @@ def test_transformation_rule_on_random_data():
         pts = sample_points(g, 20, seed=10 + r + m)
         omega = random_one_form(rng, r, m)
         assert transformation_rule_residual(g, spec, omega, pts).residual < 1e-9
+
+
+def test_transformation_rule_rows_share_one_evaluation_of_g(monkeypatch):
+    # the check row's three sections subtract one evaluation of g at the
+    # points, and each section's partials are derived once, when it is built
+    rng = np.random.default_rng(5)
+    for (r, m) in [(1, 0), (2, 1), (3, 2)]:
+        spec = random_extension_spec(rng, r, m)
+        g = build_pullback_extension(spec)
+        pts = sample_points(g, 20, seed=r + m)
+        omegas = [random_one_form(rng, r, m) for _ in range(3)]
+        want = []
+        for omega in omegas:
+            # the rule as a difference of the three public operators
+            diff = fiber_translate_pullback(g, omega, spec.g_ia, pts) - g.value(pts)
+            diff[..., :r + m, :r + m] -= killing_operator(spec.base_connection, omega, pts)
+            want.append(_reduced("transformation_rule", pts, diff))
+        values, partials = [], []
+        value = MetricField.value
+        monkeypatch.setattr(MetricField, "value",
+                            lambda self, x: values.append(x) or value(self, x))
+        partial = ScalarField.partial
+        monkeypatch.setattr(ScalarField, "partial",
+                            lambda self, i: partials.append(i) or partial(self, i))
+        rows = _transformation_rule_rows(g, spec, omegas, pts)
+        one = transformation_rule_residual(g, spec, omegas[1], pts)
+        monkeypatch.undo()
+        assert [(row.residual, row.worst_point.tolist()) for row in rows] == [
+            (row.residual, row.worst_point.tolist()) for row in want]
+        assert (one.residual, one.worst_point.tolist()) == (want[1].residual,
+                                                            want[1].worst_point.tolist())
+        # g at the points once, at each section's translates once; then the
+        # single-section rule: the points and the translates
+        assert len(values) == 1 + 3 + 2
+        assert sum(np.array_equal(x, pts) for x in values) == 2
+        assert partials == []
 
 
 def test_rotational_form_is_isometry_when_killing_vanishes():

@@ -1192,3 +1192,110 @@ def test_pattern_decided_metric_rows_are_unchanged(g):
     wants = _walker_rows(g, x)
     assert [r.name for r in rows] == [w.name for w in wants]
     assert all(_same_row(got, want) for got, want in zip(rows, wants))
+
+
+# ---------------------------------------------------------------------------
+# the leaf block from the constant rows of g^{-1}, and one determinant rule
+# ---------------------------------------------------------------------------
+
+
+def _leaf_metrics():
+    """Extensions, each also written not structurally Walker (the dense
+    route), and linear Walker metrics."""
+    rng = np.random.default_rng(49)
+    out = []
+    for r, m in [(1, 0), (1, 1), (2, 2), (3, 2)]:
+        g = build_pullback_extension(random_extension_spec(rng, r, m))
+        out += [pytest.param(g, id=f"ext_r{r}m{m}"),
+                pytest.param(_not_structurally_walker(g), id=f"ext_r{r}m{m}_not_walker")]
+    for r, m in [(1, 1), (2, 1), (3, 2)]:
+        out.append(pytest.param(_linear_walker(rng, r, m, None), id=f"linear_r{r}m{m}"))
+    return out
+
+
+@pytest.mark.parametrize("g", _leaf_metrics())
+def test_leaf_block_is_the_leading_slice_of_the_whole_read(g, monkeypatch):
+    r = g.chart.r
+    y = sample_points(g, 300, seed=g.n)[:, :r]
+    padded = np.concatenate([y, np.zeros((len(y), g.n - r))], axis=1)
+    want = christoffel(g).gamma(padded)[:, :r, :r, :r]
+    inverses = []
+    inverse_value = MetricField.inverse_value
+    monkeypatch.setattr(MetricField, "inverse_value",
+                        lambda self, x: inverses.append(x) or inverse_value(self, x))
+    leaf = restrict_connection(christoffel(g), DistributionSpec.orthocomplement(g.chart))
+    assert _same_bits(leaf.gamma(y), want)
+    # one row and one column of it (GEMM, not GEMV), and a single point
+    for block in [(0,), (r - 1, slice(None), 0), (slice(None), 0, 0)]:
+        assert _same_bits(leaf.gamma(y, block), want[(slice(None),) + block])
+    assert _same_bits(leaf.gamma(y[5]), want[5])
+    # only a metric that is not structurally Walker forms it from g^{-1}
+    assert bool(inverses) is (g._walker_block is None)
+
+
+@pytest.mark.parametrize("r, m", [(1, 0), (1, 1), (2, 2), (3, 2)])
+def test_leaf_read_evaluates_only_the_trailing_partials_it_contracts(r, m, monkeypatch):
+    g = build_pullback_extension(random_extension_spec(np.random.default_rng(50), r, m))
+    y = sample_points(g, 50, seed=r)[:, :r]
+    lead, mid, trail = g.chart.leading, g.chart.middle, g.chart.trailing
+    fields, index = g._table(1)
+    # d_a g_jk (a trailing, j, k leading), and d_j g_ak, which is the
+    # constant 0 on the constant block C
+    wanted = {fields[i].node for i in index[trail, lead, lead].ravel()}
+    zero = {fields[i].node for i in index[lead, trail, lead].ravel()}
+    assert all(fields[i].is_zero for i in index[lead, trail, lead].ravel())
+    h = {g._table(0)[0][i].node for i in g._table(0)[1][mid, mid].ravel()}
+    evaluated = []
+    evaluate = tensor.evaluate_fields
+    monkeypatch.setattr(tensor, "evaluate_fields",
+                        lambda f, x, *a: evaluated.append(list(f)) or evaluate(f, x, *a))
+    for name in ("value", "inverse_value", "partial_value"):
+        monkeypatch.setattr(MetricField, name, lambda self, x, _name=name: pytest.fail(_name))
+    restrict_connection(christoffel(g), DistributionSpec.orthocomplement(g.chart)).gamma(y)
+    nodes = [f.node for call in evaluated for f in call]
+    # the middle block H, for the determinant, and the partials the sums read
+    assert set(nodes) <= wanted | zero | h
+    assert wanted <= set(nodes)
+
+
+def _dense_abs_det(self, x, g=None):
+    return np.abs(np.linalg.det(self.value(x) if g is None else g))
+
+
+@pytest.mark.parametrize("g", _walker_metrics() + _demo_metrics() + _pattern_metrics())
+def test_sample_points_with_the_block_determinant_equal_the_dense_rule(g, monkeypatch):
+    got = sample_points(g, 400, seed=g.n + 7)
+    sizes = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: sizes.append(np.shape(a)[-1]) or det(a))
+    sample_points(g, 400, seed=g.n + 7)
+    # a structurally Walker metric takes no n x n determinant
+    assert (g.n in sizes) is (g._walker_block is None)
+    monkeypatch.setattr(MetricField, "_abs_det", _dense_abs_det)
+    assert np.array_equal(got, sample_points(g, 400, seed=g.n + 7))
+
+
+@pytest.mark.parametrize("g", _walker_metrics())
+def test_block_determinant_is_the_dense_one_to_rounding(g):
+    x = sample_points(g, 100, seed=g.n)
+    for pts in (x, x[3], x[:12].reshape(3, 4, g.n)):
+        got, dense = g._abs_det(pts), _dense_abs_det(g, pts)
+        assert got.shape == dense.shape
+        assert np.all(np.abs(got - dense) <= 1e-12 * dense)
+        # from values at hand, the same bits as read at the points
+        assert _same_bits(g._abs_det(pts, g.value(pts)), got)
+
+
+def test_walker_form_takes_one_determinant_of_a_constant_leading_trailing_block(monkeypatch):
+    g = build_pullback_extension(random_extension_spec(np.random.default_rng(51), 3, 2))
+    x = sample_points(g, 200, seed=3)
+    shapes = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: shapes.append(np.shape(a)) or det(a))
+    rows = check_walker_form(g, x)
+    # g_ia at one point, g_pq at every point
+    assert shapes == [(1, 3, 3), (200, 2, 2)]
+    monkeypatch.undo()
+    assert all(_same_row(got, want) for got, want in zip(rows, _walker_rows(g, x)[1:-1]))
+    single = check_walker_form(g, x[0])
+    assert [row.residual for row in single] == [0.0] * len(single)
