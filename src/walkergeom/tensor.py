@@ -46,14 +46,15 @@ at a time (``max(1, JET_BLOCK // n**4)`` points for all of d Gamma,
 only per block and d^2 g is never laid out.  Given ``rows``, a read forms
 only those points; the checks of :mod:`walkergeom.distributions` read d
 Gamma one point block at a time, so a check suite's peak memory is the jet
-it holds.  A slot block of Gamma at points other than the jet's (the leaf
-block that a restriction reads) leaves the jet as it is.  Where its rows of
-g^{-1} are the same at every point, the leading rows ``[0, 0, C^{-T}]`` of a
-structurally Walker metric, it is read off them: Gamma^i_{jk} =
-(C^{-T})_{ia} Gamma_{a,jk} with only the triples Gamma_{a,jk} lowered, from
-only the order-1 fields they read (d_a g_{jk}, and d_j g_{ak}, the constant
-0), and neither g nor g^{-1} is evaluated.  Otherwise it is formed like a
-jet block, from its own g^{-1} and field values.
+it holds.  The held Gamma serves whole reads; a slot block is always
+formed.  A slot block of Gamma at points other than the jet's (the leaf
+block that a restriction reads) is read from a jet of its own and leaves
+this one as it is.  Where its rows of g^{-1} are the same at every point,
+the leading rows ``[0, 0, C^{-T}]`` of a structurally Walker metric, the
+same routine reads them in place of g^{-1}: Gamma^i_{jk} = (C^{-T})_{ia}
+Gamma_{a,jk} with only the triples Gamma_{a,jk} lowered, from only the
+order-1 fields they read (d_a g_{jk}, and d_j g_{ak}, the constant 0), and
+neither g nor g^{-1} is evaluated.
 
 A metric is singular at a point where ``|det g|`` is below
 :data:`DET_FLOOR`; the constant block ``[g_ia]`` that
@@ -195,6 +196,16 @@ def _var_bits(fields, n: int) -> np.ndarray:
     return bits[:, :n].astype(bool)
 
 
+def _compact(size: int, *at) -> tuple:
+    """The positions in ``range(size)`` that the index arrays ``at`` hold,
+    ascending, then each array of ``at`` renumbered to index that list."""
+    used = np.zeros(size, dtype=bool)
+    for a in at:
+        used[a] = True
+    position = np.cumsum(used) - 1
+    return (np.flatnonzero(used), *(position[a] for a in at))
+
+
 class _SymmetricComponents:
     """A component family symmetric in its last index pair: the canonical
     store, component access, and one table per derivative order, each built
@@ -245,14 +256,9 @@ class _SymmetricComponents:
         array per block, all gathered from one evaluation of the distinct
         fields that the blocks index."""
         fields, index = self._table(order)
-        at = [index[block] for block in blocks]
-        used = np.zeros(len(fields), dtype=bool)
-        for a in at:
-            used[a] = True
-        v = evaluate_fields([f for f, u in zip(fields, used) if u], _as_points(x, self.n))
-        # each field's position among the evaluated ones
-        position = np.cumsum(used) - 1
-        return [np.take(v, position[a], axis=-1) for a in at]
+        kept, *at = _compact(len(fields), *(index[block] for block in blocks))
+        v = evaluate_fields([fields[f] for f in kept], _as_points(x, self.n))
+        return [np.take(v, a, axis=-1) for a in at]
 
     def _nonzero(self, order: int) -> np.ndarray:
         """The order's slot pattern: False where the slot's field is
@@ -329,21 +335,18 @@ class MetricField(_SymmetricComponents):
             out[:r, :q] = out[:q, :r] = False
         return out
 
-    def _first_kind_sums(self, order: int, v, triples=slice(None), fields=None) -> np.ndarray:
+    def _first_kind_sums(self, order: int, v, triples=None) -> np.ndarray:
         """The first-kind sums formed from ``v``, values of the order's
-        distinct fields (``_field_values``, or rows of them), one per distinct
-        triple (or per triple that ``triples`` picks from that list):
-        (1/2)((A + B) - C), terms in that order.  ``fields``, when given, is
-        the ascending positions of the distinct fields that ``v`` holds, when
-        it holds only those that the picked triples read.
+        distinct fields (``_field_values``, rows of them, or of some of
+        them), one per distinct triple: (1/2)((A + B) - C), terms in that
+        order.  ``triples`` is the columns ``(a, b, c)`` of ``v`` that the
+        sums read; by default, every triple of ``_triple_table``.
 
         Gamma_{m,jk} = (1/2)(d_j g_{mk} + d_k g_{jm} - d_m g_{jk}) at the
         values' points (order 1), or its partials d_u Gamma_{m,jk} (order 2),
         is ``np.take(sums, self._triple_table(order)[1], axis=-1)``.
         """
-        a, b, c = (t[triples] for t in self._triple_table(order)[0])
-        if fields is not None:
-            a, b, c = (np.searchsorted(fields, t) for t in (a, b, c))
+        a, b, c = self._triple_table(order)[0] if triples is None else triples
         w = np.take(v, a, axis=-1) + np.take(v, b, axis=-1)
         w -= np.take(v, c, axis=-1)
         w *= 0.5
@@ -550,16 +553,23 @@ class LeviCivitaConnection(ConnectionField):
 
         d_u Gamma = g^{-1} d_u(low) + d_u(g^{-1}) low,   low = Gamma_{m,jk}.
 
-    One routine forms every slot block of Gamma or d Gamma, the whole table
-    for ``()``: it lowers ``low`` (and d_u(low)) from the metric's order-1
-    (and order-2) field values for only the distinct triples that the
-    block's lower-pair columns read (``MetricField._first_kind_sums``),
-    takes the ``matmul`` of g^{-1} with those columns, and keeps the block's
-    rows.  It works one block of points at a time, ``max(1, JET_BLOCK //
-    entries)`` points for the ``entries`` per point of the block's largest
-    operand (n^3 for all of Gamma, n^4 for all of d Gamma), so dg, ``low``,
-    d_u(low) and the sums exist only per block and d^2 g is never laid out.
-    Every point's products are the same small GEMMs whatever its block.
+    One routine (``_form``) forms every slot block of Gamma or d Gamma, the
+    whole table for ``()``: it lowers ``low`` (and d_u(low)) from the
+    metric's order-1 (and order-2) field values for only the distinct
+    triples that the block's lower-pair columns read
+    (``MetricField._first_kind_sums``), takes the ``matmul`` of g^{-1} with
+    those columns, and keeps the block's rows.  It works one block of points
+    at a time, ``max(1, JET_BLOCK // entries)`` points for the ``entries``
+    per point of the block's largest operand (n^3 for all of Gamma, n^4 for
+    all of d Gamma), so dg, ``low``, d_u(low) and the sums exist only per
+    block and d^2 g is never laid out.  Every point's products are the same
+    small GEMMs whatever its block.  Given rows of g^{-1} that are the same
+    at every point (``MetricField._inverse_rows``; the leading rows ``[0, 0,
+    C^{-T}]`` of a structurally Walker metric, so the leaf block of a
+    restriction), it multiplies by those rows over their live columns
+    instead: it lowers only the sums of those columns, from only the order-1
+    fields they read, evaluates neither g nor g^{-1}, and holds the points to
+    the floor through ``|det g| = det(C)^2 |det H|``, reading H alone.
 
     The connection holds the jet of the last point set it was asked about: a
     copy of the points, g^{-1}, the order-1 field values, the order-2 field
@@ -568,20 +578,14 @@ class LeviCivitaConnection(ConnectionField):
     value (same shape, equal entries; points changed in place since do not
     match) reads the jet, so checks that share their sample points share one
     inverse and one evaluation of each order's fields.  A read of ``rows``
-    compares only those rows of ``x`` with the jet's points.
-    ``gamma(x, block)`` on the jet's points slices the jet's Gamma when it
-    holds it, and otherwise forms the block from the jet's arrays.  A slot
-    block of Gamma at other points is formed on its own and leaves the jet
-    as it is: on rows of g^{-1} that are the same at every point
-    (``MetricField._inverse_rows``; the leading rows ``[0, 0, C^{-T}]`` of a
-    structurally Walker metric, so the leaf block of a restriction) it
-    lowers only the sums that those rows' live columns contract, from only
-    the order-1 fields they read, and holds the points to the floor through
-    ``|det g| = det(C)^2 |det H|``, reading H alone; on other rows it forms
-    the block from its own g^{-1} and order-1 field values.  d Gamma is
-    never held: each read forms its block from the jet's field values.
-    Arrays returned are read-only, C-contiguous and have the point axes
-    first.
+    compares only those rows of ``x`` with the jet's points.  The held Gamma
+    serves whole reads only: ``gamma(x, block)`` on the jet's points forms
+    the block from the jet's arrays.  A slot block of Gamma at other points
+    is read from a jet of its own, a new connection started on those points,
+    and leaves this jet as it is; on constant rows of g^{-1} it is formed
+    from those rows.  d Gamma is never held: each read forms its block from
+    the jet's field values.  Arrays returned are read-only, C-contiguous and
+    have the point axes first.
 
     The jet also holds the transport propagators of the last curve
     transported on its points (``_propagators``), keyed by the curve (equal
@@ -665,114 +669,101 @@ class LeviCivitaConnection(ConnectionField):
         return self._fields[order]
 
     def _plan(self, order: int, j, k, m=slice(None), head=()):
-        """The distinct first-kind triples of the order that the columns
-        ``(j, k)`` of the rows ``m`` of the sums read (ascending positions in
-        ``MetricField._triple_table``), and each column's position among
-        them, ``[*head, m, column]``; a one-column product goes to GEMM as
-        two, so a single column is repeated."""
+        """The columns ``(a, b, c)`` of the order's field values read by the
+        distinct first-kind triples that the columns ``(j, k)`` of the rows
+        ``m`` of the sums read (``MetricField._triple_table``), and each
+        column's position among those triples, ``[*head, m, column]``; a
+        one-column product goes to GEMM as two, so a single column is
+        repeated."""
         triples, table = self.metric._triple_table(order)
-        table = table[head][..., m, :, :]
-        width = len(j) * len(k)
-        at = table[..., j[:, None], k].reshape(table.shape[:-2] + (width,))
-        used = np.zeros(len(triples[0]), dtype=bool)
-        used[at] = True
-        at = (np.cumsum(used) - 1)[at]
-        return np.flatnonzero(used), (np.repeat(at, 2, axis=-1) if width == 1 else at)
+        table = table[head][..., m, :, :][..., j[:, None], k]
+        kept, at = _compact(len(triples[0]), table.reshape(table.shape[:-2] + (-1,)))
+        at = np.repeat(at, 2, axis=-1) if at.shape[-1] == 1 else at
+        return tuple(t[kept] for t in triples), at
 
-    def _form(self, order: int, block, ginv, v1, v2=None) -> np.ndarray:
+    def _form(self, order: int, block, points=None, inverse=None) -> np.ndarray:
         """The slot block ``block`` of Gamma (order 0) or d Gamma (order 1)
-        at the points of the rows of ``ginv`` (g^{-1}), ``v1`` and ``v2``
-        (the order-1 and order-2 field values), ``(points,) + slot shape``."""
+        at the jet's points, shaped like them, or at ``points``, a slice of
+        them flattened, ``(len(points),) + slot shape``; read-only.
+
+        It is formed from the jet's g^{-1} and order-1 (and order-2) field
+        values or, given ``inverse`` (a block of Gamma at all the jet's
+        points), the block's rows of g^{-1} over their live columns, the same
+        at every point (``MetricField._inverse_rows``), from those rows alone:
+        only the sums of those columns are lowered, from only the order-1
+        fields that they read, and neither g nor g^{-1} is evaluated; the
+        points are held to the floor through ``|det g|``.
+        """
         metric, n = self.metric, self.n
         slots = block + (slice(None),) * (3 + order - len(block))
         *u, l, j, k = (np.atleast_1d(np.arange(n)[s]) for s in slots)
         width = len(j) * len(k)
-        low_triples, low_at = self._plan(1, j, k)
+        at = slice(None) if points is None else points
+        if inverse is None:
+            ginv, keep = self._inverse()[at], l
+            v1 = self._values(1)[at]
+            low_triples, low_at = self._plan(1, j, k)
+        else:
+            metric._refuse_singular(self._x)
+            ginv, m = inverse
+            # like a one-column product, a one-row product goes to GEMM as two
+            ginv, keep = np.repeat(ginv, 2, axis=0) if len(l) == 1 else ginv, np.arange(len(l))
+            low_triples, low_at = self._plan(1, j, k, m)
+            table = metric._table(1)[0]
+            fields, *low_triples = _compact(len(table), *low_triples)
+            v1 = evaluate_fields([table[f] for f in fields], _rows(self._x))
+            ginv = np.broadcast_to(ginv, (len(v1),) + ginv.shape)
         if order:
             u = u[0]
             dlow_triples, dlow_at = self._plan(2, j, k, head=u)
             dg_at = metric._table(1)[1][u]
-        out = np.empty((len(ginv),) + (len(u),) * order + (len(l), width))
+            v2 = self._values(2)[at]
+        out = np.empty((len(v1),) + (len(u),) * order + (len(l), width))
         # a product that is the block itself is written into it in place
         whole = width > 1 and l.tolist() == list(range(n))
-        entries = n * max(n, width) * (len(u) if order else 1)
-        for at in _point_blocks(len(ginv), entries):
-            gi, into = ginv[at], out[at] if whole else None
-            low = np.take(metric._first_kind_sums(1, v1[at], triples=low_triples), low_at,
+        entries = ginv.shape[-1] * max(ginv.shape[-2], width) * (len(u) if order else 1)
+        for p in _point_blocks(len(v1), entries):
+            gi, into = ginv[p], out[p] if whole else None
+            low = np.take(metric._first_kind_sums(1, v1[p], triples=low_triples), low_at,
                           axis=-1)
             if order:
                 gi = gi[:, None]
-                dlow = np.take(metric._first_kind_sums(2, v2[at], triples=dlow_triples),
+                dlow = np.take(metric._first_kind_sums(2, v2[p], triples=dlow_triples),
                                dlow_at, axis=-1)
                 prod = np.matmul(gi, dlow, out=into)
                 # d_u(g^{-1}) = -g^{-1} (d_u g) g^{-1}
-                dginv = -np.matmul(np.matmul(gi, np.take(v1[at], dg_at, axis=-1)), gi)
+                dginv = -np.matmul(np.matmul(gi, np.take(v1[p], dg_at, axis=-1)), gi)
                 prod += np.matmul(dginv, low[:, None])
             else:
                 prod = np.matmul(gi, low, out=into)
             if not whole:
-                out[at] = prod[..., l, :width]
-        return out.reshape(out.shape[:1] + np.empty((n,) * len(slots), dtype=bool)[block].shape)
-
-    def _form_rows(self, block, x, ginv, cols) -> np.ndarray:
-        """The slot block ``block`` of Gamma at the points ``x`` (one row
-        each) from ``ginv``, its rows of g^{-1} over their live columns
-        ``cols``, the same at every point (``MetricField._inverse_rows``):
-        only the first-kind sums Gamma_{m,jk} of m in ``cols`` are lowered,
-        from only the order-1 fields that they read, so neither g nor g^{-1}
-        is evaluated."""
-        metric, n = self.metric, self.n
-        slots = block + (slice(None),) * (3 - len(block))
-        l, j, k = (np.atleast_1d(np.arange(n)[s]) for s in slots)
-        width = len(j) * len(k)
-        triples, at = self._plan(1, j, k, cols)
-        table = metric._table(1)[0]
-        used = np.zeros(len(table), dtype=bool)
-        for t in metric._triple_table(1)[0]:
-            used[t[triples]] = True
-        fields = np.flatnonzero(used)
-        v = evaluate_fields([table[f] for f in fields], x)
-        # like a one-column product, a one-row product goes to GEMM as two
-        ginv = np.repeat(ginv, 2, axis=0) if len(l) == 1 else ginv
-        out = np.empty((len(x), len(l), width))
-        for rows in _point_blocks(len(x), max(len(cols), len(ginv)) * at.shape[-1]):
-            low = np.take(metric._first_kind_sums(1, v[rows], triples, fields), at, axis=-1)
-            out[rows] = np.matmul(ginv, low)[..., :len(l), :width]
-        return out.reshape(out.shape[:1] + np.empty((n,) * 3, dtype=bool)[block].shape)
+                out[p] = prod[..., keep, :width]
+        lead = self._x.shape[:-1] if points is None else out.shape[:1]
+        return _frozen(out.reshape(lead + np.empty((n,) * len(slots), dtype=bool)[block].shape))
 
     def gamma(self, x, block=()) -> np.ndarray:
         block, x = tuple(block), _as_points(x, self.n)
         if not self._on_jet(x):
             if block:
-                # a slot block elsewhere is formed on its own: from the
-                # constant rows of g^{-1} where the block's rows are those,
-                # and from g^{-1} and the order-1 field values otherwise
-                metric, n = self.metric, self.n
-                rows = metric._inverse_rows(np.atleast_1d(np.arange(n)[block[0]]))
-                if rows is None:
-                    out = self._form(0, block, metric.inverse_value(x).reshape(-1, n, n),
-                                     _rows(metric._field_values(1, x)))
-                else:
-                    metric._refuse_singular(x)
-                    out = self._form_rows(block, _rows(x), *rows)
-                return _frozen(out.reshape(x.shape[:-1] + out.shape[1:]))
+                # a slot block elsewhere is read from a jet of its own, which
+                # leaves this one as it is; on rows of g^{-1} that are the
+                # same at every point, from those rows alone
+                jet = LeviCivitaConnection(self.metric)
+                jet._start(x)
+                rows = np.atleast_1d(np.arange(self.n)[block[0]])
+                return jet._form(0, block, inverse=self.metric._inverse_rows(rows))
             self._start(x)
-        if self._gamma is not None:
-            return self._gamma[(slice(None),) * (x.ndim - 1) + block] if block else self._gamma
-        out = self._form(0, block, self._inverse(), self._values(1))
-        out = _frozen(out.reshape(x.shape[:-1] + out.shape[1:]))
-        if not block:
-            self._gamma = out
-        return out
+        if block:
+            return self._form(0, block)
+        if self._gamma is None:
+            self._gamma = self._form(0, ())
+        return self._gamma
 
     def gamma_partial(self, x, block=(), rows=None) -> np.ndarray:
         x = _as_points(x, self.n)
         if not self._on_jet(x, rows):
             self._start(x)
-        at = slice(None) if rows is None else rows
-        out = self._form(1, tuple(block), self._inverse()[at], self._values(1)[at],
-                         self._values(2)[at])
-        return _frozen(out if rows is not None else out.reshape(x.shape[:-1] + out.shape[1:]))
+        return self._form(1, tuple(block), rows)
 
 
 class RestrictedConnection(ConnectionField):

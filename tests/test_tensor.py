@@ -736,6 +736,13 @@ def _same_bits(got, want) -> bool:
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _held_to_contract(a: np.ndarray) -> np.ndarray:
+    """``a``, once it is read-only and C-contiguous, as the Levi-Civita
+    connection returns every array."""
+    assert a.flags.c_contiguous and not a.flags.writeable
+    return a
+
+
 @pytest.mark.parametrize("g", BLOCK_METRICS,
                          ids=["ext22", "ext32", "two_block", "walker", "infinite_inverse"])
 def test_gamma_block_reads_are_slices_of_the_whole_read(g):
@@ -753,14 +760,15 @@ def test_gamma_block_reads_are_slices_of_the_whole_read(g):
         whole = christoffel(g).gamma(x)
         for block in blocks:
             want = whole[(slice(None),) + block]
-            # off the jet, then from a jet that holds Gamma at these points
+            # off the jet, then from a jet that holds Gamma at these points;
+            # every read is a new read-only C-contiguous array, not a view
             conn = christoffel(g)
-            assert _same_bits(conn.gamma(x, block), want)
+            assert _same_bits(_held_to_contract(conn.gamma(x, block)), want)
             assert conn._x is None
             conn.gamma(x)
-            assert _same_bits(conn.gamma(x, block), want)
+            assert _same_bits(_held_to_contract(conn.gamma(x, block)), want)
             assert _same_bits(symbolic.gamma(x, block), symbolic.gamma(x)[(slice(None),) + block])
-            assert _same_bits(conn.gamma(x[3], block), whole[3][block])
+            assert _same_bits(_held_to_contract(conn.gamma(x[3], block)), whole[3][block])
         dists = [DistributionSpec.null_block(g.chart)]
         if g.chart.mode == "three_block":
             dists.append(DistributionSpec.orthocomplement(g.chart))
@@ -808,22 +816,31 @@ def _jet_arrays(conn) -> tuple:
 
 
 def test_gamma_block_read_off_the_jet_leaves_the_jet():
-    g = _jet_metrics()[2]
-    x, y = sample_points(g, 30, seed=1), sample_points(g, 30, seed=2)
-    block = (slice(None, 3),) * 3
-    conn = christoffel(g)
-    conn.gamma_partial(x)
-    # on the jet's points, before Gamma: the jet's g^{-1} and order-1 values
-    jet = _jet_arrays(conn)
-    assert _same_bits(conn.gamma(x, block), christoffel(g).gamma(x)[:, :3, :3, :3])
-    assert all(a is b for a, b in zip(_jet_arrays(conn), jet))
-    G = conn.gamma(x)
-    jet = _jet_arrays(conn)
-    assert jet[-1] is G and all(a is not None for a in jet)
-    conn.gamma(y, block)
-    assert conn.gamma(x) is G
-    conn.gamma_partial(x)
-    assert all(a is b for a, b in zip(_jet_arrays(conn), jet))
+    # the extension reads its leading rows off the constant rows of g^{-1};
+    # written not structurally Walker, g^{-1} has no constant rows and a
+    # block elsewhere is read from a jet of its own (g^{-1} and the order-1
+    # field values at those points).  Either way this jet stays as it is and
+    # the block has a fresh connection's bits
+    for g in (_jet_metrics()[2], _not_structurally_walker(_jet_metrics()[2])):
+        x, y = sample_points(g, 30, seed=1), sample_points(g, 30, seed=2)
+        block = (slice(None, 3),) * 3
+        conn = christoffel(g)
+        conn.gamma_partial(x)
+        # on the jet's points, before Gamma: the jet's g^{-1} and order-1 values
+        jet = _jet_arrays(conn)
+        assert _same_bits(conn.gamma(x, block), christoffel(g).gamma(x)[:, :3, :3, :3])
+        assert all(a is b for a, b in zip(_jet_arrays(conn), jet))
+        G = conn.gamma(x)
+        jet = _jet_arrays(conn)
+        assert jet[-1] is G and all(a is not None for a in jet)
+        for other in [block, (slice(3, None), 1), (g.n - 1,)]:
+            got = _held_to_contract(conn.gamma(y, other))
+            assert all(a is b for a, b in zip(_jet_arrays(conn), jet))
+            assert _same_bits(got, christoffel(g).gamma(y, other))
+            assert _same_bits(got, christoffel(g).gamma(y)[(slice(None),) + other])
+        assert conn.gamma(x) is G
+        conn.gamma_partial(x)
+        assert all(a is b for a, b in zip(_jet_arrays(conn), jet))
 
 
 def test_point_block_reads_compare_each_point_once(monkeypatch):
@@ -1086,6 +1103,21 @@ def test_slot_blocks_evaluate_only_the_fields_they_index(monkeypatch):
     counts.clear()
     g._values(2, x)
     assert counts == [len(g._table(2)[0])]
+
+
+def test_compact_keeps_the_positions_held_and_renumbers_each_array():
+    rng = np.random.default_rng(5)
+    at = [rng.integers(0, 40, (3, 7)), np.array([5, 5, 5, 2]), np.array([], dtype=np.intp),
+          np.intp(39)]
+    kept, *renumbered = tensor._compact(50, *at)
+    # ascending positions, each held by some array, repeats kept once
+    assert np.all(np.diff(kept) > 0)
+    assert set(kept.tolist()) == set(np.concatenate([np.ravel(a) for a in at]).tolist())
+    # each renumbered array maps back to the original positions, shape kept
+    for a, b in zip(at, renumbered):
+        assert np.shape(b) == np.shape(a) and np.array_equal(kept[b], a)
+    assert tensor._compact(4, np.array([], dtype=np.intp))[0].size == 0
+    assert np.array_equal(tensor._compact(6, np.array([3, 1, 3]))[1], [1, 0, 1])
 
 
 # ---------------------------------------------------------------------------
