@@ -13,8 +13,9 @@ import numpy as np
 
 from walkergeom import (
     DistributionSpec,
+    ExtensionSpec,
     SymbolicConnection,
-    build_riemann_extension,
+    build_pullback_extension,
     check_null,
     check_parallel,
     check_projectable,
@@ -29,7 +30,7 @@ D = SymbolicConnection(2, {
     (2, 1, 2): "x1*x2",
 })
 lam = {(1, 1): "x1*x2", (1, 2): "x2^2"}
-g = build_riemann_extension(D, lam)
+g = build_pullback_extension(ExtensionSpec(r=2, m=0, base_connection=D, lam=lam))
 
 print("built metric components:")
 for mu in range(1, 5):

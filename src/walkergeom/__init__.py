@@ -27,7 +27,6 @@ from .extensions import (
     ExtensionSpec,
     OneFormSection,
     build_pullback_extension,
-    build_riemann_extension,
     fiber_translate_pullback,
     killing_operator,
     transformation_rule_residual,

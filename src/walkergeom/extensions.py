@@ -36,7 +36,6 @@ from .tensor import (
 __all__ = [
     "OneFormSection",
     "ExtensionSpec",
-    "build_riemann_extension",
     "build_pullback_extension",
     "killing_operator",
     "fiber_translate_pullback",
@@ -158,16 +157,6 @@ def build_pullback_extension(spec: ExtensionSpec) -> MetricField:
         for a in range(1, r + 1):
             comps[(i, r + m + a)] = ScalarField.constant(spec.g_ia[i - 1, a - 1], n)
     return MetricField(chart, comps)
-
-
-def build_riemann_extension(
-    D: SymbolicConnection,
-    lam: Mapping[Tuple[int, int], object] = (),
-    g_ia: Optional[np.ndarray] = None,
-) -> MetricField:
-    """Classical extension metric on dimension 2r (the ``m = 0`` case)."""
-    spec = ExtensionSpec(r=D.n, m=0, base_connection=D, lam=dict(lam), g_ia=g_ia)
-    return build_pullback_extension(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -49,9 +49,9 @@ Gamma one point block at a time, so a check suite's peak memory is the jet
 it holds.  The held Gamma serves whole reads; a slot block is always
 formed.  A slot block of Gamma at points other than the jet's (the leaf
 block that a restriction reads) is read from a jet of its own and leaves
-this one as it is.  Where its rows of g^{-1} are the same at every point,
-the leading rows ``[0, 0, C^{-T}]`` of a structurally Walker metric, the
-same routine reads them in place of g^{-1}: Gamma^i_{jk} = (C^{-T})_{ia}
+this one as it is.  Wherever a block's rows of g^{-1} are the same at every
+point, the leading rows ``[0, 0, C^{-T}]`` of a structurally Walker metric,
+the same routine reads them in place of g^{-1}: Gamma^i_{jk} = (C^{-T})_{ia}
 Gamma_{a,jk} with only the triples Gamma_{a,jk} lowered, from only the
 order-1 fields they read (d_a g_{jk}, and d_j g_{ak}, the constant 0), and
 neither g nor g^{-1} is evaluated.
@@ -87,11 +87,22 @@ store on first use.  A table is the list of *distinct* fields (expression
 trees that are equal are kept once) and an integer index array over the
 dense component shape; the dense array at points ``x`` is
 ``np.take(evaluate_fields(fields, x), index, axis=-1)``, so each distinct
-field is evaluated once however many slots it fills, and every array has the
-point axes first and is C-contiguous.  A metric also lowers its order-1 and
-order-2 tables by index: the Christoffel symbols of the first kind and their
-partials are formed once per distinct triple of table fields and gathered
-the same way.
+field is evaluated once however many slots it fills.  A metric also lowers
+its order-1 and order-2 tables by index: the Christoffel symbols of the
+first kind and their partials are formed once per distinct triple of table
+fields and gathered the same way.
+
+Every component family keeps one read contract.  A read (g, its partials or
+a slot block of them; ``gamma`` or ``gamma_partial`` of any connection) is
+read-only and C-contiguous, with the point axes first.  A slot block, a
+sequence of up to one integer or slice per slot axis from the front (a
+missing axis is all of it), is a new array, bitwise equal to the same slice
+of the whole read; a block with more axes than the family has raises
+``IndexError``.  Two formers shape and freeze every such array:
+``_SymmetricComponents._slot_blocks`` for g, its partials and a
+:class:`SymbolicConnection`, and ``LeviCivitaConnection._form`` for the
+Levi-Civita Gamma and d Gamma.  A :class:`RestrictedConnection` maps its
+leaf block onto its parent's slot axes and hands it to its parent.
 """
 
 from __future__ import annotations
@@ -206,6 +217,13 @@ def _compact(size: int, *at) -> tuple:
     return (np.flatnonzero(used), *(position[a] for a in at))
 
 
+def _frozen(a) -> np.ndarray:
+    """``a`` as a read-only array (a numpy scalar becomes a 0-d array)."""
+    a = np.asarray(a)
+    a.flags.writeable = False
+    return a
+
+
 class _SymmetricComponents:
     """A component family symmetric in its last index pair: the canonical
     store, component access, and one table per derivative order, each built
@@ -252,13 +270,14 @@ class _SymmetricComponents:
 
     def _slot_blocks(self, order: int, x, *blocks) -> list:
         """The order's table at ``x`` over each slot block of ``blocks`` (a
-        tuple indexing the dense slot axes; ``()`` is the whole table), one
-        array per block, all gathered from one evaluation of the distinct
-        fields that the blocks index."""
+        sequence of slices and integers indexing the dense slot axes from
+        the front; ``()`` is the whole table), one read-only array per
+        block, all gathered from one evaluation of the distinct fields that
+        the blocks index."""
         fields, index = self._table(order)
-        kept, *at = _compact(len(fields), *(index[block] for block in blocks))
+        kept, *at = _compact(len(fields), *(index[tuple(block)] for block in blocks))
         v = evaluate_fields([fields[f] for f in kept], _as_points(x, self.n))
-        return [np.take(v, a, axis=-1) for a in at]
+        return [_frozen(np.take(v, a, axis=-1)) for a in at]
 
     def _nonzero(self, order: int) -> np.ndarray:
         """The order's slot pattern: False where the slot's field is
@@ -335,18 +354,18 @@ class MetricField(_SymmetricComponents):
             out[:r, :q] = out[:q, :r] = False
         return out
 
-    def _first_kind_sums(self, order: int, v, triples=None) -> np.ndarray:
+    def _first_kind_sums(self, order: int, v, triples) -> np.ndarray:
         """The first-kind sums formed from ``v``, values of the order's
         distinct fields (``_field_values``, rows of them, or of some of
-        them), one per distinct triple: (1/2)((A + B) - C), terms in that
-        order.  ``triples`` is the columns ``(a, b, c)`` of ``v`` that the
-        sums read; by default, every triple of ``_triple_table``.
+        them), one per triple: (1/2)((A + B) - C), terms in that order.
+        ``triples`` is the columns ``(a, b, c)`` of ``v`` that the sums
+        read: every triple of ``_triple_table`` for all of them.
 
         Gamma_{m,jk} = (1/2)(d_j g_{mk} + d_k g_{jm} - d_m g_{jk}) at the
         values' points (order 1), or its partials d_u Gamma_{m,jk} (order 2),
         is ``np.take(sums, self._triple_table(order)[1], axis=-1)``.
         """
-        a, b, c = self._triple_table(order)[0] if triples is None else triples
+        a, b, c = triples
         w = np.take(v, a, axis=-1) + np.take(v, b, axis=-1)
         w -= np.take(v, c, axis=-1)
         w *= 0.5
@@ -473,13 +492,9 @@ class ConnectionField:
     n: int
 
     def gamma(self, x, block=()) -> np.ndarray:
-        """Values, shape ``x.shape[:-1] + (n, n, n)`` indexed ``[l, j, k]``.
-
-        ``block``, a tuple of up to three slices or integers indexing the
-        slot axes ``[l, j, k]`` from the front, asks for that slot block
-        only: the same values as
-        ``gamma(x)[(slice(None),) * (x.ndim - 1) + block]``.
-        """
+        """Values, shape ``x.shape[:-1] + (n, n, n)`` indexed ``[l, j, k]``;
+        ``block`` asks for one slot block of ``[l, j, k]`` only, under the
+        module's read contract."""
         raise NotImplementedError
 
     def nonzero(self, order: int) -> np.ndarray:
@@ -502,12 +517,11 @@ class ConnectionField:
     def gamma_partial(self, x, block=(), rows=None) -> np.ndarray:
         """Partials, shape ``x.shape[:-1] + (n, n, n, n)``, ``[mu, l, j, k]``.
 
-        ``block``, a tuple of up to four slices or integers indexing the slot
-        axes ``[mu, l, j, k]`` from the front, asks for that slot block
-        only: ``gamma_partial(x)[(slice(None),) * (x.ndim - 1) + block]``.
-        ``rows``, a slice of the points of ``x`` flattened to one row each,
-        asks for those points only, shape ``(len(rows),) + slot shape``: the
-        same values as those rows of the whole array.  Each read computes
+        ``block`` asks for one slot block of ``[mu, l, j, k]`` only, under
+        the module's read contract.  ``rows``, a slice of the points of
+        ``x`` flattened to one row each, asks for those points only, shape
+        ``(len(rows),) + slot shape``: the same values as those rows of the
+        whole array.  Each read computes
         only the slots and points it asks for, so a caller can read d Gamma
         one point block at a time and never hold all of it.
         """
@@ -521,7 +535,7 @@ class SymbolicConnection(ConnectionField, _SymmetricComponents):
         super().__init__(n, components, 3, "Gamma")
 
     def gamma(self, x, block=()) -> np.ndarray:
-        return self._slot_blocks(0, x, tuple(block))[0]
+        return self._slot_blocks(0, x, block)[0]
 
     def gamma_partial(self, x, block=(), rows=None) -> np.ndarray:
         if rows is not None:
@@ -532,11 +546,6 @@ class SymbolicConnection(ConnectionField, _SymmetricComponents):
 def _rows(a: np.ndarray) -> np.ndarray:
     """``a`` with its point axes flattened: one row per point."""
     return a.reshape(-1, a.shape[-1])
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 class LeviCivitaConnection(ConnectionField):
@@ -563,11 +572,11 @@ class LeviCivitaConnection(ConnectionField):
     per point of the block's largest operand (n^3 for all of Gamma, n^4 for
     all of d Gamma), so dg, ``low``, d_u(low) and the sums exist only per
     block and d^2 g is never laid out.  Every point's products are the same
-    small GEMMs whatever its block.  Given rows of g^{-1} that are the same
-    at every point (``MetricField._inverse_rows``; the leading rows ``[0, 0,
-    C^{-T}]`` of a structurally Walker metric, so the leaf block of a
-    restriction), it multiplies by those rows over their live columns
-    instead: it lowers only the sums of those columns, from only the order-1
+    small GEMMs whatever its block.  For a block of Gamma whose rows of
+    g^{-1} are the same at every point (``MetricField._inverse_rows``; the
+    leading rows ``[0, 0, C^{-T}]`` of a structurally Walker metric, so the
+    leaf block of a restriction), it multiplies by those rows over their
+    live columns instead: it lowers only the sums of those columns, from only the order-1
     fields they read, evaluates neither g nor g^{-1}, and holds the points to
     the floor through ``|det g| = det(C)^2 |det H|``, reading H alone.
 
@@ -582,10 +591,9 @@ class LeviCivitaConnection(ConnectionField):
     serves whole reads only: ``gamma(x, block)`` on the jet's points forms
     the block from the jet's arrays.  A slot block of Gamma at other points
     is read from a jet of its own, a new connection started on those points,
-    and leaves this jet as it is; on constant rows of g^{-1} it is formed
-    from those rows.  d Gamma is never held: each read forms its block from
-    the jet's field values.  Arrays returned are read-only, C-contiguous and
-    have the point axes first.
+    and leaves this jet as it is; a block of Gamma on constant rows of
+    g^{-1} is formed from those rows, on the jet or off it.  d Gamma is
+    never held: each read forms its block from the jet's field values.
 
     The jet also holds the transport propagators of the last curve
     transported on its points (``_propagators``), keyed by the curve (equal
@@ -681,37 +689,42 @@ class LeviCivitaConnection(ConnectionField):
         at = np.repeat(at, 2, axis=-1) if at.shape[-1] == 1 else at
         return tuple(t[kept] for t in triples), at
 
-    def _form(self, order: int, block, points=None, inverse=None) -> np.ndarray:
+    def _form(self, order: int, block, points=None) -> np.ndarray:
         """The slot block ``block`` of Gamma (order 0) or d Gamma (order 1)
         at the jet's points, shaped like them, or at ``points``, a slice of
-        them flattened, ``(len(points),) + slot shape``; read-only.
+        them flattened, ``(len(points),) + slot shape``; read-only.  A block
+        with more axes than the slots is refused with ``IndexError`` before
+        anything is formed.
 
         It is formed from the jet's g^{-1} and order-1 (and order-2) field
-        values or, given ``inverse`` (a block of Gamma at all the jet's
-        points), the block's rows of g^{-1} over their live columns, the same
-        at every point (``MetricField._inverse_rows``), from those rows alone:
-        only the sums of those columns are lowered, from only the order-1
-        fields that they read, and neither g nor g^{-1} is evaluated; the
-        points are held to the floor through ``|det g|``.
+        values or, for a block of Gamma whose rows of g^{-1} are the same at
+        every point (``MetricField._inverse_rows``), from those rows over
+        their live columns alone: only the sums of those columns are
+        lowered, from only the order-1 fields that they read, and neither g
+        nor g^{-1} is evaluated; the points are held to the floor through
+        ``|det g|``.
         """
-        metric, n = self.metric, self.n
+        metric, n, block = self.metric, self.n, tuple(block)
+        shape = np.empty((n,) * (3 + order), dtype=bool)[block].shape
         slots = block + (slice(None),) * (3 + order - len(block))
         *u, l, j, k = (np.atleast_1d(np.arange(n)[s]) for s in slots)
         width = len(j) * len(k)
         at = slice(None) if points is None else points
+        inverse = None if order else metric._inverse_rows(l)
         if inverse is None:
             ginv, keep = self._inverse()[at], l
             v1 = self._values(1)[at]
             low_triples, low_at = self._plan(1, j, k)
         else:
-            metric._refuse_singular(self._x)
+            x = _rows(self._x)[at]
+            metric._refuse_singular(x)
             ginv, m = inverse
             # like a one-column product, a one-row product goes to GEMM as two
             ginv, keep = np.repeat(ginv, 2, axis=0) if len(l) == 1 else ginv, np.arange(len(l))
             low_triples, low_at = self._plan(1, j, k, m)
             table = metric._table(1)[0]
             fields, *low_triples = _compact(len(table), *low_triples)
-            v1 = evaluate_fields([table[f] for f in fields], _rows(self._x))
+            v1 = evaluate_fields([table[f] for f in fields], x)
             ginv = np.broadcast_to(ginv, (len(v1),) + ginv.shape)
         if order:
             u = u[0]
@@ -739,19 +752,17 @@ class LeviCivitaConnection(ConnectionField):
             if not whole:
                 out[p] = prod[..., keep, :width]
         lead = self._x.shape[:-1] if points is None else out.shape[:1]
-        return _frozen(out.reshape(lead + np.empty((n,) * len(slots), dtype=bool)[block].shape))
+        return _frozen(out.reshape(lead + shape))
 
     def gamma(self, x, block=()) -> np.ndarray:
-        block, x = tuple(block), _as_points(x, self.n)
+        x = _as_points(x, self.n)
         if not self._on_jet(x):
             if block:
                 # a slot block elsewhere is read from a jet of its own, which
-                # leaves this one as it is; on rows of g^{-1} that are the
-                # same at every point, from those rows alone
+                # leaves this one as it is
                 jet = LeviCivitaConnection(self.metric)
                 jet._start(x)
-                rows = np.atleast_1d(np.arange(self.n)[block[0]])
-                return jet._form(0, block, inverse=self.metric._inverse_rows(rows))
+                return jet._form(0, block)
             self._start(x)
         if block:
             return self._form(0, block)
@@ -763,7 +774,7 @@ class LeviCivitaConnection(ConnectionField):
         x = _as_points(x, self.n)
         if not self._on_jet(x, rows):
             self._start(x)
-        return self._form(1, tuple(block), rows)
+        return self._form(1, block, rows)
 
 
 class RestrictedConnection(ConnectionField):
@@ -773,7 +784,8 @@ class RestrictedConnection(ConnectionField):
     Evaluates the parent's leading components at leaf points ``(..., keep)``
     with the trailing coordinates pinned to zero; only meaningful when the
     parent passes the projectability check, which makes the pinned values
-    immaterial.
+    immaterial.  A leaf slot block is the parent's block on the same leading
+    slots, which the parent forms.
     """
 
     def __init__(self, parent: ConnectionField, keep: int):
@@ -786,18 +798,28 @@ class RestrictedConnection(ConnectionField):
         y = _as_points(y, self.n)
         return np.concatenate([y, np.zeros(y.shape[:-1] + (self.parent.n - self.n,))], axis=-1)
 
+    def _parent_block(self, block, rank: int) -> tuple:
+        """The leaf slot block ``block`` as a block of the parent's ``rank``
+        slot axes: each integer and slice is read on ``range(keep)``, and a
+        missing axis is all of it."""
+        out = []
+        for s in tuple(block) + (slice(None),) * (rank - len(block)):
+            s = range(self.n)[s]
+            if isinstance(s, range):
+                # a range that runs down to 0 stops at -1, which a slice
+                # reads as the last index
+                s = slice(s.start, s.stop if s.stop >= 0 else None, s.step) if s else slice(0)
+            out.append(s)
+        return tuple(out)
+
     def gamma(self, y, block=()) -> np.ndarray:
-        m = self.n
-        leading = self.parent.gamma(self._embed(y), (slice(None, m),) * 3)
-        return leading[(slice(None),) * (leading.ndim - 3) + tuple(block)]
+        return self.parent.gamma(self._embed(y), self._parent_block(block, 3))
 
     def nonzero(self, order: int) -> np.ndarray:
         return self.parent.nonzero(order)[(slice(None, self.n),) * (3 + order)]
 
     def gamma_partial(self, y, block=(), rows=None) -> np.ndarray:
-        m = self.n
-        leading = self.parent.gamma_partial(self._embed(y), (slice(None, m),) * 4, rows)
-        return leading[(slice(None),) * (leading.ndim - 4) + tuple(block)]
+        return self.parent.gamma_partial(self._embed(y), self._parent_block(block, 4), rows)
 
 
 def christoffel(g: MetricField) -> LeviCivitaConnection:

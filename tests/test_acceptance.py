@@ -15,7 +15,6 @@ from walkergeom import (
     MetricField,
     SymbolicConnection,
     build_pullback_extension,
-    build_riemann_extension,
     check_null,
     check_parallel,
     check_projectable,
@@ -216,7 +215,9 @@ def test_ac4_extension_forward_round_trip():
             for q in mid
         )
         if m == 0:
-            twin = build_riemann_extension(spec.base_connection, spec.lam, spec.g_ia)
+            twin = build_pullback_extension(ExtensionSpec(
+                r=spec.r, m=0, base_connection=spec.base_connection, lam=spec.lam,
+                g_ia=spec.g_ia))
             assert all(
                 g.component(mu, nu) == twin.component(mu, nu)
                 for mu in range(1, g.n + 1)

@@ -56,7 +56,6 @@ def test_traced_entry_points_are_defined_in_their_owner():
 UNUSED_IN_SRC = {
     "curvature_components",  # the full R, the reference for the curvature_condition block
     "euler_transport",  # the independent first-order reference for RK4, and a benchmark op
-    "build_riemann_extension",  # the paper's m = 0 construction, on the paper's inputs
     # the rule for one section; the check row reads its three sections
     # through one evaluation of g (extensions._transformation_rule_rows)
     "transformation_rule_residual",

@@ -13,7 +13,6 @@ from walkergeom import (
     SingularMetricError,
     SymbolicConnection,
     build_pullback_extension,
-    build_riemann_extension,
     check_null,
     check_parallel,
     check_projectable,
@@ -42,7 +41,7 @@ def text_of(g, mu, nu):
 
 
 def test_flat_riemann_extension_components():
-    g = build_riemann_extension(SymbolicConnection(1))
+    g = build_pullback_extension(ExtensionSpec(r=1, m=0, base_connection=SymbolicConnection(1)))
     assert g.n == 2
     assert g.component(1, 1).is_zero
     assert text_of(g, 1, 2) == "1.0"
@@ -51,7 +50,7 @@ def test_flat_riemann_extension_components():
 
 def test_riemann_extension_linear_connection_term():
     D = SymbolicConnection(1, {(1, 1, 1): "x1"})
-    g = build_riemann_extension(D)
+    g = build_pullback_extension(ExtensionSpec(r=1, m=0, base_connection=D))
     # g_11 = -2 x2 x1, g_12 = 1, g_22 = 0
     assert text_of(g, 1, 1) == "-2.0*x2*x1"
     assert text_of(g, 1, 2) == "1.0"
@@ -59,7 +58,8 @@ def test_riemann_extension_linear_connection_term():
 
 
 def test_constant_section_extension_is_flat():
-    g = build_riemann_extension(SymbolicConnection(1), {(1, 1): 1.0})
+    g = build_pullback_extension(
+        ExtensionSpec(r=1, m=0, base_connection=SymbolicConnection(1), lam={(1, 1): 1.0}))
     assert np.allclose(g.value(np.array([0.2, -0.4])), [[1.0, 1.0], [1.0, 0.0]])
     R = curvature_components(christoffel(g), np.array([0.3, 0.9]))
     assert np.max(np.abs(R)) == 0.0
@@ -69,7 +69,8 @@ def test_pullback_extension_m0_equals_riemann_extension():
     rng = np.random.default_rng(0)
     spec = random_extension_spec(rng, 2, 0)
     a = build_pullback_extension(spec)
-    b = build_riemann_extension(spec.base_connection, spec.lam, spec.g_ia)
+    b = build_pullback_extension(ExtensionSpec(r=spec.r, m=0, base_connection=spec.base_connection,
+                                               lam=spec.lam, g_ia=spec.g_ia))
     for mu in range(1, 5):
         for nu in range(mu, 5):
             assert a.component(mu, nu) == b.component(mu, nu)
@@ -318,7 +319,7 @@ def test_recover_vertical_metric_identity_fiber():
 
 
 def test_recover_vertical_metric_empty_for_midless_charts():
-    g = build_riemann_extension(SymbolicConnection(1))
+    g = build_pullback_extension(ExtensionSpec(r=1, m=0, base_connection=SymbolicConnection(1)))
     assert middle_block(g, np.zeros(2)).shape == (0, 0)
 
 

@@ -499,7 +499,6 @@ def test_jet_is_matched_by_value_not_identity():
     for pts in (a, b, a):
         for got, want in zip((conn.gamma(pts), conn.gamma_partial(pts)), fresh(pts)):
             assert np.array_equal(got, want)
-    assert not conn.gamma(a).flags.writeable
 
 
 @pytest.mark.parametrize("g", _jet_metrics(), ids=["ext11", "ext22", "ext32", "two_block"])
@@ -511,15 +510,10 @@ def test_first_kind_lowering_matches_dense_terms(g):
             want = 0.5 * ((np.einsum("...jmk->...mjk", dense) + np.einsum("...kjm->...mjk", dense))
                           - dense)
             v = g._field_values(order, x)
-            w = g._first_kind_sums(order, v)
+            w = g._first_kind_sums(order, v, g._triple_table(order)[0])
             assert np.array_equal(np.take(v, g._table(order)[1], axis=-1), dense)
             low = np.take(w, g._triple_table(order)[1], axis=-1)
             assert np.array_equal(low, want)
-        # point axes first and C-contiguous: no transposed view reaches a caller
-        conn = christoffel(g)
-        for got, rank in ((conn.gamma(x), 3), (conn.gamma_partial(x), 4)):
-            assert got.shape == x.shape[:-1] + (g.n,) * rank
-            assert got.flags.c_contiguous
 
 
 def _curvature_cases():
@@ -555,7 +549,6 @@ def test_curvature_block_matches_full_curvature(g, dist):
         assert abs(row.residual - expected.residual) <= scale
         assert np.array_equal(row.worst_point, expected.worst_point)
     for got, before in ((conn.gamma(pts), gamma), (conn.gamma_partial(pts), gamma_partial)):
-        assert not got.flags.writeable
         assert np.array_equal(got, before)
 
 
@@ -736,11 +729,89 @@ def _same_bits(got, want) -> bool:
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def _held_to_contract(a: np.ndarray) -> np.ndarray:
-    """``a``, once it is read-only and C-contiguous, as the Levi-Civita
-    connection returns every array."""
-    assert a.flags.c_contiguous and not a.flags.writeable
-    return a
+def _contract_families(g):
+    """Each component family on ``g`` as ``(rank, size, read)``:
+    ``read(x, block, *rows)`` reads its whole table (``block=()``) or a
+    slot block, over ``rank`` slot axes of ``size`` each, at ``x`` (leaf
+    points for a restriction); only d Gamma takes ``rows``.  A Levi-Civita
+    read is off the jet (a new connection) or on a jet at ``x`` that holds
+    Gamma; a restriction's parent is shared by its reads."""
+    dist = DistributionSpec.null_block(g.chart)
+    symbolic = _symbolic_connection(g)
+    on_jet = christoffel(g)
+    leaves = {"levi_civita": restrict_connection(christoffel(g), dist),
+              "symbolic": restrict_connection(symbolic, dist)}
+
+    def on_jet_read(name):
+        def read(x, block, *rows):
+            on_jet.gamma(x)
+            return getattr(on_jet, name)(x, block, *rows)
+        return read
+
+    def connection(conn_of, name, size=g.n):
+        return (3 if name == "gamma" else 4), size, (
+            lambda x, block, *rows: getattr(conn_of(), name)(x, block, *rows))
+
+    families = {
+        "metric": (2, g.n, lambda x, block: (
+            g._slot_blocks(0, x, block)[0] if len(block) else g.value(x))),
+        "metric_partial": (3, g.n, lambda x, block: g._slot_blocks(1, x, block)[0]),
+        "metric_second_partial": (4, g.n, lambda x, block: g._slot_blocks(2, x, block)[0]),
+    }
+    for name in ("gamma", "gamma_partial"):
+        families[f"symbolic_{name}"] = connection(lambda: symbolic, name)
+        families[f"levi_civita_{name}_off_jet"] = connection(lambda: christoffel(g), name)
+        rank = 3 if name == "gamma" else 4
+        families[f"levi_civita_{name}_on_jet"] = (rank, g.n, on_jet_read(name))
+        for parent, leaf in leaves.items():
+            families[f"restricted_{parent}_{name}"] = connection(
+                lambda leaf=leaf: leaf, name, leaf.n)
+    return families
+
+
+# a Walker extension (its leaf blocks read off the constant rows of g^{-1})
+# and a two-block metric (dense g^{-1})
+CONTRACT_METRICS = dict(zip(["ext22", "two_block"], _jet_metrics()[1::2]))
+CONTRACT_CASES = [(m, f) for m in CONTRACT_METRICS
+                  for f in _contract_families(CONTRACT_METRICS[m])]
+
+
+@pytest.mark.parametrize("metric, family", CONTRACT_CASES,
+                         ids=[f"{m}-{f}" for m, f in CONTRACT_CASES])
+def test_every_family_read_keeps_the_read_contract(metric, family):
+    # every read is read-only and C-contiguous with the point axes first; a
+    # slot block (ints, negative ones too, and slices, negative steps and
+    # empty ones too, as a tuple or a list, missing axes all of it) is a new
+    # array bitwise equal to the same slice of the whole read, also read by
+    # rows; a block with more axes than the family has raises IndexError
+    g = CONTRACT_METRICS[metric]
+    rank, size, read = _contract_families(g)[family]
+    pts = sample_points(g, 12, seed=5)[:, :size]
+    blocks = [(), (0,), (-1,), [0], [slice(None), 1], (slice(None, None, -1), slice(1, None)),
+              (slice(1, None), slice(None, 2)), (slice(None), -2),
+              (slice(None), slice(-size - 1, None, -1)), tuple(i % size for i in range(rank))]
+
+    def held_to_contract(got, want, shape):
+        assert isinstance(got, np.ndarray) and got.shape == shape
+        assert got.flags.c_contiguous and not got.flags.writeable
+        assert _same_bits(got, np.asarray(want))
+
+    for x in (pts, pts[3], pts[:6].reshape(2, 3, size)):
+        points = (slice(None),) * (x.ndim - 1)
+        whole = read(x, ())
+        for block in blocks:
+            slots = np.empty((size,) * rank, dtype=bool)[tuple(block)].shape
+            got = read(x, block)
+            held_to_contract(got, whole[points + tuple(block)], x.shape[:-1] + slots)
+            assert len(block) == 0 or not np.shares_memory(got, whole)
+            if family.endswith("gamma_partial") and x.ndim > 1:
+                rows = slice(1, 4)
+                want = whole.reshape((-1,) + whole.shape[x.ndim - 1:])[rows]
+                held_to_contract(read(x, block, rows), want[(slice(None),) + tuple(block)],
+                                 (3,) + slots)
+        for block in [(0,) * (rank + 1), (slice(None),) * (rank + 1)]:
+            with pytest.raises(IndexError):
+                read(x, block)
 
 
 @pytest.mark.parametrize("g", BLOCK_METRICS,
@@ -760,15 +831,14 @@ def test_gamma_block_reads_are_slices_of_the_whole_read(g):
         whole = christoffel(g).gamma(x)
         for block in blocks:
             want = whole[(slice(None),) + block]
-            # off the jet, then from a jet that holds Gamma at these points;
-            # every read is a new read-only C-contiguous array, not a view
+            # off the jet, then from a jet that holds Gamma at these points
             conn = christoffel(g)
-            assert _same_bits(_held_to_contract(conn.gamma(x, block)), want)
+            assert _same_bits(conn.gamma(x, block), want)
             assert conn._x is None
             conn.gamma(x)
-            assert _same_bits(_held_to_contract(conn.gamma(x, block)), want)
+            assert _same_bits(conn.gamma(x, block), want)
             assert _same_bits(symbolic.gamma(x, block), symbolic.gamma(x)[(slice(None),) + block])
-            assert _same_bits(_held_to_contract(conn.gamma(x[3], block)), whole[3][block])
+            assert _same_bits(conn.gamma(x[3], block), whole[3][block])
         dists = [DistributionSpec.null_block(g.chart)]
         if g.chart.mode == "three_block":
             dists.append(DistributionSpec.orthocomplement(g.chart))
@@ -834,7 +904,7 @@ def test_gamma_block_read_off_the_jet_leaves_the_jet():
         jet = _jet_arrays(conn)
         assert jet[-1] is G and all(a is not None for a in jet)
         for other in [block, (slice(3, None), 1), (g.n - 1,)]:
-            got = _held_to_contract(conn.gamma(y, other))
+            got = conn.gamma(y, other)
             assert all(a is b for a, b in zip(_jet_arrays(conn), jet))
             assert _same_bits(got, christoffel(g).gamma(y, other))
             assert _same_bits(got, christoffel(g).gamma(y)[(slice(None),) + other])
