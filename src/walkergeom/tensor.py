@@ -92,9 +92,25 @@ its order-1 and order-2 tables by index: the Christoffel symbols of the
 first kind and their partials are formed once per distinct triple of table
 fields and gathered the same way.
 
+Transport needs Gamma only contracted with the curve's velocity, so every
+connection also reads ``gamma_along(x, v)``, Gamma^l_{jk} v^j indexed
+``[l, k]``, without forming Gamma.  Each field family plans that
+contraction once, from its slot index table (``_contraction_plan``, built
+on first use): the distinct (j, field) pairs that a term reads, with
+constant-0 fields dropped and opposite terms cancelled, and their
+``(n^2, pairs)`` coefficient matrix.  A read gathers the products v^j V_f
+and takes one GEMM, per block of points.  A :class:`SymbolicConnection`
+plans its order-0 table.  A metric plans the first-kind sums along v,
+L[m, k] = (1/2)(v^j d_j g_{mk} + v^j d_k g_{jm} - v^j d_m g_{jk}), from its
+order-1 table (200 to 250 terms on an n = 8 extension, where Gamma takes
+3 n^3 = 1536 sums), and the Levi-Civita connection multiplies L by its
+jet's g^{-1}.  A restriction reads its parent's at the embedded points,
+with v's trailing components zero.
+
 Every component family keeps one read contract.  A read (g, its partials or
-a slot block of them; ``gamma`` or ``gamma_partial`` of any connection) is
-read-only and C-contiguous, with the point axes first.  A slot block, a
+a slot block of them; ``gamma``, ``gamma_partial`` or ``gamma_along`` of any
+connection; a slot pattern) is read-only and C-contiguous, with the point
+axes first.  A slot block, a
 sequence of up to one integer or slice per slot axis from the front (a
 missing axis is all of it), is a new array, bitwise equal to the same slice
 of the whole read; a block with more axes than the family has raises
@@ -224,6 +240,59 @@ def _frozen(a) -> np.ndarray:
     return a
 
 
+def _contraction_plan(fields, terms) -> tuple:
+    """The sparse plan of ``T[row, col] = sum_j v^j t[row, j, col]``, ``t``
+    the signed sum of ``terms``: ``(coefficient, index)`` pairs, each
+    ``index[row, j, col]`` a position in the table ``fields``.
+
+    Returns ``(kept, j, f, matrix)``: the table positions of the fields that
+    the plan reads; the distinct (j, field) pairs, ``f`` indexing ``kept``;
+    and their ``(n^2, pairs)`` coefficient matrix, row ``row * n + col``.
+    Constant-0 fields are dropped, and a pair whose terms in every slot
+    cancel (``+1/2 - 1/2``) reads nothing.
+    """
+    size, n = len(fields), terms[0][1].shape[0]
+    live = np.array([not f.is_zero for f in fields], dtype=bool)
+    grid = np.indices((n,) * 3)
+    slots = grid[0] * n + grid[2]
+    pairs, *at = _compact(n * size, *(grid[1] * size + index for _, index in terms))
+    weights = np.concatenate([np.where(live[index], c, 0.0).ravel() for c, index in terms])
+    cells = np.concatenate([(slots * len(pairs) + a).ravel() for a in at])
+    matrix = np.bincount(cells, weights, minlength=n * n * len(pairs)).reshape(n * n, -1)
+    used = np.any(matrix != 0.0, axis=0)
+    kept, f = _compact(size, pairs[used] % size)
+    return kept, pairs[used] // size, f, matrix[:, used]
+
+
+def _contract(v, values, j, f, matrix, ginv=None) -> np.ndarray:
+    """``T[row, col]`` of a plan (``_contraction_plan``) at each row of ``v``,
+    ``(points, n, n)``, or ``ginv`` (one ``(n, n)`` matrix per row) times it,
+    from ``values``, field values at the same points, one row per point,
+    whose columns ``f`` the pairs read.  Per block of points
+    (``_point_blocks``, by the pairs or n^2, whichever is more), one gather
+    of the products ``v^j V_f``, then one GEMM, so the products exist only
+    per block."""
+    n = v.shape[-1]
+    out = np.empty((len(v), n, n))
+    for p in _point_blocks(len(v), max(len(j), n * n)):
+        w = v[p][:, j]
+        w *= values[p][:, f]
+        if ginv is None:
+            np.matmul(w, matrix.T, out=out[p].reshape(-1, n * n))
+        else:
+            np.matmul(ginv[p], np.matmul(w, matrix.T).reshape(-1, n, n), out=out[p])
+    return out
+
+
+def _points_and_vectors(x, v, n: int) -> tuple:
+    """``x`` as points on an n-chart and ``v`` as a float array of their
+    shape, one vector per point."""
+    x, v = _as_points(x, n), np.asarray(v, dtype=float)
+    if v.shape != x.shape:
+        raise ValueError(f"vectors must have the shape of the points, {x.shape}, got {v.shape}")
+    return x, v
+
+
 class _SymmetricComponents:
     """A component family symmetric in its last index pair: the canonical
     store, component access, and one table per derivative order, each built
@@ -239,6 +308,7 @@ class _SymmetricComponents:
         self.n = n
         self._comps = _symmetric_store(components, n, rank, name)
         self._tables = {}
+        self._patterns = {}
 
     def component(self, *key: int) -> ScalarField:
         """The component at a 1-based key, either order of the symmetric pair."""
@@ -286,17 +356,22 @@ class _SymmetricComponents:
         the order below, since d_i f is the constant 0 wherever x_i does not
         occur in f: slot ``[i, ...]`` of order 1 is live iff x_i occurs in
         the entry, and ``[i, j, ...]`` of order 2 (i <= j, mirrored) iff x_j
-        occurs in d_i of it.  No pattern builds the order-2 table."""
-        if order == 0:
-            fields, index = self._table(0)
-            return np.array([not f.is_zero for f in fields], dtype=bool)[index]
-        fields, index = self._table(order - 1)
-        # [..., i]: whether x_i occurs in the slot's field of the order below
-        live = np.moveaxis(_var_bits(fields, self.n)[index], -1, order - 1)
-        if order == 1:
-            return live
-        upper = np.triu(np.ones((self.n, self.n), dtype=bool))
-        return np.where(upper[(...,) + (None,) * (live.ndim - 2)], live, np.swapaxes(live, 0, 1))
+        occurs in d_i of it.  No pattern builds the order-2 table.  Built
+        once per order, read-only and C-contiguous."""
+        if order not in self._patterns:
+            if order == 0:
+                fields, index = self._table(0)
+                out = np.array([not f.is_zero for f in fields], dtype=bool)[index]
+            else:
+                fields, index = self._table(order - 1)
+                # [..., i]: whether x_i occurs in the slot's field of the order below
+                out = np.moveaxis(_var_bits(fields, self.n)[index], -1, order - 1)
+                if order == 2:
+                    upper = np.triu(np.ones((self.n, self.n), dtype=bool))
+                    out = np.where(upper[(...,) + (None,) * (out.ndim - 2)], out,
+                                   np.swapaxes(out, 0, 1))
+            self._patterns[order] = _frozen(np.ascontiguousarray(out))
+        return self._patterns[order]
 
 
 class MetricField(_SymmetricComponents):
@@ -333,6 +408,16 @@ class MetricField(_SymmetricComponents):
             key, at = np.unique((a * f + b) * f + index, return_inverse=True)
             self._triples[order] = (key // (f * f), key // f % f, key % f), at.reshape(index.shape)
         return self._triples[order]
+
+    @functools.cached_property
+    def _along_plan(self) -> tuple:
+        """The plan (``_contraction_plan``) of the first-kind sums contracted
+        with a vector in their first lower index, from the order-1 table:
+        ``L[m, k] = sum_j v^j Gamma_{m,jk} = (1/2)(v^j d_j g_{mk} + v^j d_k
+        g_{jm} - v^j d_m g_{jk})``; built on first use."""
+        fields, index = self._table(1)
+        return _contraction_plan(fields, [(0.5, np.einsum("jmk->mjk", index)),
+                                          (0.5, np.einsum("kjm->mjk", index)), (-0.5, index)])
 
     def _low_nonzero(self, order: int) -> np.ndarray:
         """The slot pattern of the order's first-kind sums, ``[m, j, k]``
@@ -481,6 +566,12 @@ def _walker_inverse(g: np.ndarray, r: int, ci: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _all_live(shape: tuple) -> np.ndarray:
+    """The read-only all-True slot pattern of ``shape``, one per shape."""
+    return _frozen(np.ones(shape, dtype=bool))
+
+
 class ConnectionField:
     """Torsion-free connection on an n-chart, evaluated pointwise.
 
@@ -497,6 +588,12 @@ class ConnectionField:
         module's read contract."""
         raise NotImplementedError
 
+    def gamma_along(self, x, v) -> np.ndarray:
+        """``Gamma^l_{jk} v^j`` at the points ``x`` for the vectors ``v`` of
+        the same shape, shape ``x.shape[:-1] + (n, n)`` indexed ``[l, k]``,
+        under the module's read contract; Gamma itself is not formed."""
+        raise NotImplementedError
+
     def nonzero(self, order: int) -> np.ndarray:
         """The slot pattern of Gamma (order 0, ``[l, j, k]``) or of d Gamma
         (order 1, ``[mu, l, j, k]``), the same at every point: a False slot
@@ -504,8 +601,9 @@ class ConnectionField:
         factor, so it reads 0.0 wherever the other factors are finite.  The
         checks of :mod:`walkergeom.distributions` read a family whose slots
         are all False as 0.0 without evaluating it.  Here every slot is True.
+        A pattern is built once, read-only and C-contiguous.
         """
-        return np.ones((self.n,) * (3 + order), dtype=bool)
+        return _all_live((self.n,) * (3 + order))
 
     def _propagators(self, curve, build) -> np.ndarray:
         """The transport propagators along ``curve``: what ``build()``
@@ -536,6 +634,20 @@ class SymbolicConnection(ConnectionField, _SymmetricComponents):
 
     def gamma(self, x, block=()) -> np.ndarray:
         return self._slot_blocks(0, x, block)[0]
+
+    @functools.cached_property
+    def _along_plan(self) -> tuple:
+        """The plan (``_contraction_plan``) of ``Gamma^l_{jk} v^j`` from the
+        order-0 table, one term per slot; built on first use."""
+        fields, index = self._table(0)
+        return _contraction_plan(fields, [(1.0, index)])
+
+    def gamma_along(self, x, v) -> np.ndarray:
+        x, v = _points_and_vectors(x, v, self.n)
+        fields = self._table(0)[0]
+        kept, j, f, matrix = self._along_plan
+        values = evaluate_fields([fields[i] for i in kept], _rows(x))
+        return _frozen(_contract(_rows(v), values, j, f, matrix).reshape(x.shape + (self.n,)))
 
     def gamma_partial(self, x, block=(), rows=None) -> np.ndarray:
         if rows is not None:
@@ -595,14 +707,16 @@ class LeviCivitaConnection(ConnectionField):
     g^{-1} is formed from those rows, on the jet or off it.  d Gamma is
     never held: each read forms its block from the jet's field values.
 
-    The jet also holds the transport propagators of the last curve
-    transported on its points (``_propagators``), keyed by the curve (equal
-    components, ``t_span`` and ``step``) and read-only, so the transports of
-    one curve share one solve.  Once they are built the jet drops Gamma on
-    the curve's grid, which only the build reads; a later read there forms
-    it again, with the same bits.  Starting a new jet drops them with the
-    rest: a full Gamma or d Gamma read at other points does, a slot block of
-    Gamma elsewhere does not.
+    ``gamma_along(x, v)`` reads Gamma^l_{jk} v^j without forming Gamma: the
+    metric's plan contracts v into the first-kind sums from the jet's
+    order-1 field values, and the jet's g^{-1} multiplies them, one point
+    block at a time.  So a transport's coefficients hold neither Gamma nor
+    ``low`` on its grid.  The jet also holds the transport propagators of
+    the last curve transported on its points (``_propagators``), keyed by
+    the curve (equal components, ``t_span`` and ``step``) and read-only, so
+    the transports of one curve share one solve.  Starting a new jet drops
+    them with the rest: a full Gamma, d Gamma or ``gamma_along`` read at
+    other points does, a slot block of Gamma elsewhere does not.
 
     A block's columns are those of the dense ``(n, n^2)`` product, taken
     from a narrower GEMM (two columns wide for a one-column block: numpy
@@ -655,13 +769,10 @@ class LeviCivitaConnection(ConnectionField):
         self._fields = {}
 
     def _propagators(self, curve, build) -> np.ndarray:
-        # building reads Gamma on the curve's grid, which may start a new
-        # jet; the propagators are held only after that, and the grid's
-        # Gamma, which only the build reads, is dropped (a later read forms
-        # it again)
+        # building reads the curve's grid, which may start a new jet; the
+        # propagators are held only after that
         if self._solve is None or self._solve[0] != curve:
             self._solve = (curve, _frozen(build()))
-            self._gamma = None
         return self._solve[1]
 
     def _inverse(self) -> np.ndarray:
@@ -770,6 +881,15 @@ class LeviCivitaConnection(ConnectionField):
             self._gamma = self._form(0, ())
         return self._gamma
 
+    def gamma_along(self, x, v) -> np.ndarray:
+        x, v = _points_and_vectors(x, v, self.n)
+        if not self._on_jet(x):
+            self._start(x)
+        ginv = self._inverse()
+        kept, j, f, matrix = self.metric._along_plan
+        out = _contract(_rows(v), self._values(1), j, kept[f], matrix, ginv)
+        return _frozen(out.reshape(x.shape + (self.n,)))
+
     def gamma_partial(self, x, block=(), rows=None) -> np.ndarray:
         x = _as_points(x, self.n)
         if not self._on_jet(x, rows):
@@ -793,6 +913,7 @@ class RestrictedConnection(ConnectionField):
             raise ValueError("leaf dimension must satisfy 0 < keep < n")
         self.parent = parent
         self.n = keep
+        self._patterns = {}
 
     def _embed(self, y) -> np.ndarray:
         y = _as_points(y, self.n)
@@ -815,8 +936,16 @@ class RestrictedConnection(ConnectionField):
     def gamma(self, y, block=()) -> np.ndarray:
         return self.parent.gamma(self._embed(y), self._parent_block(block, 3))
 
+    def gamma_along(self, y, v) -> np.ndarray:
+        # v reaches the parent with zero trailing components
+        out = self.parent.gamma_along(self._embed(y), self._embed(v))
+        return _frozen(np.ascontiguousarray(out[..., :self.n, :self.n]))
+
     def nonzero(self, order: int) -> np.ndarray:
-        return self.parent.nonzero(order)[(slice(None, self.n),) * (3 + order)]
+        if order not in self._patterns:
+            self._patterns[order] = _frozen(np.ascontiguousarray(
+                self.parent.nonzero(order)[(slice(None, self.n),) * (3 + order)]))
+        return self._patterns[order]
 
     def gamma_partial(self, y, block=(), rows=None) -> np.ndarray:
         return self.parent.gamma_partial(self._embed(y), self._parent_block(block, 4), rows)

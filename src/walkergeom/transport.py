@@ -6,7 +6,9 @@ A vector ``w`` is transported along a curve ``t -> x(t)`` by integrating
 
 with a fixed-step classical 4th-order scheme.  Because the curve is known in
 closed form, the coefficient matrices ``A(t) = -Gamma(x(t)) . xdot(t)`` are
-evaluated in one vectorized pass over the step and half-step grid.  The
+evaluated in one vectorized pass over the step and half-step grid, by the
+connection's ``gamma_along``, which contracts the velocity into the
+component fields without forming Gamma.  The
 equation is linear in ``w``, so each step is a matrix ``w -> P_k w``: all
 step propagators are built at once and the vectors at every grid time come
 from a log-depth prefix product of them, with no loop over steps.  A
@@ -17,7 +19,8 @@ The prefix products depend only on the connection and the curve.  A
 Levi-Civita connection holds those of the last curve transported on its
 points in its jet, so the norm check and both commuting-projection checks of
 one curve share one solve: one coefficient evaluation and one prefix
-product.  Symbolic and restricted connections build them on every call.
+product; no transport forms Gamma.  Symbolic and restricted connections build
+them on every call.
 """
 
 from __future__ import annotations
@@ -113,10 +116,7 @@ class TransportResult:
 
 def _coefficients(conn: ConnectionField, curve: CurveSpec, ts: np.ndarray) -> np.ndarray:
     """A(t)[l,k] = -Gamma^l_{jk}(x(t)) xdot^j(t), batched over ts."""
-    xs = curve.positions(ts)
-    vs = curve.velocities(ts)
-    G = conn.gamma(xs)
-    return -(vs[..., None, None, :] @ G)[..., 0, :]
+    return -conn.gamma_along(curve.positions(ts), curve.velocities(ts))
 
 
 def _initial_vector(conn: ConnectionField, curve: CurveSpec, w0) -> np.ndarray:

@@ -733,24 +733,30 @@ def _contract_families(g):
     """Each component family on ``g`` as ``(rank, size, read)``:
     ``read(x, block, *rows)`` reads its whole table (``block=()``) or a
     slot block, over ``rank`` slot axes of ``size`` each, at ``x`` (leaf
-    points for a restriction); only d Gamma takes ``rows``.  A Levi-Civita
-    read is off the jet (a new connection) or on a jet at ``x`` that holds
-    Gamma; a restriction's parent is shared by its reads."""
+    points for a restriction); only d Gamma takes ``rows``, and
+    ``gamma_along`` (``[l, k]``, along ``cos(x)``) takes no block.  A
+    Levi-Civita read is off the jet (a new connection) or on a jet at ``x``
+    that holds Gamma; a restriction's parent is shared by its reads."""
     dist = DistributionSpec.null_block(g.chart)
     symbolic = _symbolic_connection(g)
     on_jet = christoffel(g)
     leaves = {"levi_civita": restrict_connection(christoffel(g), dist),
               "symbolic": restrict_connection(symbolic, dist)}
+    ranks = {"gamma": 3, "gamma_partial": 4, "gamma_along": 2}
+
+    def call(conn, name, x, block, rows):
+        if name == "gamma_along":
+            return conn.gamma_along(x, np.cos(x))
+        return getattr(conn, name)(x, block, *rows)
 
     def on_jet_read(name):
         def read(x, block, *rows):
             on_jet.gamma(x)
-            return getattr(on_jet, name)(x, block, *rows)
+            return call(on_jet, name, x, block, rows)
         return read
 
     def connection(conn_of, name, size=g.n):
-        return (3 if name == "gamma" else 4), size, (
-            lambda x, block, *rows: getattr(conn_of(), name)(x, block, *rows))
+        return ranks[name], size, lambda x, block, *rows: call(conn_of(), name, x, block, rows)
 
     families = {
         "metric": (2, g.n, lambda x, block: (
@@ -758,11 +764,10 @@ def _contract_families(g):
         "metric_partial": (3, g.n, lambda x, block: g._slot_blocks(1, x, block)[0]),
         "metric_second_partial": (4, g.n, lambda x, block: g._slot_blocks(2, x, block)[0]),
     }
-    for name in ("gamma", "gamma_partial"):
+    for name in ranks:
         families[f"symbolic_{name}"] = connection(lambda: symbolic, name)
         families[f"levi_civita_{name}_off_jet"] = connection(lambda: christoffel(g), name)
-        rank = 3 if name == "gamma" else 4
-        families[f"levi_civita_{name}_on_jet"] = (rank, g.n, on_jet_read(name))
+        families[f"levi_civita_{name}_on_jet"] = (ranks[name], g.n, on_jet_read(name))
         for parent, leaf in leaves.items():
             families[f"restricted_{parent}_{name}"] = connection(
                 lambda leaf=leaf: leaf, name, leaf.n)
@@ -783,7 +788,8 @@ def test_every_family_read_keeps_the_read_contract(metric, family):
     # slot block (ints, negative ones too, and slices, negative steps and
     # empty ones too, as a tuple or a list, missing axes all of it) is a new
     # array bitwise equal to the same slice of the whole read, also read by
-    # rows; a block with more axes than the family has raises IndexError
+    # rows; a block with more axes than the family has raises IndexError.
+    # The contraction along a vector takes no block
     g = CONTRACT_METRICS[metric]
     rank, size, read = _contract_families(g)[family]
     pts = sample_points(g, 12, seed=5)[:, :size]
@@ -799,6 +805,9 @@ def test_every_family_read_keeps_the_read_contract(metric, family):
     for x in (pts, pts[3], pts[:6].reshape(2, 3, size)):
         points = (slice(None),) * (x.ndim - 1)
         whole = read(x, ())
+        if "gamma_along" in family:
+            held_to_contract(whole, whole, x.shape[:-1] + (size,) * rank)
+            continue
         for block in blocks:
             slots = np.empty((size,) * rank, dtype=bool)[tuple(block)].shape
             got = read(x, block)
@@ -1240,6 +1249,25 @@ def test_a_variable_that_cancels_stays_live():
     assert skew._nonzero(1)[0, 0, 0] and skew._nonzero(1)[1, 0, 0]
     assert not skew._nonzero(2)[0, 1, 0, 0] and not skew._nonzero(2)[1, 0, 0, 0]
     assert np.array_equal(skew._nonzero(2), _is_zero_pattern(skew, 2))
+
+
+def test_slot_patterns_are_built_once_read_only_and_contiguous():
+    # a slot pattern keeps the read contract: one read-only, C-contiguous
+    # array per order, the same object on every call
+    g = build_pullback_extension(random_extension_spec(np.random.default_rng(101), 2, 1))
+    dist = DistributionSpec.orthocomplement(g.chart)
+    symbolic = _symbolic_connection(g)
+    patterns = [(g._nonzero, (0, 1, 2)), (symbolic._nonzero, (0, 1, 2))] + [
+        (conn.nonzero, (0, 1)) for conn in (
+            christoffel(g), symbolic, restrict_connection(christoffel(g), dist),
+            restrict_connection(symbolic, dist))]
+    for pattern, orders in patterns:
+        for order in orders:
+            first = pattern(order)
+            assert pattern(order) is first
+            assert first.flags.c_contiguous and not first.flags.writeable
+            with pytest.raises(ValueError):
+                first[(0,) * first.ndim] = False
 
 
 def test_variable_bits_past_sixty_four_coordinates():

@@ -13,6 +13,7 @@ from walkergeom import (
     LeviCivitaConnection,
     MetricField,
     ScalarField,
+    SingularMetricError,
     SymbolicConnection,
     build_pullback_extension,
     christoffel,
@@ -22,7 +23,8 @@ from walkergeom import (
     projection_commutes_residual,
     restrict_connection,
 )
-from walkergeom.corpus import random_curve, random_extension_spec
+from walkergeom.corpus import random_curve, random_extension_spec, random_metric
+from walkergeom.tensor import RestrictedConnection
 
 
 def line_curve(n, step=1e-3):
@@ -358,19 +360,90 @@ def test_held_solve_is_read_only_and_still_validates():
 
 
 def test_held_solve_drops_gamma_on_its_grid(monkeypatch):
-    # the build reads Gamma on the step and half-step grid once; the jet
-    # then keeps the propagators and not that Gamma
-    g, conn, _, _, curve, w0 = transport_op(89)
-    formed = []
-    gamma = LeviCivitaConnection.gamma
-    monkeypatch.setattr(LeviCivitaConnection, "gamma", lambda self, x, *a: formed.append(
-        (np.array(x), gamma(self, x, *a).copy())) or formed[-1][1])
+    # the coefficients contract the velocity into the first-kind sums, so a
+    # transport and both commute checks of one curve read no Gamma at all,
+    # upstairs or downstairs, and the jet on the grid never holds it; the
+    # commute checks reuse the held solve, bit for bit
+    g, conn, D, perturbed, curve, w0 = transport_op(89)
+    V = DistributionSpec.orthocomplement(g.chart)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("transport read Gamma")
+
+    for owner in (LeviCivitaConnection, SymbolicConnection, RestrictedConnection):
+        monkeypatch.setattr(owner, "gamma", refused)
+    monkeypatch.setattr(LeviCivitaConnection, "_form", refused)
     first = parallel_transport(conn, curve, w0).vectors
-    assert conn._gamma is None
     built = count_calls(monkeypatch, transport, "_coefficients")
-    again = parallel_transport(conn, curve, w0).vectors
-    assert built == [] and again.tobytes() == first.tobytes()
-    ((grid, held),) = formed
-    # a read on the grid forms it again, to the bits it had
-    monkeypatch.undo()
-    assert conn.gamma(grid).tobytes() == held.tobytes()
+    runs = upstairs_runs(monkeypatch)
+    projection_commutes_residual(g, D, V, curve, w0, conn=conn)
+    projection_commutes_residual(g, perturbed, V, curve, w0, conn=conn)
+    assert conn._gamma is None
+    # only the two downstairs solves build their coefficients
+    assert built == [D, perturbed]
+    assert len(runs) == 2 and all(run.tobytes() == first.tobytes() for run in runs)
+
+
+# ---------------------------------------------------------------------------
+# the coefficients: Gamma contracted with the velocity, never formed
+# ---------------------------------------------------------------------------
+
+
+def _coefficient_cases():
+    """Connections of every family, by id: Levi-Civita on Walker extensions
+    at n = 3..8 and on a dense two-block metric, symbolic ones, and the
+    restrictions of a Levi-Civita and of a symbolic connection."""
+    rng = np.random.default_rng(97)
+    cases = {}
+    for r, m in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]:
+        spec = random_extension_spec(rng, r, m)
+        g = build_pullback_extension(spec)
+        cases[f"levi_civita_n{g.n}"] = christoffel(g)
+        if m == 1:
+            cases[f"symbolic_base_n{r}"] = spec.base_connection
+    dense = random_metric(rng, ChartSplit.two_block(5, 2))
+    cases["levi_civita_dense_n5"] = christoffel(dense)
+    cases["symbolic_dense_n5"] = SymbolicConnection(5, {
+        (l, j, k): dense.component(j, k) * (l - 2.5)
+        for l in range(1, 6) for j in range(1, 6) for k in range(j, 6)})
+    ext = build_pullback_extension(random_extension_spec(rng, 2, 2))
+    V = DistributionSpec.orthocomplement(ext.chart)
+    cases["restricted_levi_civita"] = restrict_connection(christoffel(ext), V)
+    cases["restricted_symbolic"] = restrict_connection(cases["symbolic_dense_n5"],
+                                                       DistributionSpec.null_block(dense.chart))
+    return cases
+
+
+COEFFICIENT_CASES = _coefficient_cases()
+
+
+@pytest.mark.parametrize("name", COEFFICIENT_CASES)
+def test_coefficients_match_the_contraction_of_gamma(name):
+    conn = COEFFICIENT_CASES[name]
+    curve = random_curve(np.random.default_rng(conn.n), conn.n)
+    ts = np.linspace(0.0, 1.0, 41)
+    got = transport._coefficients(conn, curve, ts)
+    want = loop_coefficients(conn, curve, ts)
+    assert got.shape == want.shape == (41, conn.n, conn.n)
+    assert np.max(np.abs(want)) > 0.0
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("chart, comps", [
+    # structurally Walker, H = [x2], so |det g| = det(C)^2 |x2|; and dense,
+    # det g = x2 (1 + x1 - 0.01 x2)
+    (ChartSplit.three_block(3, 1), {(1, 1): "1 + x2", (1, 3): 1.0, (2, 2): "x2"}),
+    (ChartSplit.two_block(2, 1), {(1, 1): "1 + x1", (1, 2): "0.1*x2", (2, 2): "x2"}),
+], ids=["walker", "dense"])
+@pytest.mark.parametrize("integrate", [
+    parallel_transport, lambda conn, curve, w0: euler_transport(conn, curve, w0, step=1e-3),
+], ids=["rk4", "euler"])
+def test_transport_refuses_a_metric_singular_on_the_curve(chart, comps, integrate):
+    # the curve passes x2 = 0 at the grid point t = 1/2, where |det g| is
+    # below the floor
+    g = MetricField(chart, comps)
+    assert (g._walker_block is not None) == (chart.mode == "three_block")
+    parts = ["x1", "x1 - 0.5"] + ["0.3"] * (g.n - 2)
+    curve = CurveSpec(tuple(parse_expression(c, 1) for c in parts), (0.0, 1.0), 1e-3)
+    with pytest.raises(SingularMetricError, match="metric singular"):
+        integrate(christoffel(g), curve, np.ones(g.n))
