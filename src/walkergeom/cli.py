@@ -65,9 +65,10 @@ _COMMON_KEYS = {"kind", "checks", "samples", "seed", "tolerance", "transport"}
 _METRIC_KEYS = _COMMON_KEYS | {"n", "r", "middle"}
 _EXTENSION_KEYS = _COMMON_KEYS | {"r", "m", "g_ia"}
 
-# most grid steps |t1 - t0| / step a transport section may ask for at n <= 8
-# (RK4 at n = 8 over 10^5 steps peaks near 1.7 GB); Gamma on the step grid
-# grows as steps * n^3, so above n = 8 it is scaled by (8 / n)^3
+# most grid steps |t1 - t0| / step a transport section may ask for at n <= 8,
+# and scaled by (8 / n)^3 above; a transport holds its step propagators,
+# 8 * steps * n^2 bytes (51 MB at n = 8 over 10^5 steps), plus one block of
+# steps, so the cap bounds memory with room to spare above n = 8
 MAX_TRANSPORT_STEPS = 100_000
 # largest chart a problem may have, n for a metric and 2r + m for an
 # extension; the symbolic second-partial table grows as n^4

@@ -147,7 +147,11 @@ DET_FLOOR = 1e-12
 
 # entries per point block of a Levi-Civita slot block's largest operand and
 # of the curvature-condition block (points x n^4 for all of d Gamma): 512 KB
-# of doubles, so a block's operands stay in cache
+# of doubles, so a block's operands stay in cache.  It also sets the step
+# blocks of both transport integrators (steps x n^2 for the RK4 stages and the
+# Euler factors), so it bounds a transport's working memory beyond its held
+# propagators, and where the Euler reference's pairwise product restarts:
+# changing it for cache reasons changes transport memory and Euler rounding
 JET_BLOCK = 2 ** 16
 
 
@@ -714,7 +718,10 @@ class LeviCivitaConnection(ConnectionField):
     ``low`` on its grid.  The jet also holds the transport propagators of
     the last curve transported on its points (``_propagators``), keyed by
     the curve (equal components, ``t_span`` and ``step``) and read-only, so
-    the transports of one curve share one solve.  Starting a new jet drops
+    the transports of one curve share one solve.  The solve was built one
+    block of steps at a time, each block's coefficients read on a jet of
+    that block's grid points, so the jet that holds it is the last block's
+    (the whole grid's when the grid is one block).  Starting a new jet drops
     them with the rest: a full Gamma, d Gamma or ``gamma_along`` read at
     other points does, a slot block of Gamma elsewhere does not.
 

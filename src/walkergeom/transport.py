@@ -6,21 +6,27 @@ A vector ``w`` is transported along a curve ``t -> x(t)`` by integrating
 
 with a fixed-step classical 4th-order scheme.  Because the curve is known in
 closed form, the coefficient matrices ``A(t) = -Gamma(x(t)) . xdot(t)`` are
-evaluated in one vectorized pass over the step and half-step grid, by the
+evaluated in vectorized passes over the step and half-step grid, by the
 connection's ``gamma_along``, which contracts the velocity into the
 component fields without forming Gamma.  The
-equation is linear in ``w``, so each step is a matrix ``w -> P_k w``: all
-step propagators are built at once and the vectors at every grid time come
-from a log-depth prefix product of them, with no loop over steps.  A
-deliberately separate first-order (Euler) integrator, the product of the
-matrices ``I + h A_k`` reduced pairwise, serves as an independent reference.
+equation is linear in ``w``, so each step is a matrix ``w -> P_k w``.  The
+step propagators are built one block of steps at a time
+(``tensor._point_blocks`` with one n x n matrix per step, so a block holds
+about ``tensor.JET_BLOCK`` entries of each operand), written into one
+``(steps, n, n)`` array, and the vectors at every grid time come from a
+log-depth prefix product of them, with no loop over steps; each doubling
+round multiplies one block of rows at a time.  A transport so holds its
+propagators and one block's operands.  A deliberately separate first-order
+(Euler) integrator, the product of the matrices ``I + h A_k`` reduced
+pairwise within each block of the same size, serves as an independent
+reference.
 
 The prefix products depend only on the connection and the curve.  A
 Levi-Civita connection holds those of the last curve transported on its
 points in its jet, so the norm check and both commuting-projection checks of
-one curve share one solve: one coefficient evaluation and one prefix
-product; no transport forms Gamma.  Symbolic and restricted connections build
-them on every call.
+one curve share one solve: one coefficient evaluation per block and one
+prefix product; no transport forms Gamma.  Symbolic and restricted
+connections build them on every call.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import numpy as np
 
 from .distributions import DistributionSpec
 from .expr import ScalarField, as_field, evaluate_fields
-from .tensor import ConnectionField, MetricField, christoffel
+from .tensor import ConnectionField, MetricField, _point_blocks, christoffel
 
 __all__ = [
     "CurveSpec",
@@ -43,10 +49,6 @@ __all__ = [
     "euler_transport",
     "projection_commutes_residual",
 ]
-
-# grid steps whose Euler factors euler_transport builds and multiplies at once
-EULER_CHUNK = 100_000
-
 
 def _check_step(step) -> None:
     if not (step > 0 and math.isfinite(step)):
@@ -129,25 +131,51 @@ def _initial_vector(conn: ConnectionField, curve: CurveSpec, w0) -> np.ndarray:
     return w0
 
 
-def _rk4_propagators(conn: ConnectionField, curve: CurveSpec, ts: np.ndarray) -> np.ndarray:
-    """The inclusive prefix products of the RK4 step propagators along the
-    curve's grid ``ts``, ``(steps, n, n)``: entry ``k`` maps ``w0`` to the
-    vector at ``ts[k + 1]``."""
-    h = ts[1] - ts[0]
-    A_all = _coefficients(conn, curve, np.concatenate([ts, (ts[:-1] + ts[1:]) / 2.0]))
-    a0, a1, am = A_all[: len(ts) - 1], A_all[1: len(ts)], A_all[len(ts):]
+def _step_propagators(conn: ConnectionField, curve: CurveSpec, grid: np.ndarray,
+                      h: float, out: np.ndarray) -> None:
+    """Write into ``out``, ``(len(grid) - 1, n, n)``, the RK4 step
+    propagators between consecutive points of ``grid``, from one evaluation
+    of the coefficients on the grid points and midpoints."""
+    A_all = _coefficients(conn, curve, np.concatenate([grid, (grid[:-1] + grid[1:]) / 2.0]))
+    a0, a1, am = A_all[: len(grid) - 1], A_all[1: len(grid)], A_all[len(grid):]
 
     eye = np.eye(conn.n)
     k1 = a0
-    k2 = am @ (eye + 0.5 * h * k1)
+    k2 = np.matmul(am, eye + 0.5 * h * k1, out=out)
     k3 = am @ (eye + 0.5 * h * k2)
     k4 = a1 @ (eye + h * k3)
-    P = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # I + h/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order in place in k2:
+    # the bits of the whole expression, without its temporaries
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= h / 6.0
+    k2 += eye
+
+
+def _rk4_propagators(conn: ConnectionField, curve: CurveSpec, ts: np.ndarray) -> np.ndarray:
+    """The inclusive prefix products of the RK4 step propagators along the
+    curve's grid ``ts``, ``(steps, n, n)``: entry ``k`` maps ``w0`` to the
+    vector at ``ts[k + 1]``.  The step propagators are written into that
+    array one block of steps at a time (``_point_blocks``, one n x n matrix
+    per step)."""
+    h = ts[1] - ts[0]
+    steps, n = len(ts) - 1, conn.n
+    blocks = _point_blocks(steps, n * n)
+    P = np.empty((steps, n, n))
+    for at in blocks:
+        _step_propagators(conn, curve, ts[at.start: at.stop + 1], h, P[at])
     # after the round with shift s, P[k] is the product of steps max(0, k-2s+1)..k,
-    # later steps on the left
+    # later steps on the left; a round walks its blocks of rows from the end,
+    # so each block reads rows that the round has not yet written
     s = 1
-    while s < len(P):
-        P[s:] = P[s:] @ P[:-s]
+    while s < steps:
+        for at in reversed(blocks):
+            lo, hi = max(at.start, s), min(at.stop, steps)
+            if lo < hi:
+                P[lo:hi] = P[lo:hi] @ P[lo - s: hi - s]
         s *= 2
     return P
 
@@ -158,12 +186,15 @@ def parallel_transport(conn: ConnectionField, curve: CurveSpec, w0) -> Transport
     Returns the transported vector at every grid time.  The transport
     equation is linear in ``w``, so one step is ``w -> P_k w`` with ``P_k`` a
     polynomial in the coefficient matrices at ``t``, ``t + h/2`` and
-    ``t + h``.  All ``P_k`` are built at once; their inclusive prefix
-    products, taken by doubling in log2(steps) batched rounds, map ``w0`` to
-    every grid value.  The connection is handed the builder of those
-    products (``ConnectionField._propagators``): a Levi-Civita connection
-    keeps the last curve's in its jet, so a second transport along an equal
-    curve only applies them to its own ``w0``.
+    ``t + h``.  The ``P_k`` are built one block of steps at a time
+    (``tensor._point_blocks``, one n x n matrix per step) into one array;
+    their inclusive prefix products, taken in place by doubling in
+    log2(steps) rounds of blockwise batched products, map ``w0`` to every
+    grid value.  So a transport holds about ``8 * steps * n**2`` bytes of
+    propagators plus one block.  The connection is handed the builder of
+    those products (``ConnectionField._propagators``): a Levi-Civita
+    connection keeps the last curve's in its jet, so a second transport
+    along an equal curve only applies them to its own ``w0``.
     """
     w0 = _initial_vector(conn, curve, w0)
     ts = curve.grid()
@@ -179,16 +210,18 @@ def euler_transport(conn: ConnectionField, curve: CurveSpec, w0, step: float = 1
 
     Kept intentionally naive (forward Euler, fixed step) and fully separate
     from :func:`parallel_transport` so it can act as an independent
-    reference for accuracy checks.  Each chunk of ``EULER_CHUNK`` steps forms
+    reference for accuracy checks.  It walks the steps in the blocks of
+    ``tensor._point_blocks`` (one n x n matrix per step): each block forms
     its factors ``I + h A_k`` at once and multiplies neighbours pairwise
-    (later on the left) down to one matrix, which is applied to ``w``.
+    (later on the left) down to one matrix, which is applied to ``w``.  So
+    it holds one block at a time, whatever the number of steps.
     """
     w = _initial_vector(conn, curve, w0)
     ts = curve.grid(step)
     h = ts[1] - ts[0]
-    for start in range(0, len(ts) - 1, EULER_CHUNK):
-        stop = min(start + EULER_CHUNK, len(ts) - 1)
-        M = np.eye(conn.n) + h * _coefficients(conn, curve, ts[start:stop])
+    starts = ts[:-1]
+    for at in _point_blocks(len(starts), conn.n * conn.n):
+        M = np.eye(conn.n) + h * _coefficients(conn, curve, starts[at])
         while len(M) > 1:
             pairs = M[1::2] @ M[:-1:2]
             M = np.concatenate([pairs, M[-1:]]) if len(M) % 2 else pairs

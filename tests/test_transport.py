@@ -1,11 +1,12 @@
 """Parallel transport: accuracy, norm preservation, commuting projections."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from walkergeom import transport
+from walkergeom import tensor, transport
 from walkergeom import (
     ChartSplit,
     CurveSpec,
@@ -74,23 +75,36 @@ def extension_problem(seed, r, m):
 GRID_STEPS = [1.5, 0.5, 1 / 3, 1 / 37]
 
 
+def split_into_blocks(monkeypatch, steps_per_block, n):
+    """Make ``tensor._point_blocks`` cut a grid of n x n step matrices into
+    blocks of ``steps_per_block`` steps."""
+    monkeypatch.setattr(tensor, "JET_BLOCK", steps_per_block * n * n)
+
+
 @pytest.mark.parametrize("step", GRID_STEPS)
 @pytest.mark.parametrize("r, m", [(1, 1), (2, 2), (3, 2)])
-def test_batched_rk4_matches_step_loop(r, m, step):
+def test_batched_rk4_matches_step_loop(monkeypatch, r, m, step):
+    # one block, then blocks of 7: these split the 37-step grid into five odd
+    # blocks and a tail of 2, and the doubling rounds with shift 8, 16 and 32
+    # start inside a block or skip it; each case builds its own solve
     conn, curve, w0 = extension_problem(31 + 10 * r + m, r, m)
     curve = dataclasses.replace(curve, step=step)
-    got = parallel_transport(conn, curve, w0).vectors
     ref = loop_rk4(conn, curve, w0)
-    assert got.shape == ref.shape
-    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for block in (None, 7):
+        with monkeypatch.context() as patch:
+            if block is not None:
+                split_into_blocks(patch, block, conn.n)
+            got = parallel_transport(christoffel(conn.metric), curve, w0).vectors
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("step", GRID_STEPS)
 @pytest.mark.parametrize("r, m", [(1, 1), (2, 2), (3, 2)])
 def test_pairwise_euler_matches_step_loop(monkeypatch, r, m, step):
-    # chunks of 7 split the 37-step grid into five odd chunks and a tail of 2
-    monkeypatch.setattr(transport, "EULER_CHUNK", 7)
+    # blocks of 7 steps, as above
     conn, curve, w0 = extension_problem(53 + 10 * r + m, r, m)
+    split_into_blocks(monkeypatch, 7, conn.n)
     got = euler_transport(conn, curve, w0, step=step)
     ref = loop_euler(conn, curve, w0, step)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -447,3 +461,45 @@ def test_transport_refuses_a_metric_singular_on_the_curve(chart, comps, integrat
     curve = CurveSpec(tuple(parse_expression(c, 1) for c in parts), (0.0, 1.0), 1e-3)
     with pytest.raises(SingularMetricError, match="metric singular"):
         integrate(christoffel(g), curve, np.ones(g.n))
+
+
+# ---------------------------------------------------------------------------
+# memory: a transport holds its propagators and one block of steps
+# ---------------------------------------------------------------------------
+
+
+def _traced_peak(run) -> int:
+    """The traced peak of ``run()``, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_long_rk4_transport_peaks_near_its_propagators():
+    # n = 5 at 20 000 steps is eight blocks of steps: the transport holds its
+    # propagators (8 * steps * n^2 bytes) and one block's operands, not the
+    # coefficients, stages and a doubling round's product on the whole grid
+    # (about 11 times the propagators)
+    conn, curve, w0 = extension_problem(101, 2, 1)
+    parallel_transport(conn, curve, w0)  # plans the coefficients' contraction
+    steps = 20_000
+    long = dataclasses.replace(curve, step=1.0 / steps)
+    assert len(tensor._point_blocks(steps, conn.n ** 2)) > 1
+    peak = _traced_peak(lambda: parallel_transport(conn, long, w0))
+    assert peak <= 4 * 8 * steps * conn.n ** 2
+
+
+def test_long_euler_transport_peaks_at_one_block():
+    # 100 000 Euler steps at n = 3 walk 14 blocks of steps; past the grid of
+    # times (8 bytes a step) the reference holds one block's factors and
+    # coefficients, about six blocks of JET_BLOCK doubles, not all steps' factors
+    conn, curve, w0 = extension_problem(103, 1, 1)
+    euler_transport(conn, curve, w0, step=0.1)  # plans the coefficients' contraction
+    step = 1e-5
+    steps = len(curve.grid(step)) - 1
+    assert len(tensor._point_blocks(steps, conn.n ** 2)) > 10
+    peak = _traced_peak(lambda: euler_transport(conn, curve, w0, step=step))
+    assert peak <= 8 * (steps + 1) + 10 * 8 * tensor.JET_BLOCK
