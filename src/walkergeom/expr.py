@@ -19,6 +19,12 @@ whose children changed).
 Construction goes through smart constructors that fold constants and drop
 additive zeros / multiplicative ones; no other rewriting is performed, so a
 field evaluates exactly as written.
+
+An integer power evaluates as products (``_power``): x^k by binary
+exponentiation in multiplies, and x^-k as 1/x^k.  Its bits so depend only
+on IEEE multiplication and division, not on which ``pow`` the platform's
+numpy dispatches to, and it costs a few array multiplies where numpy's
+``pow`` on a base with negative entries costs about 50 times as much.
 """
 
 from __future__ import annotations
@@ -151,10 +157,27 @@ def _evaluate(node: _Node, x: np.ndarray, checked: bool):
     elif op == "pow":
         if checked and node.data < 0 and np.any(np.asarray(acc) == 0.0):
             raise EvaluationError("division by zero", render(node))
-        acc = acc ** node.data
+        acc = _power(acc, abs(node.data))
+        if node.data < 0:
+            acc = 1.0 / acc
     else:
         acc = getattr(np, node.data)(acc)
     return acc
+
+
+def _power(base, k: int):
+    """``base`` to the integer power ``k >= 1`` in multiplies alone, by
+    binary exponentiation: the squares base^(2^i) in turn, and a running
+    product of those at the set bits of ``k``, lowest first.  A loop, not a
+    recursion, so an exponent near 2^1024 takes about 1024 squarings."""
+    out = None
+    while True:
+        if k & 1:
+            out = base if out is None else out * base
+        k >>= 1
+        if not k:
+            return out
+        base = base * base
 
 
 def _deriv(node: _Node, i: int) -> _Node:

@@ -2,11 +2,13 @@
 
 Components are :class:`~walkergeom.expr.ScalarField` expressions, so all
 coordinate partials entering Christoffel symbols and curvature are exact;
-floating point enters only through point evaluation and through the inverse
-metric, which is solved numerically at the evaluation points rather than
-symbolically.  A structurally Walker metric (three-block chart, g_ab and
-g_ap structurally zero, g_ia constant) is inverted by blocks, with C = [g_ia]
-inverted once per metric: the leading rows of g^{-1} are [0, 0, C^{-T}]
+floating point enters only through point evaluation and through solves with
+the metric (``MetricField._solve``, g^{-1} R), taken numerically at the
+evaluation points rather than symbolically.  A structurally Walker metric
+(three-block chart, g_ab and g_ap structurally zero, g_ia constant) is
+solved by block rows from its blocks A, B and H alone, with C = [g_ia]
+inverted once per metric and H per point, and no g^{-1} formed; g^{-1}
+itself is the solve with R = I, whose leading rows are [0, 0, C^{-T}]
 exactly, so Gamma^i_{a mu}, d_a Gamma^i_{jk} and R_{a mu nu}{}^i of an
 extension are structurally zero (below) at any scale of its data.  Every
 other metric is inverted densely.
@@ -32,12 +34,12 @@ every point without evaluating it, so where an evaluated dg overflows, such
 a family reads 0.0 and not the NaN of inf * 0.
 
 A :class:`LeviCivitaConnection` holds its own jet: a copy of the last point
-set it was asked about and, each computed on first use, the inverse metric,
-the values of the order-1 fields, those of the order-2 fields once d Gamma
-is read (under a hundred numbers per point at n = 8), and Gamma once all of
-it is read.  Calls on points equal to that set by value reuse it, so the
-checks of one suite on one sample share one inverse, one evaluation of each
-order's fields and one Gamma.  Every slot block of Gamma or d Gamma, the
+set it was asked about and, each computed on first use, the inverse metric
+once Gamma or d Gamma is read, the values of the order-1 fields, those of
+the order-2 fields once d Gamma is read (under a hundred numbers per point
+at n = 8), and Gamma once all of it is read.  Calls on points equal to
+that set by value reuse it, so the checks of one suite on one sample share
+one inverse, one evaluation of each order's fields and one Gamma.  Every slot block of Gamma or d Gamma, the
 whole table included, is formed on read by one routine, from the rows of
 those arrays: the first-kind sums of only the triples that the block's
 columns read, g^{-1} times them, then the block's rows, one block of points
@@ -59,7 +61,7 @@ neither g nor g^{-1} is evaluated.
 A metric is singular at a point where ``|det g|`` is below
 :data:`DET_FLOOR`; the constant block ``[g_ia]`` that
 :mod:`walkergeom.extensions` inverts is held to the same floor.  ``|det
-g|`` has one rule (``MetricField._abs_det``), which the inverse, the leaf
+g|`` has one rule (``MetricField._abs_det``), which the solve, the leaf
 block and :func:`walkergeom.sampling.sample_points` share: det(C)^2 |det H|,
 H the middle block, on a structurally Walker metric, and the dense
 determinant otherwise.
@@ -103,8 +105,9 @@ and takes one GEMM, per block of points.  A :class:`SymbolicConnection`
 plans its order-0 table.  A metric plans the first-kind sums along v,
 L[m, k] = (1/2)(v^j d_j g_{mk} + v^j d_k g_{jm} - v^j d_m g_{jk}), from its
 order-1 table (200 to 250 terms on an n = 8 extension, where Gamma takes
-3 n^3 = 1536 sums), and the Levi-Civita connection multiplies L by its
-jet's g^{-1}.  A restriction reads its parent's at the embedded points,
+3 n^3 = 1536 sums), and the Levi-Civita connection solves g X = L
+(``MetricField._solve``), so a transport's coefficients read neither Gamma
+nor g^{-1}.  A restriction reads its parent's at the embedded points,
 with v's trailing components zero.
 
 Every component family keeps one read contract.  A read (g, its partials or
@@ -268,23 +271,19 @@ def _contraction_plan(fields, terms) -> tuple:
     return kept, pairs[used] // size, f, matrix[:, used]
 
 
-def _contract(v, values, j, f, matrix, ginv=None) -> np.ndarray:
+def _contract(v, values, j, f, matrix) -> np.ndarray:
     """``T[row, col]`` of a plan (``_contraction_plan``) at each row of ``v``,
-    ``(points, n, n)``, or ``ginv`` (one ``(n, n)`` matrix per row) times it,
-    from ``values``, field values at the same points, one row per point,
-    whose columns ``f`` the pairs read.  Per block of points
-    (``_point_blocks``, by the pairs or n^2, whichever is more), one gather
-    of the products ``v^j V_f``, then one GEMM, so the products exist only
-    per block."""
+    ``(points, n, n)``, from ``values``, field values at the same points,
+    one row per point, whose columns ``f`` the pairs read.  Per block of
+    points (``_point_blocks``, by the pairs or n^2, whichever is more), one
+    gather of the products ``v^j V_f``, then one GEMM, so the products exist
+    only per block."""
     n = v.shape[-1]
     out = np.empty((len(v), n, n))
     for p in _point_blocks(len(v), max(len(j), n * n)):
         w = v[p][:, j]
         w *= values[p][:, f]
-        if ginv is None:
-            np.matmul(w, matrix.T, out=out[p].reshape(-1, n * n))
-        else:
-            np.matmul(ginv[p], np.matmul(w, matrix.T).reshape(-1, n, n), out=out[p])
+        np.matmul(w, matrix.T, out=out[p].reshape(-1, n * n))
     return out
 
 
@@ -432,10 +431,10 @@ class MetricField(_SymmetricComponents):
         return np.einsum("...jmk->...mjk", d) | np.einsum("...kjm->...mjk", d) | d
 
     def _inverse_nonzero(self) -> np.ndarray:
-        """The slot pattern of g^{-1}: False on the blocks that
-        ``_walker_inverse`` leaves exactly zero (leading-leading,
-        leading-middle and middle-leading) when the metric is structurally
-        Walker, all True for the dense inverse."""
+        """The slot pattern of g^{-1}: False on the blocks that are exactly
+        zero (leading-leading, leading-middle and middle-leading) when the
+        metric is structurally Walker (``_walker_solve`` with R = I), all
+        True for the dense inverse."""
         n = self.n
         out = np.ones((n, n), dtype=bool)
         if self._walker_block is not None:
@@ -497,71 +496,93 @@ class MetricField(_SymmetricComponents):
             return None
         return walker[0].T[rows], np.arange(self.n - r, self.n)
 
-    def _abs_det(self, x, g=None) -> np.ndarray:
-        """|det g| at the points ``x``; ``g``, the metric's values there when
+    def _abs_det(self, x, g=None, h=None) -> np.ndarray:
+        """|det g| at the points ``x``; ``g``, the metric's values there, or
+        ``h``, the middle block of a structurally Walker metric there, when
         the caller holds them.  A structurally Walker metric
         (``_walker_block``) reads ``det(C)^2 |det H|``, H the middle block
-        (a slot block read at ``x`` when ``g`` is not given), so it takes no
+        (a slot block read at ``x`` when neither is given), so it takes no
         n x n determinant; every other metric takes the dense one."""
         walker = self._walker_block
         if walker is None:
             return np.abs(np.linalg.det(self.value(x) if g is None else g))
-        mid = self.chart.middle
-        h = self._slot_blocks(0, x, (mid, mid))[0] if g is None else g[..., mid, mid]
+        if h is None:
+            mid = self.chart.middle
+            h = self._slot_blocks(0, x, (mid, mid))[0] if g is None else g[..., mid, mid]
         return walker[1] * np.abs(np.linalg.det(h))
 
-    def _refuse_singular(self, x, g=None) -> None:
+    def _refuse_singular(self, x, g=None, h=None) -> None:
         """Raise SingularMetricError at the first point of ``x`` where
         ``_abs_det`` is below :data:`DET_FLOOR`."""
-        bad = self._abs_det(x, g) < DET_FLOOR
+        bad = self._abs_det(x, g, h) < DET_FLOOR
         if np.any(bad):
             where = np.asarray(x, dtype=float).reshape(-1, self.n)[np.argmax(bad.reshape(-1))]
             raise SingularMetricError(
                 f"metric singular (|det| < {DET_FLOOR:g}) at point {where.tolist()}"
             )
 
-    def inverse_value(self, x) -> np.ndarray:
-        """g^{-1} at ``x``, shape ``x.shape[:-1] + (n, n)``.
+    def _solve(self, x, rhs=None) -> np.ndarray:
+        """g^{-1} rhs at the points ``x``, ``rhs`` one ``(n, k)`` matrix per
+        point (or one for all of them), shape ``x.shape[:-1] + (n, k)``;
+        without ``rhs``, g^{-1} itself.
 
-        A structurally Walker metric (``_walker_block``) is inverted by
-        blocks: the leading rows of g^{-1} are ``[0, 0, C^{-T}]`` exactly, so
-        every quantity they contract with structurally zero fields comes out
-        exactly 0.0, and ``|det g| = det(C)^2 |det H|`` (``_abs_det``) is
-        what meets :data:`DET_FLOOR`.  Every other metric is inverted densely.
+        A structurally Walker metric (``_walker_block``) is solved by block
+        rows (``_walker_solve``) from its slot blocks A, B and H alone: no
+        other entry of g is evaluated and no g^{-1} is formed, and ``|det g|
+        = det(C)^2 |det H|`` (``_abs_det``) is what meets
+        :data:`DET_FLOOR`.  Every other metric is inverted densely,
+        ``np.linalg.inv(g)``, and that inverse multiplies ``rhs``.
         """
-        g = self.value(x)
-        self._refuse_singular(x, g)
         walker = self._walker_block
-        return np.linalg.inv(g) if walker is None else _walker_inverse(g, self.chart.r, walker[0])
+        if walker is None:
+            g = self.value(x)
+            self._refuse_singular(x, g)
+            ginv = np.linalg.inv(g)
+            return ginv if rhs is None else np.matmul(ginv, rhs)
+        lead, mid = self.chart.leading, self.chart.middle
+        a, b, h = self._slot_blocks(0, x, (lead, lead), (lead, mid), (mid, mid))
+        self._refuse_singular(x, h=h)
+        return _walker_solve(a, b, h, walker[0], np.eye(self.n) if rhs is None else rhs)
+
+    def inverse_value(self, x) -> np.ndarray:
+        """g^{-1} at ``x``, shape ``x.shape[:-1] + (n, n)``: ``_solve`` with
+        the identity on the right.
+
+        On a structurally Walker metric the leading rows of g^{-1} are
+        ``[0, 0, C^{-T}]`` exactly, so every quantity they contract with
+        structurally zero fields comes out exactly 0.0.  Every other metric
+        is inverted densely.
+        """
+        return self._solve(x)
 
     def __repr__(self):
         nonzero = {k: str(v) for k, v in self._comps.items() if not v.is_zero}
         return f"MetricField(n={self.n}, {nonzero})"
 
 
-def _walker_inverse(g: np.ndarray, r: int, ci: np.ndarray) -> np.ndarray:
-    """The inverse of g = [[A, B, C], [B^T, H, 0], [C^T, 0, 0]] (blocks of
-    sizes r, n - 2r, r; C constant with inverse ``ci``), point axes first:
+def _walker_solve(a, b, h, ci, rhs) -> np.ndarray:
+    """g^{-1} R for g = [[A, B, C], [B^T, H, 0], [C^T, 0, 0]] (blocks of
+    sizes r, n - 2r, r; C constant with inverse ``ci``) and R = ``rhs``,
+    point axes first, by block rows of g X = R, bottom row first:
 
-        [[0,     0,          C^{-T}                      ],
-         [0,     H^{-1},     -H^{-1} B^T C^{-T}          ],
-         [C^{-1}, -C^{-1} B H^{-1}, C^{-1}(B H^{-1} B^T - A) C^{-T}]]
+        X_lead  = C^{-T} R_trail
+        X_mid   = H^{-1} (R_mid - B^T X_lead)
+        X_trail = C^{-1} (R_lead - A X_lead - B X_mid)
 
-    The off-diagonal middle-trailing blocks are one product and its
-    transpose.
+    Only the m x m block H is inverted per point (batched, it takes half
+    the time of an LU solve with the same right-hand sides); g^{-1} is never
+    formed.  For R = I the leading rows are ``C^{-T} [0, 0, I] = [0, 0,
+    C^{-T}]`` exactly, since each of their entries is one product with 1
+    plus products with 0.
     """
-    q = g.shape[-1] - r
-    a, b, h = g[..., :r, :r], g[..., :r, r:q], g[..., r:q, r:q]
-    hi = np.linalg.inv(h)
-    p = np.matmul(ci, b)  # C^{-1} B
-    k = np.matmul(p, hi)  # C^{-1} B H^{-1}
-    out = np.zeros(g.shape)
-    out[..., :r, q:] = ci.T
-    out[..., q:, :r] = ci
-    out[..., r:q, r:q] = hi
-    out[..., q:, r:q] = -k
-    out[..., r:q, q:] = -np.swapaxes(k, -1, -2)
-    out[..., q:, q:] = np.matmul(k, np.swapaxes(p, -1, -2)) - np.matmul(np.matmul(ci, a), ci.T)
+    r = ci.shape[0]
+    q = rhs.shape[-2] - r
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], rhs.shape[:-2]) + rhs.shape[-2:])
+    lead, mid, trail = out[..., :r, :], out[..., r:q, :], out[..., q:, :]
+    lead[...] = np.matmul(ci.T, rhs[..., q:, :])
+    mid[...] = np.matmul(np.linalg.inv(h),
+                         rhs[..., r:q, :] - np.matmul(np.swapaxes(b, -1, -2), lead))
+    trail[...] = np.matmul(ci, rhs[..., :r, :] - np.matmul(a, lead) - np.matmul(b, mid))
     return out
 
 
@@ -697,9 +718,9 @@ class LeviCivitaConnection(ConnectionField):
     the floor through ``|det g| = det(C)^2 |det H|``, reading H alone.
 
     The connection holds the jet of the last point set it was asked about: a
-    copy of the points, g^{-1}, the order-1 field values, the order-2 field
-    values once d Gamma is read, and Gamma once all of it is read, each
-    computed on first use.  A later call whose points equal that copy by
+    copy of the points, g^{-1} once Gamma or d Gamma is read, the order-1
+    field values, the order-2 field values once d Gamma is read, and Gamma
+    once all of it is read, each computed on first use.  A later call whose points equal that copy by
     value (same shape, equal entries; points changed in place since do not
     match) reads the jet, so checks that share their sample points share one
     inverse and one evaluation of each order's fields.  A read of ``rows``
@@ -712,10 +733,12 @@ class LeviCivitaConnection(ConnectionField):
     never held: each read forms its block from the jet's field values.
 
     ``gamma_along(x, v)`` reads Gamma^l_{jk} v^j without forming Gamma: the
-    metric's plan contracts v into the first-kind sums from the jet's
-    order-1 field values, and the jet's g^{-1} multiplies them, one point
-    block at a time.  So a transport's coefficients hold neither Gamma nor
-    ``low`` on its grid.  The jet also holds the transport propagators of
+    metric's plan contracts v into the first-kind sums L from the jet's
+    order-1 field values, one point block at a time, and the metric solves
+    g X = L (``MetricField._solve``), never reading the jet's g^{-1}; on a
+    structurally Walker metric that solve evaluates only the blocks A, B
+    and H of g.  So a transport's coefficients hold neither Gamma, ``low``
+    nor g^{-1} on its grid.  The jet also holds the transport propagators of
     the last curve transported on its points (``_propagators``), keyed by
     the curve (equal components, ``t_span`` and ``step``) and read-only, so
     the transports of one curve share one solve.  The solve was built one
@@ -892,10 +915,9 @@ class LeviCivitaConnection(ConnectionField):
         x, v = _points_and_vectors(x, v, self.n)
         if not self._on_jet(x):
             self._start(x)
-        ginv = self._inverse()
         kept, j, f, matrix = self.metric._along_plan
-        out = _contract(_rows(v), self._values(1), j, kept[f], matrix, ginv)
-        return _frozen(out.reshape(x.shape + (self.n,)))
+        low = _contract(_rows(v), self._values(1), j, kept[f], matrix)
+        return _frozen(self.metric._solve(_rows(x), low).reshape(x.shape + (self.n,)))
 
     def gamma_partial(self, x, block=(), rows=None) -> np.ndarray:
         x = _as_points(x, self.n)

@@ -8,7 +8,9 @@ with a fixed-step classical 4th-order scheme.  Because the curve is known in
 closed form, the coefficient matrices ``A(t) = -Gamma(x(t)) . xdot(t)`` are
 evaluated in vectorized passes over the step and half-step grid, by the
 connection's ``gamma_along``, which contracts the velocity into the
-component fields without forming Gamma.  The
+component fields without forming Gamma; a Levi-Civita connection then
+solves with the metric by blocks (``MetricField._solve``) and forms no
+g^{-1} on the grid.  The
 equation is linear in ``w``, so each step is a matrix ``w -> P_k w``.  The
 step propagators are built one block of steps at a time
 (``tensor._point_blocks`` with one n x n matrix per step, so a block holds

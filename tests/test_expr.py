@@ -254,6 +254,37 @@ def test_unchecked_evaluation_propagates_inf():
     assert np.isinf(val).all()
 
 
+def _squaring_chain(x, k):
+    """x^|k| as the squares x, x^2, x^4, ... multiplied in at the set bits
+    of |k|, lowest first, and 1/that for k < 0."""
+    out, square, bits = None, x, abs(k)
+    while bits:
+        if bits & 1:
+            out = square if out is None else out * square
+        bits >>= 1
+        square = square * square
+    return 1.0 / out if k < 0 else out
+
+
+@pytest.mark.parametrize("k", [k for k in range(-12, 13) if abs(k) >= 2])
+def test_integer_powers_are_products(k):
+    x = np.random.default_rng(abs(k)).uniform(-2.0, 2.0, 2001)
+    f = parse_expression(f"x1^{k}", 1)
+    got = f.evaluate(x[:, None])
+    assert got.tobytes() == _squaring_chain(x, k).tobytes()
+    want = np.power(x, float(k))
+    assert np.all(np.abs(got - want) <= 2 * abs(k) * np.spacing(np.abs(want)))
+    # signed zeros, infinities and NaN as numpy's power has them
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e-200])
+    with np.errstate(all="ignore"):
+        got = f.evaluate(special[:, None], checked=False)
+        want = np.power(special, float(k))
+    assert got.tobytes() == want.tobytes()
+    if k < 0:
+        with pytest.raises(EvaluationError, match=re.escape(f"division by zero: x1^{k}")):
+            f.evaluate([[0.5], [-0.0]])
+
+
 # ---------------------------------------------------------------------------
 # differentiation
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from walkergeom.distributions import WALKER_DET_FLOOR, _reduced, projectability_
 from walkergeom.expr import evaluate_fields
 from walkergeom.sampling import sample_points
 from walkergeom.tensor import JET_BLOCK, LeviCivitaConnection
+from walkergeom.transport import CurveSpec, parallel_transport
 
 from tensor_oracles import (
     covariant_derivative_metric_residual,
@@ -379,21 +380,46 @@ def test_extension_zero_families_are_exactly_zero_at_every_scale(scale):
     assert [row.residual for row in rows] == [0.0] * 4
 
 
-@pytest.mark.parametrize("components, chart", [
+_DENSE_METRICS = [
     # a two-block chart
-    ({(1, 1): "2 + x1*x3", (1, 3): 1.0, (2, 2): 1.0}, ChartSplit.two_block(3, 1)),
+    pytest.param({(1, 1): "2 + x1*x3", (1, 3): 1.0, (2, 2): 1.0}, ChartSplit.two_block(3, 1),
+                 id="two_block"),
     # a g_ia that varies
-    ({(1, 1): "x2", (1, 3): "1 + 0.1*x1", (2, 2): 1.0}, ChartSplit.three_block(3, 1)),
+    pytest.param({(1, 1): "x2", (1, 3): "1 + 0.1*x1", (2, 2): 1.0},
+                 ChartSplit.three_block(3, 1), id="varying_g_ia"),
     # a nonzero g_ab
-    ({(1, 1): "x2", (1, 3): 1.0, (2, 2): 1.0, (3, 3): "0.1*x1"}, ChartSplit.three_block(3, 1)),
+    pytest.param({(1, 1): "x2", (1, 3): 1.0, (2, 2): 1.0, (3, 3): "0.1*x1"},
+                 ChartSplit.three_block(3, 1), id="g_ab"),
     # a nonzero g_ap
-    ({(1, 1): "x2", (1, 3): 1.0, (2, 2): 1.0, (2, 3): 0.5}, ChartSplit.three_block(3, 1)),
-], ids=["two_block", "varying_g_ia", "g_ab", "g_ap"])
+    pytest.param({(1, 1): "x2", (1, 3): 1.0, (2, 2): 1.0, (2, 3): 0.5},
+                 ChartSplit.three_block(3, 1), id="g_ap"),
+]
+
+
+@pytest.mark.parametrize("components, chart", _DENSE_METRICS)
 def test_other_metrics_keep_the_dense_inverse(components, chart):
     g = MetricField(chart, components)
     assert g._walker_block is None
     x = np.random.default_rng(3).uniform(-0.5, 0.5, (20, g.n))
     assert np.array_equal(g.inverse_value(x), np.linalg.inv(g.value(x)))
+
+
+def _solve_metrics():
+    dense = [pytest.param(MetricField(chart, components), id=f"dense_{param.id}")
+             for param in _DENSE_METRICS for components, chart in [param.values]]
+    return _walker_metrics() + dense
+
+
+@pytest.mark.parametrize("g", _solve_metrics())
+def test_solve_matches_a_dense_solve(g):
+    rng = np.random.default_rng(g.n)
+    x = sample_points(g, 30, seed=g.n)
+    for pts in (x, x[7], x[:6].reshape(2, 3, g.n)):
+        for width in (1, g.n):
+            rhs = rng.uniform(-1.0, 1.0, pts.shape[:-1] + (g.n, width))
+            got, want = g._solve(pts, rhs), np.linalg.solve(g.value(pts), rhs)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_a_singular_constant_block_is_refused_by_the_dense_path():
@@ -424,6 +450,19 @@ def test_block_inverse_reads_the_determinant_floor_from_c_and_h():
     assert tiny._walker_block is not None
     with pytest.raises(SingularMetricError):
         tiny.inverse_value(x[:1])
+
+
+def test_block_solve_reads_the_determinant_floor_from_c_and_h():
+    # the metric above: det H = x2, which vanishes at the second point and,
+    # on the curve x(t) = (0.3, t - 0.5, 0.5), at the grid time t = 0.5
+    g = MetricField(ChartSplit.three_block(3, 1), {(1, 1): "x1", (1, 3): 1.0, (2, 2): "x2"})
+    x = np.array([[0.3, 0.5, 0.2], [0.3, 0.0, 0.5]])
+    message = "metric singular (|det| < 1e-12) at point [0.3, 0.0, 0.5]"
+    with pytest.raises(SingularMetricError, match=re.escape(message)):
+        christoffel(g).gamma_along(x, np.ones_like(x))
+    curve = CurveSpec(("0.3", "x1 - 0.5", "0.5"), step=0.25)
+    with pytest.raises(SingularMetricError, match=re.escape(message)):
+        parallel_transport(christoffel(g), curve, [1.0, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -308,12 +308,14 @@ def test_transport_and_commute_checks_share_one_solve(monkeypatch):
     V = DistributionSpec.orthocomplement(g.chart)
     built = count_calls(monkeypatch, transport, "_coefficients")
     inverses = count_calls(monkeypatch, MetricField, "inverse_value")
+    solves = count_calls(monkeypatch, MetricField, "_solve")
     runs = upstairs_runs(monkeypatch)
     transport.parallel_transport(conn, curve, w0)
     projection_commutes_residual(g, D, V, curve, w0, conn=conn)
     projection_commutes_residual(g, perturbed, V, curve, w0, conn=conn)
     assert sum(isinstance(c, LeviCivitaConnection) for c in built) == 1
-    assert len(inverses) == 1
+    # the coefficients solve g X = L once, and form no g^{-1}
+    assert len(solves) == 1 and len(inverses) == 0
     monkeypatch.undo()
     fresh = parallel_transport(christoffel(g), curve, w0).vectors
     assert len(runs) == 3
