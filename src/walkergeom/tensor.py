@@ -569,9 +569,9 @@ def _walker_solve(a, b, h, ci, rhs) -> np.ndarray:
         X_mid   = H^{-1} (R_mid - B^T X_lead)
         X_trail = C^{-1} (R_lead - A X_lead - B X_mid)
 
-    Only the m x m block H is inverted per point (batched, it takes half
-    the time of an LU solve with the same right-hand sides); g^{-1} is never
-    formed.  For R = I the leading rows are ``C^{-T} [0, 0, I] = [0, 0,
+    Only the m x m block H is inverted per point, since numpy's batched LU
+    solve of such small systems costs more than an inverse and a matmul;
+    g^{-1} is never formed.  For R = I the leading rows are ``C^{-T} [0, 0, I] = [0, 0,
     C^{-T}]`` exactly, since each of their entries is one product with 1
     plus products with 0.
     """
