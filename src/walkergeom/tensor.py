@@ -571,9 +571,9 @@ def _walker_solve(a, b, h, ci, rhs) -> np.ndarray:
 
     Only the m x m block H is inverted per point, since numpy's batched LU
     solve of such small systems costs more than an inverse and a matmul;
-    g^{-1} is never formed.  For R = I the leading rows are ``C^{-T} [0, 0, I] = [0, 0,
-    C^{-T}]`` exactly, since each of their entries is one product with 1
-    plus products with 0.
+    g^{-1} is never formed.  For R = I the leading rows are ``C^{-T} [0, 0,
+    I] = [0, 0, C^{-T}]`` exactly, since each of their entries is one
+    product with 1 plus products with 0.
     """
     r = ci.shape[0]
     q = rhs.shape[-2] - r
