@@ -39,11 +39,11 @@ once Gamma or d Gamma is read, the values of the order-1 fields, those of
 the order-2 fields once d Gamma is read (under a hundred numbers per point
 at n = 8), and Gamma once all of it is read.  Calls on points equal to
 that set by value reuse it, so the checks of one suite on one sample share
-one inverse, one evaluation of each order's fields and one Gamma.  Every slot block of Gamma or d Gamma, the
-whole table included, is formed on read by one routine, from the rows of
-those arrays: the first-kind sums of only the triples that the block's
-columns read, g^{-1} times them, then the block's rows, one block of points
-at a time (``max(1, JET_BLOCK // n**4)`` points for all of d Gamma,
+one inverse, one evaluation of each order's fields and one Gamma.  Every
+slot block of Gamma or d Gamma, the whole table included, is formed on read
+by one routine, from the rows of those arrays: the first-kind sums of only
+the triples that the block's columns read, g^{-1} times them, then the
+block's rows, one block of points at a time (``max(1, JET_BLOCK // n**4)`` points for all of d Gamma,
 ``max(1, JET_BLOCK // n**3)`` for all of Gamma), so dg and the sums exist
 only per block and d^2 g is never laid out.  Given ``rows``, a read forms
 only those points; the checks of :mod:`walkergeom.distributions` read d
@@ -720,10 +720,11 @@ class LeviCivitaConnection(ConnectionField):
     The connection holds the jet of the last point set it was asked about: a
     copy of the points, g^{-1} once Gamma or d Gamma is read, the order-1
     field values, the order-2 field values once d Gamma is read, and Gamma
-    once all of it is read, each computed on first use.  A later call whose points equal that copy by
-    value (same shape, equal entries; points changed in place since do not
-    match) reads the jet, so checks that share their sample points share one
-    inverse and one evaluation of each order's fields.  A read of ``rows``
+    once all of it is read, each computed on first use.  A later call whose
+    points equal that copy by value (same shape, equal entries; points
+    changed in place since do not match) reads the jet, so checks that
+    share their sample points share one inverse and one evaluation of each
+    order's fields.  A read of ``rows``
     compares only those rows of ``x`` with the jet's points.  The held Gamma
     serves whole reads only: ``gamma(x, block)`` on the jet's points forms
     the block from the jet's arrays.  A slot block of Gamma at other points
