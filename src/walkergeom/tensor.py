@@ -37,26 +37,26 @@ A :class:`LeviCivitaConnection` holds its own jet: a copy of the last point
 set it was asked about and, each computed on first use, the inverse metric
 once Gamma or d Gamma is read, the values of the order-1 fields, those of
 the order-2 fields once d Gamma is read (under a hundred numbers per point
-at n = 8), and Gamma once all of it is read.  Calls on points equal to
-that set by value reuse it, so the checks of one suite on one sample share
-one inverse, one evaluation of each order's fields and one Gamma.  Every
-slot block of Gamma or d Gamma, the whole table included, is formed on read
-by one routine, from the rows of those arrays: the first-kind sums of only
-the triples that the block's columns read, g^{-1} times them, then the
-block's rows, one block of points at a time (``max(1, JET_BLOCK // n**4)`` points for all of d Gamma,
-``max(1, JET_BLOCK // n**3)`` for all of Gamma), so dg and the sums exist
-only per block and d^2 g is never laid out.  Given ``rows``, a read forms
-only those points; the checks of :mod:`walkergeom.distributions` read d
-Gamma one point block at a time, so a check suite's peak memory is the jet
-it holds.  The held Gamma serves whole reads; a slot block is always
-formed.  A slot block of Gamma at points other than the jet's (the leaf
-block that a restriction reads) is read from a jet of its own and leaves
-this one as it is.  Wherever a block's rows of g^{-1} are the same at every
-point, the leading rows ``[0, 0, C^{-T}]`` of a structurally Walker metric,
-the same routine reads them in place of g^{-1}: Gamma^i_{jk} = (C^{-T})_{ia}
-Gamma_{a,jk} with only the triples Gamma_{a,jk} lowered, from only the
-order-1 fields they read (d_a g_{jk}, and d_j g_{ak}, the constant 0), and
-neither g nor g^{-1} is evaluated.
+at n = 8), and Gamma once all of it is read.  Calls on points equal to that
+set by value reuse it, so the checks of one suite on one sample share one
+inverse, one evaluation of each order's fields and one Gamma.  Every slot
+block of Gamma or d Gamma, the whole table included, is formed on read by
+one routine, from the rows of those arrays: the first-kind sums of only the
+triples that the block's columns read, g^{-1} times them, then the block's
+rows, one block of points at a time (``max(1, JET_BLOCK // n**4)`` points
+for all of d Gamma, ``max(1, JET_BLOCK // n**3)`` for all of Gamma), so dg
+and the sums exist only per block and d^2 g is never laid out.  Given
+``rows``, a read forms only those points; the checks of
+:mod:`walkergeom.distributions` read d Gamma one point block at a time, so a
+check suite's peak memory is the jet it holds.  The held Gamma serves whole
+reads; a slot block is always formed.  A slot block of Gamma at points other
+than the jet's (the leaf block that a restriction reads) is read from a jet
+of its own and leaves this one as it is.  Wherever a block's rows of g^{-1}
+are the same at every point, the leading rows ``[0, 0, C^{-T}]`` of a
+structurally Walker metric, the same routine reads them in place of g^{-1}:
+Gamma^i_{jk} = (C^{-T})_{ia} Gamma_{a,jk} with only the triples Gamma_{a,jk}
+lowered, from only the order-1 fields they read (d_a g_{jk}, and d_j g_{ak},
+the constant 0), and neither g nor g^{-1} is evaluated.
 
 A metric is singular at a point where ``|det g|`` is below
 :data:`DET_FLOOR`; the constant block ``[g_ia]`` that
@@ -722,16 +722,16 @@ class LeviCivitaConnection(ConnectionField):
     field values, the order-2 field values once d Gamma is read, and Gamma
     once all of it is read, each computed on first use.  A later call whose
     points equal that copy by value (same shape, equal entries; points
-    changed in place since do not match) reads the jet, so checks that
-    share their sample points share one inverse and one evaluation of each
-    order's fields.  A read of ``rows``
-    compares only those rows of ``x`` with the jet's points.  The held Gamma
-    serves whole reads only: ``gamma(x, block)`` on the jet's points forms
-    the block from the jet's arrays.  A slot block of Gamma at other points
-    is read from a jet of its own, a new connection started on those points,
-    and leaves this jet as it is; a block of Gamma on constant rows of
-    g^{-1} is formed from those rows, on the jet or off it.  d Gamma is
-    never held: each read forms its block from the jet's field values.
+    changed in place since do not match) reads the jet, so checks that share
+    their sample points share one inverse and one evaluation of each order's
+    fields.  A read of ``rows`` compares only those rows of ``x`` with the
+    jet's points.  The held Gamma serves whole reads only: ``gamma(x,
+    block)`` on the jet's points forms the block from the jet's arrays.  A
+    slot block of Gamma at other points is read from a jet of its own, a new
+    connection started on those points, and leaves this jet as it is; a
+    block of Gamma on constant rows of g^{-1} is formed from those rows, on
+    the jet or off it.  d Gamma is never held: each read forms its block from
+    the jet's field values.
 
     ``gamma_along(x, v)`` reads Gamma^l_{jk} v^j without forming Gamma: the
     metric's plan contracts v into the first-kind sums L from the jet's
