@@ -11,7 +11,12 @@ with ``[g_ia]`` a fixed nonsingular r x r matrix of constants (identity by
 default).  ``m = 0`` recovers the classical cotangent construction.  The
 companion operations implement the Killing operator of ``D`` (extended by
 the middle-block partials), fiber translations by a one-form section and
-the transformation rule they satisfy.
+the transformation rule they satisfy.  Such a metric is affine in the
+trailing coordinates x^a, so the rule reads ``omega*g - g`` as a difference
+from g's trailing rows and their partials d_a g at the points, with terms of
+the size of the section whatever the scale of ``[g_ia]``; g is not evaluated
+at translated points.  A metric not affine in x^a takes the shifted
+pullback (:func:`fiber_translate_pullback`) minus g.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from .chart import ChartSplit
 from .distributions import CheckResult, _reduced
-from .expr import ScalarField, as_field, coordinate, evaluate_fields
+from .expr import ScalarField, _as_points, _const, add, as_field, coordinate, evaluate_fields, mul
 from .tensor import (
     DET_FLOOR,
     MetricField,
@@ -133,9 +138,11 @@ def build_pullback_extension(spec: ExtensionSpec) -> MetricField:
     chart = ChartSplit.three_block(n, r)
     comps = {}
     D = spec.base_connection
+    trailing = [coordinate(r + m + a, n).node for a in range(1, r + 1)]
     for j in range(1, r + 1):
         for k in range(j, r + 1):
-            f = spec.lam_component(j, k).with_dimension(n)
+            # lambda_jk, then one product per nonzero (Gamma^i_jk, g_ia), one sum
+            terms = [spec.lam_component(j, k).node]
             for i in range(1, r + 1):
                 gamma = D.component(i, j, k)
                 if gamma.is_zero:
@@ -144,9 +151,8 @@ def build_pullback_extension(spec: ExtensionSpec) -> MetricField:
                     coeff = spec.g_ia[i - 1, a - 1]
                     if coeff == 0.0:
                         continue
-                    term = (-2.0 * coeff) * coordinate(r + m + a, n) * gamma.with_dimension(n)
-                    f = f + term
-            comps[(j, k)] = f
+                    terms.append(mul(_const(-2.0 * coeff), trailing[a - 1], gamma.node))
+            comps[(j, k)] = ScalarField(add(*terms), n)
     for i in range(1, r + 1):
         for p in range(r + 1, r + m + 1):
             comps[(i, p)] = spec.lam_component(i, p).with_dimension(n)
@@ -176,10 +182,15 @@ def killing_operator(D: SymbolicConnection, omega: OneFormSection, x) -> np.ndar
     evaluated at ``x`` (a single point or batch; leading+middle coordinates
     are used, so full-chart points are accepted too).
     """
-    r, m = omega.r, omega.m
-    q = r + m
     om, dom = omega.jet(x)
-    G = D.gamma(np.asarray(x, dtype=float)[..., :r])
+    return _killing(D.gamma(np.asarray(x, dtype=float)[..., :omega.r]), om, dom)
+
+
+def _killing(G, om, dom) -> np.ndarray:
+    """The :func:`killing_operator` matrix from D's components ``G`` and the
+    section's jet ``om``, ``dom`` (``OneFormSection.jet``), all at the same
+    points."""
+    r, q = om.shape[-1], dom.shape[-2]
     out = np.zeros(om.shape[:-1] + (q, q))
     lead = slice(0, r)
     out[..., lead, lead] = (
@@ -187,10 +198,20 @@ def killing_operator(D: SymbolicConnection, omega: OneFormSection, x) -> np.ndar
         + np.einsum("...ij->...ji", dom[..., :r, :])
         - 2.0 * np.einsum("...kij,...k->...ij", G, om)
     )
-    if m > 0:
+    if q > r:
         out[..., lead, r:q] = np.einsum("...pi->...ip", dom[..., r:q, :])
         out[..., r:q, lead] = dom[..., r:q, :]
     return out
+
+
+def _check_blocks(g: MetricField, omega: OneFormSection) -> None:
+    """Refuse a chart of g that is not three-block, or whose blocks
+    ``omega`` does not match."""
+    chart = g.chart
+    if chart.mode != "three_block":
+        raise ValueError("fiber translation requires a three-block chart")
+    if (omega.r, omega.m) != (chart.r, chart.middle_size):
+        raise ValueError("one-form section does not match the chart blocks")
 
 
 def fiber_translate_pullback(
@@ -202,13 +223,9 @@ def fiber_translate_pullback(
     ``x^a -> x^a + g^{ai} omega_i`` and fixes the rest; the pullback is
     computed by the chain rule with exact partials of ``omega``.
     """
-    chart = g.chart
-    if chart.mode != "three_block":
-        raise ValueError("fiber translation requires a three-block chart")
-    r, m, n = chart.r, chart.middle_size, chart.n
-    if (omega.r, omega.m) != (r, m):
-        raise ValueError("one-form section does not match the chart blocks")
-    q = r + m
+    _check_blocks(g, omega)
+    n = g.chart.n
+    q = n - g.chart.r
     ginv = np.linalg.inv(np.asarray(g_ia, dtype=float))  # [a, i]
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != n:
@@ -226,26 +243,78 @@ def fiber_translate_pullback(
     return np.einsum("...ab,...am,...bn->...mn", g_at, jac, jac)
 
 
+def _translation_difference(g_trail, dg, ginv, om, dom) -> np.ndarray:
+    """``omega*g - g`` for g affine in the trailing coordinates, from its
+    trailing rows ``g_trail`` (``[..., a, mu]``) and their partials ``dg``
+    (``[..., a, mu, nu] = d_a g_{mu nu}``) at the points, ``ginv`` the inverse
+    of ``[g_ia]`` and ``om``, ``dom`` the section's jet there.
+
+    With delta = ginv omega and J = I + E, E[q+a, mu] = (ginv d_mu omega)_a
+    nonzero only in the trailing rows and leading+middle columns, g(x +
+    delta) = g' = g + delta^a d_a g exactly, so
+
+        J^T g' J - g = delta^a d_a g + E^T g' + g' E + E^T g' E,
+
+    whose last three terms read only the trailing rows of g'.  Each term is
+    of the size of omega's jet, whatever the scale of [g_ia], where the
+    shifted form subtracts entries of that scale.
+    """
+    q = dom.shape[-2]
+    e = np.matmul(ginv, np.swapaxes(dom, -1, -2))  # [..., a, mu]
+    diff = np.einsum("...a,...amn->...mn", np.matmul(om, ginv.T), dg)
+    f = np.matmul(np.swapaxes(e, -1, -2), g_trail + diff[..., q:, :])  # E^T g', [..., mu, nu]
+    diff[..., :q, :] += f
+    diff[..., :, :q] += np.swapaxes(f, -1, -2)
+    diff[..., :q, :q] += np.matmul(f[..., q:], e)
+    return diff
+
+
 def transformation_rule_residual(
     g: MetricField, spec: ExtensionSpec, omega: OneFormSection, points
 ) -> CheckResult:
     """Residual of ``omega*g = g + pi*(L omega)`` at the sampled points.
 
     ``pi*(L omega)`` places the Killing matrix in the leading+middle block
-    and is zero in any slot with a trailing index.
+    and is zero in any slot with a trailing index.  Where g is affine in the
+    trailing coordinates, as every built extension is, ``omega*g - g`` is
+    formed as a difference from g's trailing rows and their partials
+    (``_translation_difference``); every other metric takes
+    ``fiber_translate_pullback(...) - g.value(points)``.
     """
     return _transformation_rule_rows(g, spec, [omega], points)[0]
 
 
 def _transformation_rule_rows(g: MetricField, spec: ExtensionSpec, omegas, points) -> list:
     """The :func:`transformation_rule_residual` row of each one-form section
-    of ``omegas`` at ``points``, with the same bits, all subtracting one
-    evaluation of g there."""
-    q = spec.r + spec.m
-    g_x = g.value(points)
+    of ``omegas`` at ``points``, with the same bits.
+
+    The sections share one read of D and, when the order-2 slots
+    ``[trail, trail]`` of g are structurally zero (g affine in the trailing
+    coordinates), one read of g's trailing rows and of their trailing
+    partials d_a g; g is then never evaluated, at the points or at their
+    translates.  Otherwise they share one evaluation of g at the points, and
+    each section evaluates g at its translates (``fiber_translate_pullback``).
+    """
+    for omega in omegas:
+        _check_blocks(g, omega)
+    r, trail = g.chart.r, g.chart.trailing
+    q = g.n - r
+    x = _as_points(points, g.n)
+    G = spec.base_connection.gamma(x[..., :r])
+    affine = not np.any(g._nonzero(2)[trail, trail])
+    if affine:
+        ginv = np.linalg.inv(spec.g_ia)
+        g_trail = g._slot_blocks(0, x, (trail,))[0]
+        dg = g._slot_blocks(1, x, (trail,))[0]
+    else:
+        g_x = g.value(x)
     rows = []
     for omega in omegas:
-        diff = fiber_translate_pullback(g, omega, spec.g_ia, points) - g_x
-        diff[..., :q, :q] -= killing_operator(spec.base_connection, omega, points)
-        rows.append(_reduced("transformation_rule", points, diff))
+        om, dom = omega.jet(x)
+        if affine:
+            diff = _translation_difference(g_trail, dg, ginv, om, dom)
+        else:
+            diff = fiber_translate_pullback(g, omega, spec.g_ia, x) - g_x
+        diff[..., :q, :q] -= _killing(G, om, dom)
+        rows.append(_reduced("transformation_rule", x, diff))
     return rows

@@ -57,8 +57,11 @@ UNUSED_IN_SRC = {
     "curvature_components",  # the full R, the reference for the curvature_condition block
     "euler_transport",  # the independent first-order reference for RK4, and a benchmark op
     # the rule for one section; the check row reads its three sections
-    # through one evaluation of g (extensions._transformation_rule_rows)
+    # through one read of g (extensions._transformation_rule_rows)
     "transformation_rule_residual",
+    # the Killing matrix of one section; the check row forms its three
+    # sections' from one read of D (extensions._killing)
+    "killing_operator",
 }
 
 

@@ -1,8 +1,12 @@
 """Extension builders, the Killing operator, fiber translations and the
 canonical identifications."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walkergeom import (
     DistributionSpec,
@@ -17,15 +21,22 @@ from walkergeom import (
     check_parallel,
     check_projectable,
     christoffel,
+    cli,
+    coordinate,
     curvature_components,
     curvature_condition,
     fiber_translate_pullback,
     killing_operator,
     transformation_rule_residual,
 )
-from walkergeom.corpus import random_extension_spec, random_one_form
+from walkergeom.corpus import (
+    random_extension_spec,
+    random_nonsingular_constant,
+    random_one_form,
+    random_polynomial,
+)
 from walkergeom.distributions import _reduced
-from walkergeom.extensions import _transformation_rule_rows
+from walkergeom.extensions import _transformation_rule_rows, _translation_difference
 from walkergeom.sampling import sample_points
 
 from leaf_oracles import canonical_field_parallelism, canonical_vertical_field
@@ -121,6 +132,45 @@ def test_builder_is_deterministic():
     for mu in range(1, 6):
         for nu in range(mu, 6):
             assert a.component(mu, nu) == b.component(mu, nu)
+
+
+def _operator_built_extension(spec):
+    """The leading block of the extension as the builder once formed it,
+    term by term through the field operators (the oracle of the one-sum
+    builder)."""
+    r, m, n = spec.r, spec.m, spec.n
+    comps = {}
+    for j in range(1, r + 1):
+        for k in range(j, r + 1):
+            f = spec.lam_component(j, k).with_dimension(n)
+            for i in range(1, r + 1):
+                gamma = spec.base_connection.component(i, j, k)
+                if gamma.is_zero:
+                    continue
+                for a in range(1, r + 1):
+                    coeff = spec.g_ia[i - 1, a - 1]
+                    if coeff == 0.0:
+                        continue
+                    f = f + (-2.0 * coeff) * coordinate(r + m + a, n) * gamma.with_dimension(n)
+            comps[(j, k)] = f
+    return comps
+
+
+def test_builder_sums_each_leading_entry_once():
+    # each leading entry is one add of lambda_jk and one product per
+    # (Gamma^i_jk, g_ia) pair: the same tree, node for node, as the sum
+    # formed term by term
+    rng = np.random.default_rng(21)
+    for r in (1, 2, 3):
+        for m in (0, 2):
+            ext = random_extension_spec(rng, r, m)
+            for g_ia in (np.eye(r), random_nonsingular_constant(rng, r)):
+                spec = ExtensionSpec(r=r, m=m, base_connection=ext.base_connection,
+                                     lam=ext.lam, g_ia=g_ia)
+                g = build_pullback_extension(spec)
+                for (j, k), f in _operator_built_extension(spec).items():
+                    assert g.component(j, k) == f
+                    assert g.component(j, k).to_text() == f.to_text()
 
 
 def test_restriction_to_zero_section_is_exact():
@@ -247,40 +297,135 @@ def test_transformation_rule_on_random_data():
         assert transformation_rule_residual(g, spec, omega, pts).residual < 1e-9
 
 
-def test_transformation_rule_rows_share_one_evaluation_of_g(monkeypatch):
-    # the check row's three sections subtract one evaluation of g at the
-    # points, and each section's partials are derived once, when it is built
+def test_transformation_rule_rows_share_one_read_of_g(monkeypatch):
+    # the check row's three sections share one read of g's trailing rows, one
+    # of their trailing partials, both at the points, and one of D: g is
+    # never evaluated at translated points, and each section's partials are
+    # derived once, when it is built
     rng = np.random.default_rng(5)
     for (r, m) in [(1, 0), (2, 1), (3, 2)]:
         spec = random_extension_spec(rng, r, m)
         g = build_pullback_extension(spec)
+        g._nonzero(2)  # the tables a fresh metric builds on first use
         pts = sample_points(g, 20, seed=r + m)
         omegas = [random_one_form(rng, r, m) for _ in range(3)]
-        want = []
-        for omega in omegas:
-            # the rule as a difference of the three public operators
-            diff = fiber_translate_pullback(g, omega, spec.g_ia, pts) - g.value(pts)
-            diff[..., :r + m, :r + m] -= killing_operator(spec.base_connection, omega, pts)
-            want.append(_reduced("transformation_rule", pts, diff))
-        values, partials = [], []
-        value = MetricField.value
-        monkeypatch.setattr(MetricField, "value",
-                            lambda self, x: values.append(x) or value(self, x))
+        reads, partials, connection_reads = [], [], []
+        read = MetricField._slot_blocks
+        monkeypatch.setattr(MetricField, "_slot_blocks", lambda self, order, x, *blocks: (
+            reads.append((order, x)) or read(self, order, x, *blocks)))
+        gamma = SymbolicConnection.gamma
+        monkeypatch.setattr(SymbolicConnection, "gamma", lambda self, x, block=(): (
+            connection_reads.append(x) or gamma(self, x, block)))
         partial = ScalarField.partial
         monkeypatch.setattr(ScalarField, "partial",
                             lambda self, i: partials.append(i) or partial(self, i))
         rows = _transformation_rule_rows(g, spec, omegas, pts)
-        one = transformation_rule_residual(g, spec, omegas[1], pts)
         monkeypatch.undo()
-        assert [(row.residual, row.worst_point.tolist()) for row in rows] == [
-            (row.residual, row.worst_point.tolist()) for row in want]
-        assert (one.residual, one.worst_point.tolist()) == (want[1].residual,
-                                                            want[1].worst_point.tolist())
-        # g at the points once, at each section's translates once; then the
-        # single-section rule: the points and the translates
-        assert len(values) == 1 + 3 + 2
-        assert sum(np.array_equal(x, pts) for x in values) == 2
+        assert [order for order, _ in reads] == [0, 1]
+        assert all(np.array_equal(x, pts) for _, x in reads)
+        assert len(connection_reads) == 1  # D, for the three Killing matrices
         assert partials == []
+        for row, omega in zip(rows, omegas):
+            one = transformation_rule_residual(g, spec, omega, pts)
+            assert (row.residual, row.worst_point.tolist()) == (one.residual,
+                                                                one.worst_point.tolist())
+
+
+def _off_walker(g, rng):
+    """g plus, in every slot with a trailing index, a random polynomial of
+    the leading+middle coordinates times (1 + x^a) for one trailing a: still
+    affine in the trailing coordinates, but no longer of Walker form, so
+    g's trailing rows and their partials d_a g are not constants and zeros."""
+    n, q = g.n, g.n - g.chart.r
+    comps = {(mu, nu): g.component(mu, nu) for mu in range(1, n + 1) for nu in range(mu, n + 1)}
+    for mu, nu in comps:
+        if nu > q:
+            a = int(rng.integers(q + 1, n + 1))
+            bump = random_polynomial(rng, n, scale=0.3, variables=range(1, q + 1))
+            comps[(mu, nu)] = comps[(mu, nu)] + bump * (1.0 + coordinate(a, n))
+    return MetricField(g.chart, comps)
+
+
+def test_transformation_rule_difference_agrees_with_the_shifted_form():
+    # on metrics affine in the trailing coordinates (built extensions, and
+    # the same off Walker form) the difference from g's trailing rows and
+    # d_a g is the translated evaluation of g minus g, to a few ulps of the
+    # entries that the latter subtracts
+    rng = np.random.default_rng(17)
+    for case in range(24):
+        r, m = [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (3, 1), (3, 2)][case % 8]
+        spec = random_extension_spec(rng, r, m)
+        built = build_pullback_extension(spec)
+        pts = sample_points(built, 20, seed=case)
+        omega = random_one_form(rng, r, m)
+        trail = built.chart.trailing
+        for g in (built, _off_walker(built, rng)):
+            assert not np.any(g._nonzero(2)[trail, trail])
+            diff = _translation_difference(g._slot_blocks(0, pts, (trail,))[0],
+                                           g._slot_blocks(1, pts, (trail,))[0],
+                                           np.linalg.inv(spec.g_ia), *omega.jet(pts))
+            pulled, at = fiber_translate_pullback(g, omega, spec.g_ia, pts), g.value(pts)
+            # an ulp of the entries that the shifted form subtracts
+            ulp = np.finfo(float).eps * max(np.max(np.abs(pulled)), np.max(np.abs(at)))
+            assert np.max(np.abs(diff - (pulled - at))) <= 4 * ulp
+
+
+FALSE_FAIL_2 = {"kind": "extension", "r": 1, "m": 1, "D_1_1_1": "x1", "lambda_1_1": "x2",
+                "h_2_2": "1", "checks": ["transformation_rule"]}
+
+
+@pytest.mark.parametrize("g_ia", [1.0, 1e6, 1e8, 1e10, 1e12])
+def test_transformation_rule_passes_at_any_scale_of_g_ia(tmp_path, g_ia):
+    # the shifted form cancels entries of size |g_ia| and read 2.7e-8 (a
+    # FAIL) at 1e8; the difference form's terms are of the section's size
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(dict(FALSE_FAIL_2, g_ia=[[g_ia]])), encoding="utf-8")
+    [record] = cli.run_checks(cli.load_spec(str(path))).checks
+    assert record.passed and record.residual <= 1e-15
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(shape=st.sampled_from([(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 1), (3, 2)]),
+       seed=st.integers(0, 2 ** 16), s=st.sampled_from([1.0, 1e3, 1e6, 1e9, 1e12]))
+def test_transformation_rule_is_invariant_under_scaling_g_ia(shape, seed, s):
+    # x^a = s y^a on the trailing block maps the extension of [g_ia] to that
+    # of s [g_ia], a change of coordinates, so the row's verdict and its
+    # rounding-level residual must not move with s (s >= 1: below that the
+    # sampling floor on |det g| refuses the file)
+    r, m = shape
+    ext = random_extension_spec(np.random.default_rng(seed), r, m)
+    ext = ExtensionSpec(r=r, m=m, base_connection=ext.base_connection, lam=ext.lam,
+                        g_ia=s * ext.g_ia)
+    spec = cli.ProblemSpec(kind="extension", path="", checks=["transformation_rule"],
+                           samples=20, seed=seed, extension=ext)
+    [record] = cli.run_checks(spec).checks
+    assert record.passed and record.residual <= 1e-14
+
+
+def test_transformation_rule_keeps_the_shifted_form_off_affine_metrics():
+    # g_11 + 0.1 (x3)^2 is not affine in the fiber coordinate, so the
+    # difference form does not hold: the row is the translated evaluation
+    # of g, bit for bit, and fails
+    spec = ExtensionSpec(r=1, m=1, base_connection=SymbolicConnection(1, {(1, 1, 1): "x1"}),
+                         lam={(1, 1): "x2", (2, 2): 1.0})
+    built = build_pullback_extension(spec)
+    comps = {(mu, nu): built.component(mu, nu) for mu in range(1, 4) for nu in range(mu, 4)}
+    comps[(1, 1)] = comps[(1, 1)] + 0.1 * coordinate(3, 3) ** 2
+    g = MetricField(built.chart, comps)
+    pts = sample_points(g, 20, seed=42)
+    omega = random_one_form(np.random.default_rng(42), 1, 1)
+    shifted = fiber_translate_pullback(g, omega, spec.g_ia, pts) - g.value(pts)
+    killing = killing_operator(spec.base_connection, omega, pts)
+    shifted[..., :2, :2] -= killing
+    want = _reduced("transformation_rule", pts, shifted)
+    row = transformation_rule_residual(g, spec, omega, pts)
+    assert (row.residual, row.worst_point.tolist()) == (want.residual, want.worst_point.tolist())
+    assert row.residual > 1e-3
+    affine = _translation_difference(g._slot_blocks(0, pts, (slice(2, 3),))[0],
+                                     g._slot_blocks(1, pts, (slice(2, 3),))[0],
+                                     np.linalg.inv(spec.g_ia), *omega.jet(pts))
+    affine[..., :2, :2] -= killing
+    assert _reduced("transformation_rule", pts, affine).residual != row.residual
 
 
 def test_rotational_form_is_isometry_when_killing_vanishes():
